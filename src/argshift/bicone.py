@@ -13,6 +13,7 @@ computation for binary forms over Q.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -118,8 +119,14 @@ def bicone_fiber_check(
     y-block; verdict true iff the dimension equals b - ell.  The report also
     runs the plain shift-family verdict at xi = e and records whether the two
     dimensions agree (they must: the fiber generators are scalar multiples of
-    the shift family).
+    the shift family).  timeout_secs bounds both verdicts together; the second
+    is skipped when the fiber verdict is already inconclusive.
     """
+    deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
+
+    def remaining():
+        return None if deadline is None else max(0.0, deadline - time.monotonic())
+
     e = [Fraction(v) for v in e]
     xi = dual_of(L, e)
     if not is_regular_point(L, xi):
@@ -136,13 +143,15 @@ def bicone_fiber_check(
     nonzero = [p for _, _, p in substituted if not p.is_zero()]
     dropped = [(i, j) for i, j, p in substituted if p.is_zero()]
     gb_report = regular_sequence_verdict(
-        nonzero, n, order=order, timeout_secs=timeout_secs, cache_dir=cache_dir
+        nonzero, n, order=order, timeout_secs=remaining(), cache_dir=cache_dir
     )
     fiber_dim = gb_report.ideal_dimension
-    mf = mf_generators(L, fam, xi)
-    mf_report = regular_sequence_verdict(
-        mf.polynomials(), n, order=order, timeout_secs=timeout_secs, cache_dir=cache_dir
-    )
+    mf_dim = None
+    if gb_report.status != "inconclusive":
+        mf = mf_generators(L, fam, xi)
+        mf_dim = regular_sequence_verdict(
+            mf.polynomials(), n, order=order, timeout_secs=remaining(), cache_dir=cache_dir
+        ).ideal_dimension
     status = gb_report.status
     verdict = None if fiber_dim is None else (fiber_dim == b - ell)
     report = DimensionReport(
@@ -157,67 +166,14 @@ def bicone_fiber_check(
         input_hash=gb_report.input_hash,
     )
     report.extra["counting_identity"] = identity
-    report.extra["shift_family_dimension"] = mf_report.ideal_dimension
-    report.extra["matches_shift_family"] = (
-        fiber_dim is not None and fiber_dim == mf_report.ideal_dimension
-    )
+    report.extra["shift_family_dimension"] = mf_dim
+    report.extra["matches_shift_family"] = fiber_dim is not None and fiber_dim == mf_dim
     return report
 
 
 # ---------------------------------------------------------------------------
 # pencil regularity: the exact gcd certificate
 # ---------------------------------------------------------------------------
-
-
-def _binary_form(p: Poly, a: list[Fraction], b: list[Fraction], degree: int) -> list[Fraction]:
-    """Coefficients c_0..c_D of p(s*a + t*b) = sum c_j s^(D-j) t^j.
-
-    p must be homogeneous of the given degree (or zero).
-    """
-    out = [Fraction(0)] * (degree + 1)
-    for mono, coeff in p.terms.items():
-        cur = [coeff]
-        for r, e in enumerate(mono):
-            for _ in range(e):
-                nxt = [Fraction(0)] * (len(cur) + 1)
-                for idx, c in enumerate(cur):
-                    if c:
-                        nxt[idx] += c * a[r]
-                        nxt[idx + 1] += c * b[r]
-                cur = nxt
-        for idx, c in enumerate(cur):
-            out[idx] += c
-    return out
-
-
-def _form_mul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, c in enumerate(g):
-                if c:
-                    out[i + j] += a * c
-    return out
-
-
-def _form_det(matrix: list[list[list[Fraction]]]) -> list[Fraction]:
-    """Determinant of a square matrix of binary forms (Leibniz expansion)."""
-    size = len(matrix)
-    deg = sum(len(matrix[i][i]) - 1 for i in range(size))
-    total = [Fraction(0)] * (deg + 1)
-    for perm in itertools.permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        for i in range(size):
-            for j in range(i + 1, size):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = [Fraction(sign)]
-        for i in range(size):
-            term = _form_mul(term, matrix[i][perm[i]])
-        for idx, c in enumerate(term):
-            total[idx] += c
-    return total
 
 
 def _poly_gcd_univariate(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
@@ -262,18 +218,17 @@ def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     y = [Fraction(v) for v in y]
     if linalg.rank([x, y]) != 2:
         return False
-    a = dual_of(L, x)
-    b = dual_of(L, y)
+    # x_k -> s*a_k + t*b_k; a minor's coefficient list is indexed by the t-degree
+    line = [Poly.linear_form(st) for st in zip(dual_of(L, x), dual_of(L, y))]
     ell = len(fam.generators)
     n = L.dim
-    rows = []
-    for p, d in zip(fam.generators, fam.degrees):
-        rows.append([_binary_form(p.diff(k), a, b, d - 1) for k in range(n)])
+    rows = [[p.diff(k).substitute(line) for k in range(n)] for p in fam.generators]
     minors = []
     for cols in itertools.combinations(range(n), ell):
-        det = _form_det([[rows[i][c] for c in cols] for i in range(ell)])
-        if any(det):
-            minors.append(det)
+        det = linalg.poly_det([[rows[i][c] for c in cols] for i in range(ell)])
+        if not det.is_zero():
+            deg = det.total_degree()
+            minors.append([det.coefficient((deg - j, j)) for j in range(deg + 1)])
     if not minors:
         return False
     # root at [0:1] (the point y): every minor's top coefficient vanishes

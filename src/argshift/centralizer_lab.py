@@ -17,18 +17,27 @@ from fractions import Fraction
 from . import linalg
 from .exactpoly import Poly
 from .groebner import DimensionReport, MonomialOrder, regular_sequence_verdict
-from .invariants import InvariantFamily, invariant_generators, verify_invariance
+from .invariants import (
+    InvariantFamily,
+    invariant_generators,
+    power_sums_to_elementary,
+    verify_invariance,
+)
 from .liealg import (
     LieAlgebraData,
     SL2Triple,
     SliceChart,
+    _mat_mul,
     centralizer,
     draw_regular_dual_point,
     dual_of,
     index_of,
     kostant_slice,
+    matrix_of_coords,
+    singular_codimension,
     verify_sl2,
 )
+from .reports import fractions_json
 from .shift import mf_generators
 
 
@@ -93,22 +102,11 @@ def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
 
 def jordan_partition(L: LieAlgebraData, e) -> tuple[int, ...]:
     """Jordan type of a nilpotent element from the ranks of its powers."""
-    if L.defining is None:
-        raise ValueError("algebra lacks defining matrices")
-    m = len(L.defining[0])
-    mat = [[Fraction(0)] * m for _ in range(m)]
-    for coef, bm in zip(e, L.defining):
-        if coef:
-            for a in range(m):
-                for b in range(m):
-                    mat[a][b] += coef * bm[a][b]
-    kernels = [0]
-    power = [[Fraction(int(a == b)) for b in range(m)] for a in range(m)]
-    for _ in range(m):
-        power = [
-            [sum((power[a][c] * mat[c][b] for c in range(m)), Fraction(0)) for b in range(m)]
-            for a in range(m)
-        ]
+    mat = power = matrix_of_coords(L, e)
+    m = len(mat)
+    kernels = [0, m - linalg.rank(mat)]
+    for _ in range(m - 1):
+        power = _mat_mul(power, mat)
         kernels.append(m - linalg.rank(power))
     if kernels[-1] != m:
         raise ValueError("element is not nilpotent")
@@ -152,11 +150,9 @@ def sl2_from_partition(L: LieAlgebraData, partition) -> SL2Triple:
 # ---------------------------------------------------------------------------
 
 
-def restrict_to_slice(p: Poly, chart: SliceChart, L: LieAlgebraData) -> SliceRestriction:
-    return _restrict(p, chart, L, source_index=-1)
-
-
-def _restrict(p: Poly, chart: SliceChart, L: LieAlgebraData, source_index: int) -> SliceRestriction:
+def restrict_to_slice(
+    p: Poly, chart: SliceChart, L: LieAlgebraData, source_index: int = -1
+) -> SliceRestriction:
     """Substitute x := dual(e + sum t_k v_k) and split off the initial part.
 
     The initial component is taken with respect to the standard total degree
@@ -249,15 +245,15 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     # the degree condition quantifies over a choice of free generators; the
     # power traces can miss the bound where the char-poly coefficients reach
     # it (first seen at partition (2,1,1) of gl_4), so try both
-    from .invariants import power_sums_to_elementary
-
     family_name = "power-traces"
     restrictions = [
-        _restrict(p, chart, L, source_index=i) for i, p in enumerate(fam.generators)
+        restrict_to_slice(p, chart, L, source_index=i) for i, p in enumerate(fam.generators)
     ]
     if sum(sr.initial_degree for sr in restrictions) != b_c:
         alt = power_sums_to_elementary(fam.generators)
-        alt_restrictions = [_restrict(p, chart, L, source_index=i) for i, p in enumerate(alt)]
+        alt_restrictions = [
+            restrict_to_slice(p, chart, L, source_index=i) for i, p in enumerate(alt)
+        ]
         if sum(sr.initial_degree for sr in alt_restrictions) == b_c:
             family_name = "char-coefficients"
             restrictions = alt_restrictions
@@ -304,8 +300,6 @@ def condition_star(L: LieAlgebraData, e, check_singular_codim: bool = False) -> 
     """
     pipe = _slice_pipeline(L, e)
     if check_singular_codim:
-        from .liealg import singular_codimension
-
         pipe.star.singular_codim = singular_codimension(pipe.centralizer)
     return pipe.star
 
@@ -323,7 +317,7 @@ class ConjectureRow:
         return {
             "partition": list(self.partition),
             "star": self.star.to_json_dict(),
-            "xi": [f"{c.numerator}/{c.denominator}" for c in self.xi],
+            "xi": fractions_json(self.xi),
             "xi_attempts": self.xi_attempts,
             "seed": self.seed,
             "report": self.report.to_json_dict(),

@@ -67,10 +67,6 @@ def _resolve_xi(L, spec: str, seed: int):
     return xi, {"kind": "explicit"}
 
 
-def _xi_json(xi):
-    return [f"{c.numerator}/{c.denominator}" for c in xi]
-
-
 def _order(args) -> MonomialOrder:
     return MonomialOrder(kind=args.order)
 
@@ -158,7 +154,7 @@ def cmd_commute(args) -> int:
     payload = {
         "command": "commute",
         "algebra": {"type": args.type, "size": args.size, "dim": L.dim},
-        "xi": _xi_json(xi),
+        "xi": reports.fractions_json(xi),
         "xi_spec": xi_desc,
         "report": rep.to_json_dict(),
         "verdict": rep.commutes,
@@ -184,7 +180,7 @@ def cmd_regseq(args) -> int:
     payload = {
         "command": "regseq",
         "algebra": {"type": args.type, "size": args.size, "dim": L.dim},
-        "xi": _xi_json(xi),
+        "xi": reports.fractions_json(xi),
         "xi_spec": xi_desc,
         "report": rep.to_json_dict(),
         "gb_seconds": time.monotonic() - start,

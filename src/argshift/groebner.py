@@ -29,6 +29,7 @@ from .exactpoly import (
     Monomial,
     Poly,
     format_poly,
+    grevlex_key,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -40,40 +41,42 @@ class GBTimeout(Exception):
     """Raised when a basis computation exceeds its time budget."""
 
 
+def _grevlex_negkey(mono: Monomial):
+    return (-sum(mono), tuple(reversed(mono)))
+
+
+def _lex_key(mono: Monomial):
+    return mono
+
+
+def _lex_negkey(mono: Monomial):
+    return tuple(-e for e in mono)
+
+
+_ORDER_KEYS = {"degrevlex": (grevlex_key, _grevlex_negkey), "lex": (_lex_key, _lex_negkey)}
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative monomial order: degrevlex (default) or lex.
+    """Total multiplicative monomial order with x0 > x1 > ...: degrevlex
+    (default) or lex.
 
-    The optional permutation lists variable indices from most to least
-    significant; None means x0 > x1 > ...
+    key(m) grows with m and negkey(m) shrinks with it; both are plain
+    functions bound once per order, so the hot loops pay no dispatch.
     """
 
     kind: str = "degrevlex"
-    permutation: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex"):
+        if self.kind not in _ORDER_KEYS:
             raise ValueError(f"unsupported order {self.kind!r}")
-
-    def _arranged(self, mono: Monomial) -> Monomial:
-        if self.permutation is None:
-            return mono
-        return tuple(mono[p] for p in self.permutation)
-
-    def key(self, mono: Monomial):
-        m = self._arranged(mono)
-        if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        return m
-
-    def negkey(self, mono: Monomial):
-        m = self._arranged(mono)
-        if self.kind == "degrevlex":
-            return (-sum(m), tuple(reversed(m)))
-        return tuple(-e for e in m)
+        key, negkey = _ORDER_KEYS[self.kind]
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "negkey", negkey)
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "permutation": list(self.permutation) if self.permutation else None}
+        # "permutation" is kept so that input digests and golden reports stay byte-identical
+        return {"kind": self.kind, "permutation": None}
 
 
 @dataclass
@@ -147,13 +150,17 @@ class _Budget:
             raise GBTimeout("basis computation exceeded the time budget")
 
 
-def _reduce_full(f: IntPoly, reducers, order: MonomialOrder, budget: _Budget) -> IntPoly:
+def _reduce_full(
+    f: IntPoly, reducers, order: MonomialOrder, budget: _Budget, out: IntPoly | None = None
+) -> IntPoly:
     """Full normal form of f against reducers (list of (lm, lc, terms)).
 
     Integer pseudo-reduction: the intermediate polynomial is rescaled by
     reducer leading coefficients as needed, and content-normalized at the
     end, so the result is primitive (a rational multiple of the true normal
-    form, which is all the callers need).
+    form, which is all the Buchberger callers need).  Entries already in out
+    are rescaled exactly like the remainder, so a caller that seeds one entry
+    at 1 reads off the overall factor.
     """
     if not f:
         return {}
@@ -161,7 +168,7 @@ def _reduce_full(f: IntPoly, reducers, order: MonomialOrder, budget: _Budget) ->
     # so the divisor scan can stop once leads outgrow the target
     degree_sorted = order.kind == "degrevlex"
     work = dict(f)
-    out: IntPoly = {}
+    out = {} if out is None else out
     heap = [(order.negkey(m), m) for m in work]
     heapify(heap)
     steps = 0
@@ -280,14 +287,15 @@ def _cache_path(cache_dir: str, digest: str) -> str:
 
 
 def _cache_load(cache_dir, digest, gens, order, arity) -> list[Poly] | None:
-    path = _cache_path(cache_dir, digest)
-    if not os.path.exists(path):
+    """The cached basis, or None on a miss; an unreadable or malformed file is a miss."""
+    try:
+        with open(_cache_path(cache_dir, digest), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if data.get("generators") != [format_poly(p) for p in gens]:
+            return None
+        return [parse_poly(t, arity) for t in data["basis"]]
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("generators") != [format_poly(p) for p in gens]:
-        return None
-    return [parse_poly(t, arity) for t in data["basis"]]
 
 
 def _cache_store(cache_dir, digest, gens, order, arity, basis) -> None:
@@ -429,6 +437,9 @@ def _reduce_and_normalize(G: list[IntPoly], order: MonomialOrder, budget: _Budge
     return out
 
 
+_SCALE = None  # key of normal_form's factor entry in out; no monomial equals it
+
+
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder | None = None) -> Poly:
     """Multivariate division remainder of f by the basis (exact, rational).
 
@@ -437,47 +448,15 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder | None = None) 
     the ideal is the test `normal_form(f, gb.basis, gb.order).is_zero()`.
     """
     order = order or MonomialOrder()
-    reducers = []
-    for b in basis:
-        if b.is_zero():
-            continue
-        lm = max(b.terms, key=order.key)
-        reducers.append((lm, b.terms[lm], list(b.terms.items())))
-    reducers.sort(key=lambda t: order.key(t[0]))
-    work = dict(f.terms)
-    out: dict[Monomial, Fraction] = {}
-    heap = [(order.negkey(m), m) for m in work]
-    heapify(heap)
-    while heap:
-        _, m = heappop(heap)
-        c = work.get(m)
-        if not c:
-            continue
-        hit = None
-        for lm, lc, terms in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, lc, terms)
-                break
-        if hit is None:
-            out[m] = c
-            del work[m]
-            continue
-        lm, lc, terms = hit
-        q = mono_div(m, lm)
-        factor = c / lc
-        del work[m]
-        for gm, gc in terms:
-            if gm == lm:
-                continue
-            k = tuple(x + y for x, y in zip(gm, q))
-            nv = work.get(k, Fraction(0)) - factor * gc
-            if nv:
-                if k not in work:
-                    heappush(heap, (order.negkey(k), k))
-                work[k] = nv
-            else:
-                work.pop(k, None)
-    return Poly(f.arity, out)
+    g = _to_int_poly(f)
+    if not g:
+        return Poly(f.arity)
+    reducers = _reducer_view([_to_int_poly(b) for b in basis], order)
+    # the kernel returns factor * NF(g), factor in the _SCALE entry, and g = (g/f) * f
+    out = _reduce_full(g, reducers, order, _Budget(None), out={_SCALE: 1})
+    m = next(iter(g))
+    scale = out.pop(_SCALE) * (g[m] / f.terms[m])
+    return Poly(f.arity, {k: v / scale for k, v in out.items()})
 
 
 # ---------------------------------------------------------------------------

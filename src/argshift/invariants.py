@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import liealg, poisson
 from .exactpoly import Poly
+from .groebner import jacobian_rank
 from .liealg import LieAlgebraData
 
 
@@ -120,14 +121,6 @@ def verify_invariance(L: LieAlgebraData, p: Poly) -> bool:
     return True
 
 
-def gradient_rank_at(generators: list[Poly], z) -> int:
-    """Exact rank of the gradient matrix of the generators at a dual point."""
-    from . import linalg
-
-    rows = [[g.evaluate(z) for g in p.gradient()] for p in generators]
-    return linalg.rank(rows)
-
-
 def kostant_regularity_certificate(L: LieAlgebraData, fam: InvariantFamily, z) -> bool:
     """Differential criterion for regularity of the dual point z.
 
@@ -135,7 +128,7 @@ def kostant_regularity_certificate(L: LieAlgebraData, fam: InvariantFamily, z) -
     generators at z are linearly independent; this must agree pointwise with
     is_regular_point, which is how the tests pin it down.
     """
-    return gradient_rank_at(fam.generators, z) == len(fam.generators)
+    return jacobian_rank(fam.generators, z) == len(fam.generators)
 
 
 def power_sums_to_elementary(power_sums: list[Poly]) -> list[Poly]:

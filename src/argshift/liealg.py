@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import linalg
 from .exactpoly import Poly
+from .reports import fractions_json
 
 Vector = list[Fraction]
 
@@ -128,11 +129,6 @@ def dual_of(L: LieAlgebraData, v: Vector) -> Vector:
     return linalg.mat_vec(L.form, v)
 
 
-def element_of(L: LieAlgebraData, xi: Vector) -> Vector:
-    """Inverse of dual_of: the element whose pairing form equals xi."""
-    return linalg.mat_vec(L.form_inverse(), xi)
-
-
 # ---------------------------------------------------------------------------
 # construction of the classical algebras
 # ---------------------------------------------------------------------------
@@ -182,28 +178,33 @@ def _flatten(mat) -> Vector:
     return [x for row in mat for x in row]
 
 
+def _structure_constants(columns: list[Vector], bracket_of, error: str) -> dict:
+    """Structure constants of the span of columns: each bracket_of(i, j),
+    i < j, solved in the basis columns (one elimination for all pairs)."""
+    d = len(columns)
+    rows = [list(r) for r in zip(*columns)]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    sols = linalg.solve_many(rows, [bracket_of(i, j) for i, j in pairs]) if pairs else []
+    if sols is None:
+        raise LieAlgebraError(error)
+    structure: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for pair, sol in zip(pairs, sols):
+        comps = {k: c for k, c in enumerate(sol) if c != 0}
+        if comps:
+            structure[pair] = comps
+    return structure
+
+
 def _from_matrices(
     mats: list[list[list[Fraction]]], labels: list[str], meta: dict
 ) -> LieAlgebraData:
     """Structure constants and trace form from a list of basis matrices."""
     n = len(mats)
-    flat_cols = [_flatten(m) for m in mats]
-    # rows of the flattened system: one per matrix entry
-    rows = [[flat_cols[j][r] for j in range(n)] for r in range(len(flat_cols[0]))]
-    targets = []
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((i, j))
-            targets.append(_flatten(_mat_commutator(mats[i], mats[j])))
-    sols = linalg.solve_many(rows, targets) if targets else []
-    if targets and sols is None:
-        raise LieAlgebraError("basis does not close under the bracket")
-    structure: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), sol in zip(pairs, sols):
-        comps = {k: c for k, c in enumerate(sol) if c != 0}
-        if comps:
-            structure[(i, j)] = comps
+    structure = _structure_constants(
+        [_flatten(m) for m in mats],
+        lambda i, j: _flatten(_mat_commutator(mats[i], mats[j])),
+        "basis does not close under the bracket",
+    )
     form = [[_mat_trace_pairing(mats[i], mats[j]) for j in range(n)] for i in range(n)]
     return LieAlgebraData(
         dim=n,
@@ -359,6 +360,12 @@ def _basis_vector(n: int, i: int) -> Vector:
     return v
 
 
+def _pairing(L: LieAlgebraData, left: list[Vector], right: list[Vector]) -> list[list[Fraction]]:
+    """Gram matrix [(u | v)] of the invariant form, u in left, v in right."""
+    duals = [dual_of(L, v) for v in right]
+    return [[sum((a * b for a, b in zip(u, w)), Fraction(0)) for w in duals] for u in left]
+
+
 # ---------------------------------------------------------------------------
 # centralizers
 # ---------------------------------------------------------------------------
@@ -375,34 +382,14 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
         raise LieAlgebraError("vector length mismatch")
     if not any(e):
         return L, [_basis_vector(L.dim, i) for i in range(L.dim)]
-    ad_e = adjoint_matrix(L, e)
-    kernel = linalg.nullspace(ad_e)
+    kernel = linalg.nullspace(adjoint_matrix(L, e))
     d = len(kernel)
-    # express pairwise brackets in the kernel basis
-    rows = [[kernel[j][r] for j in range(d)] for r in range(L.dim)]
-    pairs, targets = [], []
-    for a in range(d):
-        for b in range(a + 1, d):
-            pairs.append((a, b))
-            targets.append(bracket(L, kernel[a], kernel[b]))
-    sols = linalg.solve_many(rows, targets) if targets else []
-    if targets and sols is None:
-        raise LieAlgebraError("centralizer is not closed under bracket (bug)")
-    structure: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b), sol in zip(pairs, sols):
-        comps = {k: c for k, c in enumerate(sol) if c != 0}
-        if comps:
-            structure[(a, b)] = comps
-    form = [
-        [
-            sum(
-                (kernel[a][i] * L.form[i][j] * kernel[b][j] for i in range(L.dim) for j in range(L.dim)),
-                Fraction(0),
-            )
-            for b in range(d)
-        ]
-        for a in range(d)
-    ]
+    structure = _structure_constants(
+        kernel,
+        lambda a, b: bracket(L, kernel[a], kernel[b]),
+        "centralizer is not closed under bracket (bug)",
+    )
+    form = _pairing(L, kernel, kernel)
     meta = {
         "type": "centralizer",
         "parent_type": L.meta.get("type"),
@@ -424,12 +411,25 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
 # ---------------------------------------------------------------------------
 
 
+def coordinate_brackets(L: LieAlgebraData) -> dict[tuple[int, int], Poly]:
+    """{x_i, x_j} = sum_k c_ij^k x_k for i < j as linear polynomials,
+    memoized per algebra."""
+    table = L._caches.get("coord_brackets")
+    if table is None:
+        n = L.dim
+        table = {
+            (i, j): Poly.linear_form([comps.get(k, 0) for k in range(n)])
+            for (i, j), comps in L.structure.items()
+        }
+        L._caches["coord_brackets"] = table
+    return table
+
+
 def structure_matrix_poly(L: LieAlgebraData) -> list[list[Poly]]:
     """B(x) with B_ij = sum_k c_ij^k x_k, entries linear polynomials."""
     n = L.dim
     mat = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
-    for (i, j), comps in L.structure.items():
-        p = Poly.linear_form([comps.get(k, 0) for k in range(n)])
+    for (i, j), p in coordinate_brackets(L).items():
         mat[i][j] = p
         mat[j][i] = -p
     return mat
@@ -445,12 +445,11 @@ def structure_matrix_at(L: LieAlgebraData, xi: Vector) -> list[list[Fraction]]:
     return mat
 
 
-def _seeded_points(n: int, seed: int, count: int) -> list[Vector]:
+def _seeded_points(n: int, seed: int, count: int):
+    """count seeded points with entries uniform in {-10..10}/{1..10}."""
     rng = random.Random(seed)
-    pts = []
     for _ in range(count):
-        pts.append([Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)])
-    return pts
+        yield [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)]
 
 
 def index_of(L: LieAlgebraData, exact: bool | None = None, seed: int = 20250810) -> IndexReport:
@@ -528,7 +527,7 @@ def singular_codimension(
     minors = []
     for rows in itertools.combinations(range(n), r):
         for cols in itertools.combinations(range(n), r):
-            det = _poly_det([[B[i][j] for j in cols] for i in rows])
+            det = linalg.poly_det([[B[i][j] for j in cols] for i in rows])
             if not det.is_zero():
                 minors.append(det)
     if not minors:
@@ -537,22 +536,6 @@ def singular_codimension(
     if dim == -1:
         return None
     return n - dim
-
-
-def _poly_det(mat: list[list[Poly]]) -> Poly:
-    """Determinant by cofactor expansion (tiny matrices only)."""
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    arity = mat[0][0].arity
-    total = Poly.zero(arity)
-    for j in range(size):
-        if mat[0][j].is_zero():
-            continue
-        sub = [[row[k] for k in range(size) if k != j] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(sub)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def draw_regular_dual_point(
@@ -564,9 +547,7 @@ def draw_regular_dual_point(
     exactly.  Returns (point, attempts).  Used by the CLI and the centralizer
     experiments so that both share one reproducible drawing procedure.
     """
-    rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
-        xi = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(L.dim)]
+    for attempt, xi in enumerate(_seeded_points(L.dim, seed, max_attempts), start=1):
         if is_regular_point(L, xi):
             return xi, attempt
     raise LieAlgebraError(f"no regular point found in {max_attempts} attempts (index bug?)")
@@ -603,13 +584,11 @@ def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
     """Coordinates of a defining-representation matrix in the chosen basis."""
     if L.defining is None:
         raise LieAlgebraError("algebra lacks defining matrices")
-    flat_cols = [_flatten(m) for m in L.defining]
-    rows = [[flat_cols[j][r] for j in range(L.dim)] for r in range(len(flat_cols[0]))]
-    mat = [[Fraction(x) for x in row] for row in mat]
-    sol = linalg.solve(rows, _flatten(mat))
-    if sol is None:
+    rows = [list(r) for r in zip(*(_flatten(m) for m in L.defining))]
+    sols = linalg.solve_many(rows, [_flatten(mat)])
+    if sols is None:
         raise LieAlgebraError("matrix does not lie in the algebra")
-    return sol
+    return sols[0]
 
 
 def matrix_of_coords(L: LieAlgebraData, v: Vector):
@@ -642,14 +621,11 @@ def _principal_so_sp(L: LieAlgebraData) -> SL2Triple:
     e = coords_of_matrix(L, e_mat)
     # h = [e, z] with [[e, z], e] = 2e, i.e. -ad(e)^2 z = 2e
     ad_e = adjoint_matrix(L, e)
-    ad_e2 = [
-        [sum((ad_e[i][k] * ad_e[k][j] for k in range(L.dim)), Fraction(0)) for j in range(L.dim)]
-        for i in range(L.dim)
-    ]
-    z = linalg.solve([[-x for x in row] for row in ad_e2], [2 * x for x in e])
+    ad_e2 = _mat_mul(ad_e, ad_e)
+    z = linalg.solve_many([[-x for x in row] for row in ad_e2], [[2 * x for x in e]])
     if z is None:
         raise LieAlgebraError("cannot complete nilpotent to a triple (h step)")
-    h = bracket(L, e, z)
+    h = bracket(L, e, z[0])
     # f solves [e, f] = h and [h, f] = -2f simultaneously
     ad_h = adjoint_matrix(L, h)
     stacked = [row[:] for row in ad_e]
@@ -657,11 +633,10 @@ def _principal_so_sp(L: LieAlgebraData) -> SL2Triple:
         row = ad_h[i][:]
         row[i] += Fraction(2)
         stacked.append(row)
-    rhs = h + zero_vector(L.dim)
-    f = linalg.solve(stacked, rhs)
+    f = linalg.solve_many(stacked, [h + zero_vector(L.dim)])
     if f is None:
         raise LieAlgebraError("cannot complete nilpotent to a triple (f step)")
-    return SL2Triple(e=e, h=h, f=f)
+    return SL2Triple(e=e, h=h, f=f[0])
 
 
 def verify_sl2(L: LieAlgebraData, t: SL2Triple) -> None:
@@ -699,17 +674,7 @@ def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
     ge_basis = linalg.nullspace(adjoint_matrix(L, t.e))
     if len(directions) != len(ge_basis):
         raise LieAlgebraError("dim g^f != dim g^e (bug)")
-    n = L.dim
-    gram = [
-        [
-            sum(
-                (w[i] * L.form[i][j] * v[j] for i in range(n) for j in range(n)),
-                Fraction(0),
-            )
-            for v in directions
-        ]
-        for w in ge_basis
-    ]
+    gram = _pairing(L, ge_basis, directions)
     if linalg.rank(gram) != len(directions):
         raise LieAlgebraError("degenerate g^e x g^f pairing: form is not invariant")
     return SliceChart(base_point=t.e, directions=directions, ge_basis=ge_basis, pairing_gram=gram)
@@ -730,7 +695,7 @@ def algebra_to_json_dict(L: LieAlgebraData) -> dict:
         "dim": L.dim,
         "labels": list(L.basis_labels),
         "structure": triplets,
-        "form": [[f"{x.numerator}/{x.denominator}" for x in row] for row in L.form],
+        "form": [fractions_json(row) for row in L.form],
         "meta": dict(L.meta),
     }
 

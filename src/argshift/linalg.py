@@ -15,10 +15,6 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def frac_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros_vector(n: int) -> Vector:
     return [Fraction(0)] * n
 
@@ -93,24 +89,6 @@ def invert(rows: Matrix) -> Matrix:
     return [row[n:] for row in red[:n]]
 
 
-def solve(rows: Matrix, rhs: Vector) -> Vector | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to 0, so the answer is deterministic.
-    """
-    if not rows:
-        return None
-    n_cols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    x = zeros_vector(n_cols)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][-1]
-    return x
-
-
 def solve_many(rows: Matrix, rhs_columns: list[Vector]) -> list[Vector] | None:
     """Solve A x = b for several right-hand sides with one elimination.
 
@@ -172,3 +150,19 @@ def poly_matrix_rank(entries: list[list[Poly]]) -> int:
         if r == n_rows:
             break
     return r
+
+
+def poly_det(mat: list[list[Poly]]) -> Poly:
+    """Determinant of a square polynomial matrix by cofactor expansion (tiny
+    matrices only: the cost grows like size!)."""
+    size = len(mat)
+    if size == 1:
+        return mat[0][0]
+    total = Poly.zero(mat[0][0].arity)
+    for j in range(size):
+        if mat[0][j].is_zero():
+            continue
+        sub = [[row[k] for k in range(size) if k != j] for row in mat[1:]]
+        term = mat[0][j] * poly_det(sub)
+        total = total + (term if j % 2 == 0 else -term)
+    return total

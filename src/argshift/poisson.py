@@ -14,30 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactpoly import Poly
-from .liealg import LieAlgebraData
-
-
-def _coordinate_brackets(L: LieAlgebraData) -> dict[tuple[int, int], Poly]:
-    """{x_i, x_j} for i < j as linear polynomials, memoized per algebra."""
-    table = L._caches.get("coord_brackets")
-    if table is None:
-        n = L.dim
-        table = {}
-        for (i, j), comps in L.structure.items():
-            table[(i, j)] = Poly.linear_form([comps.get(k, 0) for k in range(n)])
-        L._caches["coord_brackets"] = table
-    return table
+from .liealg import LieAlgebraData, coordinate_brackets
 
 
 def poisson_bracket(L: LieAlgebraData, f: Poly, g: Poly) -> Poly:
     """Exact Poisson bracket {f, g} in the coordinates of L."""
     if f.arity != L.dim or g.arity != L.dim:
         raise ValueError("polynomial arity does not match the algebra dimension")
-    table = _coordinate_brackets(L)
     df = f.gradient()
     dg = g.gradient()
     out = Poly.zero(L.dim)
-    for (i, j), lin in table.items():
+    for (i, j), lin in coordinate_brackets(L).items():
         term = df[i] * dg[j] - df[j] * dg[i]
         if term:
             out = out + term * lin

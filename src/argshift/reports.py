@@ -14,6 +14,11 @@ import json
 VOLATILE_KEYS = frozenset({"seconds", "gb_seconds", "timing"})
 
 
+def fractions_json(values) -> list[str]:
+    """Exact rationals as "n/d" strings, the denominator always written."""
+    return [f"{c.numerator}/{c.denominator}" for c in values]
+
+
 def strip_volatile(obj):
     if isinstance(obj, dict):
         return {k: strip_volatile(v) for k, v in sorted(obj.items()) if k not in VOLATILE_KEYS}

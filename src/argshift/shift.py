@@ -21,6 +21,7 @@ from .exactpoly import Poly
 from .invariants import InvariantFamily
 from .liealg import LieAlgebraData
 from .poisson import entry_label
+from .reports import fractions_json
 
 
 def bigraded_components(p: Poly) -> list[Poly]:
@@ -93,7 +94,7 @@ class MFGeneratorSet:
 
     def to_json_dict(self) -> dict:
         return {
-            "xi": [f"{c.numerator}/{c.denominator}" for c in self.xi],
+            "xi": fractions_json(self.xi),
             "expected_count": self.expected_count,
             "degenerate": self.degenerate,
             "entries": [

@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from argshift import linalg
+from argshift import bicone, linalg
 from argshift.bicone import (
     bicone_dimension_check,
     bicone_fiber_check,
@@ -13,6 +14,7 @@ from argshift.bicone import (
     pencil_regularity,
     smoothness_crosscheck,
 )
+from argshift.groebner import DimensionReport
 from argshift.liealg import coords_of_matrix, matrix_of_coords
 
 
@@ -165,6 +167,41 @@ def test_fiber_dimensions(algebras, families, triples, gb_cache):
         assert rep.extra["matches_shift_family"]
         # exactly the j = 0 components vanish at a nilpotent base point
         assert rep.zero_generators == [(i, 0) for i in range(len(families[spec].degrees))]
+
+
+def test_fiber_check_shares_one_budget(algebras, families, triples, monkeypatch):
+    real = bicone.regular_sequence_verdict
+    budgets = []
+
+    def slow_verdict(gens, n, **kwargs):
+        budgets.append(kwargs["timeout_secs"])
+        time.sleep(0.3)
+        return real(gens, n, **kwargs)
+
+    monkeypatch.setattr(bicone, "regular_sequence_verdict", slow_verdict)
+    spec = ("sl", 2)
+    rep = bicone_fiber_check(algebras[spec], families[spec], triples[spec].e, timeout_secs=5.0)
+    assert rep.verdict is True and rep.extra["matches_shift_family"]
+    assert len(budgets) == 2
+    assert budgets[0] <= 5.0
+    assert budgets[1] <= budgets[0] - 0.3  # the shift-family verdict gets what is left
+
+
+def test_fiber_check_skips_shift_verdict_after_timeout(algebras, families, triples, monkeypatch):
+    calls = []
+
+    def timed_out(gens, n, **kwargs):
+        calls.append(kwargs["timeout_secs"])
+        k = len(gens)
+        return DimensionReport(n, k, None, n - k, None, status="inconclusive")
+
+    monkeypatch.setattr(bicone, "regular_sequence_verdict", timed_out)
+    spec = ("sl", 3)
+    rep = bicone_fiber_check(algebras[spec], families[spec], triples[spec].e, timeout_secs=5.0)
+    assert len(calls) == 1
+    assert rep.status == "inconclusive" and rep.verdict is None
+    assert rep.extra["shift_family_dimension"] is None
+    assert rep.extra["matches_shift_family"] is False
 
 
 def test_fiber_rejects_bad_base(algebras, families, triples):

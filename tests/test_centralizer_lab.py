@@ -133,13 +133,13 @@ def test_transport_is_invariant(algebras):
 
 
 def test_transport_identity_for_zero(algebras, families):
-    from argshift.centralizer_lab import _full_chart, _restrict
+    from argshift.centralizer_lab import _full_chart, restrict_to_slice
 
     L = algebras[("gl", 3)]
     chart = _full_chart(L)
     Lc, _ = centralizer(L, [Fraction(0)] * 9)
     for p in families[("gl", 3)].generators:
-        sr = _restrict(p, chart, L, source_index=0)
+        sr = restrict_to_slice(p, chart, L, source_index=0)
         assert transport_to_centralizer(sr, chart, Lc) == p
 
 

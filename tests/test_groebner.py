@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from argshift import bicone
-from argshift.exactpoly import Poly, parse_poly
+from argshift.exactpoly import Poly, format_poly, parse_poly
 from argshift.groebner import (
     GBTimeout,
     MonomialOrder,
@@ -84,6 +84,22 @@ def test_normal_form_untouched():
 
 def test_normal_form_multistep():
     assert normal_form(x * x + x * y, [x]).is_zero()
+
+
+def test_normal_form_exact_through_rescaling():
+    # the integer kernel rescales by the reducer's leading coefficient
+    assert normal_form(x * x, [2 * x - y]) == Fraction(1, 4) * y * y
+    # x^3 -> 1/3*xy by the first reducer, then 2/3*y^3 -> -2/15*xy by the second
+    f = Fraction(1, 2) * x**3 + Fraction(2, 3) * y**3
+    assert normal_form(f, [3 * x * x - 2 * y, 5 * y * y + x]) == Fraction(1, 5) * x * y
+    g = Fraction(3, 7) * x * y + Fraction(-5, 2) * y
+    assert normal_form(g, [Fraction(4, 9) * x * x]) == g
+    assert normal_form(g, []) == g
+
+
+def test_normal_form_of_zero():
+    assert normal_form(Poly.zero(2), [2 * x - y]) == Poly.zero(2)
+    assert normal_form(Poly.zero(2), []) == Poly.zero(2)
 
 
 def test_normal_form_shift_invariance(algebras, families, triples):
@@ -321,3 +337,32 @@ def test_cache_is_semantically_invisible(tmp_path, algebras, families, triples):
     cached1 = regular_sequence_verdict(gens, 3, cache_dir=str(tmp_path))
     cached2 = regular_sequence_verdict(gens, 3, cache_dir=str(tmp_path))
     assert plain.to_json_dict() == cached1.to_json_dict() == cached2.to_json_dict()
+
+
+def _cache_without_basis(gens):
+    return json.dumps({"generators": [format_poly(p) for p in gens]})
+
+
+def _cache_with_bad_term(gens):
+    return json.dumps({"generators": [format_poly(p) for p in gens], "basis": ["x9"]})
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        lambda gens: '{"generators": ["x0',  # truncated
+        _cache_without_basis,
+        _cache_with_bad_term,
+        lambda gens: "[1, 2]",
+    ],
+    ids=["truncated", "no-basis", "bad-term", "not-an-object"],
+)
+def test_malformed_cache_file_is_a_miss(tmp_path, algebras, families, triples, content):
+    gens = sl2_family(algebras, families, triples)
+    path = tmp_path / f"gb-{input_digest(gens, MonomialOrder(), 3)}.json"
+    path.write_text(content(gens))
+    plain = regular_sequence_verdict(gens, 3)
+    cached = regular_sequence_verdict(gens, 3, cache_dir=str(tmp_path))
+    assert cached.to_json_dict() == plain.to_json_dict()
+    # the miss recomputes and overwrites the file with a readable one
+    assert json.loads(path.read_text())["basis"]
