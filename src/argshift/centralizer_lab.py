@@ -34,7 +34,6 @@ from .liealg import (
     index_of,
     kostant_slice,
     matrix_of_coords,
-    singular_codimension,
     verify_sl2,
 )
 from .reports import fractions_json
@@ -59,7 +58,6 @@ class StarReport:
     centralizer_dim: int
     centralizer_index: int
     generator_family: str = "power-traces"
-    singular_codim: int | None = None  # only filled by the optional check
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,7 +69,6 @@ class StarReport:
             "centralizer_index": self.centralizer_index,
             "verdict": self.verdict,
             "generator_family": self.generator_family,
-            "singular_codim": self.singular_codim,
         }
 
 
@@ -292,16 +289,9 @@ def _full_chart(L: LieAlgebraData) -> SliceChart:
     )
 
 
-def condition_star(L: LieAlgebraData, e, check_singular_codim: bool = False) -> StarReport:
-    """Degree bookkeeping on the slice: sum deg initial components vs b(g^e).
-
-    The optional singular-codimension estimate of the centralizer dual is
-    off by default because the minor ideal explodes beyond small ranks.
-    """
-    pipe = _slice_pipeline(L, e)
-    if check_singular_codim:
-        pipe.star.singular_codim = singular_codimension(pipe.centralizer)
-    return pipe.star
+def condition_star(L: LieAlgebraData, e) -> StarReport:
+    """Degree bookkeeping on the slice: sum deg initial components vs b(g^e)."""
+    return _slice_pipeline(L, e).star
 
 
 @dataclass

@@ -264,7 +264,7 @@ class Poly:
         for g in images:
             if g.arity != target:
                 raise ValueError("images have mismatched arities")
-        result = Poly.zero(target)
+        out: dict[Monomial, Coeff] = {}
         power_cache: dict[tuple[int, int], Poly] = {}
 
         def img_pow(k: int, e: int) -> Poly:
@@ -279,7 +279,15 @@ class Poly:
             for k, e in enumerate(mono):
                 if e:
                     term = term * img_pow(k, e)
-            result = result + term
+            for m, c in term.terms.items():
+                total = out.get(m, 0) + c
+                if total:
+                    out[m] = total
+                else:
+                    out.pop(m, None)
+        result = Poly.__new__(Poly)
+        result.arity = target
+        result.terms = out
         return result
 
     def homogeneous_components(self) -> dict[int, "Poly"]:

@@ -2,11 +2,18 @@
 
 Buchberger's algorithm with the normal (degree) pair-selection strategy and
 the coprimality and chain criteria.  Coefficients are cleared to primitive
-integer vectors before pairing, and all reductions are integer pseudo-
-reductions, so no rational arithmetic happens in the hot loop; the reduced
-basis is converted to monic rational polynomials at the end.  Output is
-deterministic for a fixed input sequence and order, which is what makes the
-disk cache and the golden reports sound.
+integer vectors, and all reductions are integer pseudo-reductions, so no
+rational arithmetic happens in the hot loop; the reduced basis is converted
+to monic rational polynomials at the end.
+
+Each basis element is one record, built when it enters the basis: the order
+key of its leading monomial, the leading monomial, the leading coefficient
+(made positive there, once) and the terms as a tuple.  The reducers are those
+records in a list kept sorted by key with ``bisect.insort``, and the critical
+pairs wait in a heap of (degree of the lcm, i, j) next to the set of pending
+pairs that the chain criterion reads.  Output is deterministic for a fixed
+input sequence and order, which is what makes the disk cache and the golden
+reports sound.
 
 The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
@@ -19,10 +26,12 @@ import hashlib
 import json
 import os
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from typing import NamedTuple
 
 from . import linalg
 from .exactpoly import (
@@ -95,21 +104,35 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 
-IntPoly = dict  # Monomial -> int, content 1, positive leading coefficient
+IntPoly = dict  # Monomial -> int, content 1
+
+
+class _Record(NamedTuple):
+    """One basis element; its lead is found and its sign fixed once, in _record."""
+
+    key: tuple  # order key of lm
+    lm: Monomial
+    lc: int  # positive
+    terms: tuple  # ((monomial, int), ...), content 1
+
+
+def _record(d: IntPoly, order: MonomialOrder) -> _Record:
+    lm = max(d, key=order.key)
+    if d[lm] < 0:
+        d = {m: -c for m, c in d.items()}
+    return _Record(order.key(lm), lm, d[lm], tuple(d.items()))
+
+
+def _by_key(rec: _Record):
+    return rec.key
 
 
 def _to_int_poly(p: Poly) -> IntPoly:
-    if not p.terms:
-        return {}
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
     out = {m: int(c * den) for m, c in p.terms.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {m: v // g for m, v in out.items()}
+    _content_normalize(out)
     return out
 
 
@@ -122,15 +145,6 @@ def _content_normalize(d: IntPoly) -> None:
     if g > 1:
         for m in d:
             d[m] //= g
-
-
-def _sign_normalize(d: IntPoly, order: MonomialOrder) -> None:
-    if not d:
-        return
-    lm = max(d, key=order.key)
-    if d[lm] < 0:
-        for m in d:
-            d[m] = -d[m]
 
 
 class _Budget:
@@ -151,9 +165,10 @@ class _Budget:
 
 
 def _reduce_full(
-    f: IntPoly, reducers, order: MonomialOrder, budget: _Budget, out: IntPoly | None = None
+    f, reducers: list[_Record], order: MonomialOrder, budget: _Budget, out: IntPoly | None = None
 ) -> IntPoly:
-    """Full normal form of f against reducers (list of (lm, lc, terms)).
+    """Full normal form of f (a dict or a tuple of items) against reducers
+    (records sorted by key).
 
     Integer pseudo-reduction: the intermediate polynomial is rescaled by
     reducer leading coefficients as needed, and content-normalized at the
@@ -164,8 +179,8 @@ def _reduce_full(
     """
     if not f:
         return {}
-    # reducers are key-ascending; under degrevlex that is degree-ascending,
-    # so the divisor scan can stop once leads outgrow the target
+    # under degrevlex the key starts with the degree, so the divisor scan can
+    # stop once leads outgrow the target
     degree_sorted = order.kind == "degrevlex"
     work = dict(f)
     out = {} if out is None else out
@@ -179,8 +194,8 @@ def _reduce_full(
             continue
         mdeg = sum(m)
         hit = None
-        for lm, lc, terms in reducers:
-            if degree_sorted and sum(lm) > mdeg:
+        for key, lm, lc, terms in reducers:
+            if degree_sorted and key[0] > mdeg:
                 break
             if mono_divides(lm, m):
                 hit = (lm, lc, terms)
@@ -192,9 +207,7 @@ def _reduce_full(
         lm, lc, terms = hit
         q = mono_div(m, lm)
         g = gcd(c, lc)
-        a, b = lc // g, c // g
-        if a < 0:
-            a, b = -a, -b
+        a, b = lc // g, c // g  # a > 0: record leading coefficients are positive
         if a != 1:
             for k in work:
                 work[k] *= a
@@ -234,31 +247,16 @@ def _reduce_full(
     return out
 
 
-def _reducer_view(polys: list[IntPoly], order: MonomialOrder, skip: int | None = None):
-    """Reducers sorted by leading monomial (ascending): smaller leads first."""
-    view = []
-    for idx, d in enumerate(polys):
-        if idx == skip or not d:
-            continue
-        lm = max(d, key=order.key)
-        view.append((order.key(lm), lm, d[lm], tuple(d.items())))
-    view.sort(key=lambda t: t[0])
-    return [(lm, lc, terms) for _, lm, lc, terms in view]
-
-
-def _spoly(f: IntPoly, g: IntPoly, order: MonomialOrder) -> IntPoly:
-    lf = max(f, key=order.key)
-    lg = max(g, key=order.key)
-    lcm = mono_lcm(lf, lg)
-    cf, cg = f[lf], g[lg]
-    d = gcd(cf, cg)
-    mf, mg = mono_div(lcm, lf), mono_div(lcm, lg)
-    af, ag = cg // d, cf // d
+def _spoly(f: _Record, g: _Record) -> IntPoly:
+    lcm = mono_lcm(f.lm, g.lm)
+    d = gcd(f.lc, g.lc)
+    mf, mg = mono_div(lcm, f.lm), mono_div(lcm, g.lm)
+    af, ag = g.lc // d, f.lc // d
     out: IntPoly = {}
-    for m, c in f.items():
+    for m, c in f.terms:
         k = tuple(x + y for x, y in zip(m, mf))
         out[k] = out.get(k, 0) + af * c
-    for m, c in g.items():
+    for m, c in g.terms:
         k = tuple(x + y for x, y in zip(m, mg))
         v = out.get(k, 0) - ag * c
         if v:
@@ -327,7 +325,6 @@ def buchberger(
     case).  Raises GBTimeout when the time budget runs out.
     """
     order = order or MonomialOrder()
-    nonzero = [p for p in gens if not p.is_zero()]
     if gens:
         arity = gens[0].arity
     elif arity is None:
@@ -342,98 +339,83 @@ def buchberger(
             return GroebnerBasis(order=order, arity=arity, basis=cached, input_hash=digest)
     budget = _Budget(timeout_secs)
 
-    G: list[IntPoly] = []
-    for p in nonzero:
-        d = _to_int_poly(p)
-        r = _reduce_full(d, _reducer_view(G, order), order, budget)
+    G: list[_Record] = []  # pairs index into G
+    reducers: list[_Record] = []  # the records of G, sorted by key
+    for p in gens:
+        r = _reduce_full(_to_int_poly(p), reducers, order, budget)
         if r:
-            _sign_normalize(r, order)
-            G.append(r)
+            G.append(_record(r, order))
+            insort(reducers, G[-1], key=_by_key)
     # inter-reduce the seed basis to a fixpoint; linear generators then
     # eliminate their variables before any pair is formed
     changed = True
     while changed and len(G) > 1:
         changed = False
-        for idx in range(len(G)):
-            others = _reducer_view(G, order, skip=idx)
-            r = _reduce_full(G[idx], others, order, budget)
-            if r != G[idx]:
-                changed = True
-                if r:
-                    _sign_normalize(r, order)
-                    G[idx] = r
-                else:
-                    G.pop(idx)
-                    break
+        for idx, rec in enumerate(G):
+            reducers.remove(rec)
+            r = _reduce_full(rec.terms, reducers, order, budget)
+            if r == dict(rec.terms):
+                insort(reducers, rec, key=_by_key)
+                continue
+            changed = True
+            if not r:
+                G.pop(idx)
+                break
+            G[idx] = _record(r, order)
+            insort(reducers, G[idx], key=_by_key)
 
-    pairs: set[tuple[int, int]] = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    lms = [max(d, key=order.key) for d in G]
-
-    def pair_rank(p):
-        i, j = p
-        return (sum(mono_lcm(lms[i], lms[j])), i, j)
-
-    while pairs:
+    pending = {(i, j) for j in range(len(G)) for i in range(j)}
+    heap = [(sum(mono_lcm(G[i].lm, G[j].lm)), i, j) for i, j in pending]
+    heapify(heap)
+    while heap:
         budget.tick(stride=1)
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
-        lcm_ij = mono_lcm(lms[i], lms[j])
+        _, i, j = heappop(heap)
+        pending.discard((i, j))
+        li, lj = G[i].lm, G[j].lm
+        lcm_ij = mono_lcm(li, lj)
         # first criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(lms[i], lms[j], lcm_ij)):
+        if all(a + b == c for a, b, c in zip(li, lj, lcm_ij)):
             continue
         # chain criterion: some k with lt_k | lcm and both side pairs done
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if mono_divides(lms[k], lcm_ij):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            k != i and k != j and mono_divides(rec.lm, lcm_ij)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, rec in enumerate(G)
+        ):
             continue
-        s = _spoly(G[i], G[j], order)
-        r = _reduce_full(s, _reducer_view(G, order), order, budget)
+        r = _reduce_full(_spoly(G[i], G[j]), reducers, order, budget)
         if r:
-            _sign_normalize(r, order)
             t = len(G)
-            G.append(r)
-            lms.append(max(r, key=order.key))
+            G.append(_record(r, order))
+            insort(reducers, G[t], key=_by_key)
             for a in range(t):
-                pairs.add((a, t))
+                pending.add((a, t))
+                heappush(heap, (sum(mono_lcm(G[a].lm, G[t].lm)), a, t))
 
-    basis = _reduce_and_normalize(G, order, budget)
+    basis = _reduce_and_normalize(reducers, order, budget)
     if cache_dir is not None:
         _cache_store(cache_dir, digest, gens, order, arity, basis)
     return GroebnerBasis(order=order, arity=arity, basis=basis, input_hash=digest)
 
 
-def _reduce_and_normalize(G: list[IntPoly], order: MonomialOrder, budget: _Budget) -> list[Poly]:
-    """Minimalize, inter-reduce and make monic; sorted by leading monomial."""
-    live = [(max(d, key=order.key), d) for d in G if d]
-    live.sort(key=lambda t: order.key(t[0]))
-    minimal: list[IntPoly] = []
-    min_lms: list[Monomial] = []
-    for lm, d in live:
-        if any(mono_divides(m, lm) for m in min_lms):
-            continue
-        minimal.append(d)
-        min_lms.append(lm)
-    reduced: list[IntPoly] = []
-    for idx, d in enumerate(minimal):
-        others = _reducer_view([x for k, x in enumerate(minimal) if k != idx], order)
-        r = _reduce_full(d, others, order, budget)
-        _sign_normalize(r, order)
-        reduced.append(r)
+def _reduce_and_normalize(
+    reducers: list[_Record], order: MonomialOrder, budget: _Budget
+) -> list[Poly]:
+    """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
+
+    A lead kept by minimalization is divisible by no other kept lead, so it
+    survives the inter-reduction and is still the record's lm.
+    """
+    minimal: list[_Record] = []
+    for rec in reducers:
+        if not any(mono_divides(m.lm, rec.lm) for m in minimal):
+            minimal.append(rec)
     out: list[Poly] = []
-    arity = len(min_lms[0]) if min_lms else 0
-    for d in reduced:
-        lm = max(d, key=order.key)
-        lc = d[lm]
-        out.append(Poly(arity, {m: Fraction(c, lc) for m, c in d.items()}))
-    out.sort(key=lambda p: order.key(max(p.terms, key=order.key)))
+    for idx, rec in enumerate(minimal):
+        r = _reduce_full(rec.terms, minimal[:idx] + minimal[idx + 1 :], order, budget)
+        lc = r[rec.lm]
+        out.append(Poly(len(rec.lm), {m: Fraction(c, lc) for m, c in r.items()}))
     return out
 
 
@@ -451,7 +433,8 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder | None = None) 
     g = _to_int_poly(f)
     if not g:
         return Poly(f.arity)
-    reducers = _reducer_view([_to_int_poly(b) for b in basis], order)
+    reducers = [_record(_to_int_poly(b), order) for b in basis if not b.is_zero()]
+    reducers.sort(key=_by_key)
     # the kernel returns factor * NF(g), factor in the _SCALE entry, and g = (g/f) * f
     out = _reduce_full(g, reducers, order, _Budget(None), out={_SCALE: 1})
     m = next(iter(g))
@@ -568,45 +551,25 @@ def regular_sequence_verdict(
             raise ValueError("regular-sequence verdict requires homogeneous generators")
         if not p.is_zero() and p.arity != n:
             raise ValueError("generator arity does not match n")
+    report = dict(arity=n, generator_count=k, expected_dimension=n - k, order=order)
     zeros = [i for i, p in enumerate(gens) if p.is_zero()]
     if zeros:
         labels = zero_labels if zero_labels is not None else zeros
         return DimensionReport(
-            arity=n,
-            generator_count=k,
-            ideal_dimension=None,
-            expected_dimension=n - k,
-            verdict=False,
-            status="degenerate",
-            zero_generators=list(labels),
-            order=order,
+            ideal_dimension=None, verdict=False, status="degenerate",
+            zero_generators=list(labels), **report,
         )
     try:
         gb = buchberger(gens, order=order, timeout_secs=timeout_secs, cache_dir=cache_dir, arity=n)
         dim = ideal_dimension(gb)
     except GBTimeout:
-        return DimensionReport(
-            arity=n,
-            generator_count=k,
-            ideal_dimension=None,
-            expected_dimension=n - k,
-            verdict=None,
-            status="inconclusive",
-            order=order,
-        )
+        return DimensionReport(ideal_dimension=None, verdict=None, status="inconclusive", **report)
     if dim != -1 and dim < n - k:
         raise AssertionError(
             f"computed dimension {dim} below the Krull bound {n - k}: engine bug"
         )
     return DimensionReport(
-        arity=n,
-        generator_count=k,
-        ideal_dimension=dim,
-        expected_dimension=n - k,
-        verdict=(dim == n - k),
-        status="ok",
-        order=order,
-        input_hash=gb.input_hash,
+        ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=gb.input_hash, **report
     )
 
 

@@ -13,7 +13,6 @@ linear form (u | .) attached to an element u has coordinate vector form.u
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +25,8 @@ Vector = list[Fraction]
 
 # dim threshold below which the index is certified by symbolic rank
 EXACT_INDEX_MAX_DIM = 12
+# seed of index_of's sample and certificate points
+INDEX_SEED = 20250810
 
 
 class LieAlgebraError(ValueError):
@@ -452,7 +453,7 @@ def _seeded_points(n: int, seed: int, count: int):
         yield [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)]
 
 
-def index_of(L: LieAlgebraData, exact: bool | None = None, seed: int = 20250810) -> IndexReport:
+def index_of(L: LieAlgebraData) -> IndexReport:
     """Index = dim - generic rank of the structure matrix.
 
     Exact mode computes the rank of B over Q(x_0,..,x_{n-1}) by fraction-free
@@ -462,22 +463,20 @@ def index_of(L: LieAlgebraData, exact: bool | None = None, seed: int = 20250810)
     if L._index_cache is not None:
         return L._index_cache
     n = L.dim
-    use_exact = exact if exact is not None else (n <= EXACT_INDEX_MAX_DIM)
     certificates: list[Vector] = []
-    if use_exact:
+    if n <= EXACT_INDEX_MAX_DIM:
         generic_rank = linalg.poly_matrix_rank(structure_matrix_poly(L))
         mode = "exact"
-    else:
-        generic_rank = 0
-        for pt in _seeded_points(n, seed, 5):
-            generic_rank = max(generic_rank, linalg.rank(structure_matrix_at(L, pt)))
-            certificates.append(pt)
-        mode = "sampled"
-    if mode == "exact":
-        for pt in _seeded_points(n, seed, 50):
+        for pt in _seeded_points(n, INDEX_SEED, 50):
             if linalg.rank(structure_matrix_at(L, pt)) == generic_rank:
                 certificates.append(pt)
                 break
+    else:
+        generic_rank = 0
+        for pt in _seeded_points(n, INDEX_SEED, 5):
+            generic_rank = max(generic_rank, linalg.rank(structure_matrix_at(L, pt)))
+            certificates.append(pt)
+        mode = "sampled"
     report = IndexReport(
         dim=n,
         generic_rank=generic_rank,
@@ -495,47 +494,6 @@ def is_regular_point(L: LieAlgebraData, xi: Vector) -> bool:
         raise LieAlgebraError("vector length mismatch")
     report = index_of(L)
     return linalg.rank(structure_matrix_at(L, xi)) == L.dim - report.index
-
-
-def singular_codimension(
-    L: LieAlgebraData, max_minors: int = 400, cache_dir: str | None = None
-) -> int | None:
-    """Codimension of the singular locus, via the maximal minors of B(x).
-
-    Small-case estimate only: the locus where the structure matrix drops
-    below its generic rank r is cut out by the r x r minors, and its
-    codimension is read off a Groebner basis of the minor ideal.  The minor
-    count explodes combinatorially, so anything beyond max_minors is
-    refused.  Returns None when the singular locus is empty (abelian case).
-    """
-    import itertools
-
-    from .groebner import buchberger, ideal_dimension
-
-    n = L.dim
-    r = index_of(L).generic_rank
-    if r == 0:
-        return None
-    count = 1
-    for i in range(r):
-        count = count * (n - i) // (i + 1)
-    if count * count > max_minors:
-        raise ValueError(
-            f"{count * count} minors exceed the small-case budget of {max_minors}"
-        )
-    B = structure_matrix_poly(L)
-    minors = []
-    for rows in itertools.combinations(range(n), r):
-        for cols in itertools.combinations(range(n), r):
-            det = linalg.poly_det([[B[i][j] for j in cols] for i in rows])
-            if not det.is_zero():
-                minors.append(det)
-    if not minors:
-        raise AssertionError("all maximal minors vanish at generic rank (bug)")
-    dim = ideal_dimension(buchberger(minors, cache_dir=cache_dir))
-    if dim == -1:
-        return None
-    return n - dim
 
 
 def draw_regular_dual_point(
@@ -681,7 +639,7 @@ def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON form
 # ---------------------------------------------------------------------------
 
 
@@ -698,25 +656,3 @@ def algebra_to_json_dict(L: LieAlgebraData) -> dict:
         "form": [fractions_json(row) for row in L.form],
         "meta": dict(L.meta),
     }
-
-
-def algebra_from_json_dict(data: dict) -> LieAlgebraData:
-    structure: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j, k, num, den in data["structure"]:
-        structure.setdefault((i, j), {})[k] = Fraction(num, den)
-    form = [[Fraction(x) for x in row] for row in data["form"]]
-    return LieAlgebraData(
-        dim=data["dim"],
-        basis_labels=list(data["labels"]),
-        structure=structure,
-        form=form,
-        meta=dict(data.get("meta", {})),
-    )
-
-
-def algebra_to_json(L: LieAlgebraData) -> str:
-    return json.dumps(algebra_to_json_dict(L), sort_keys=True)
-
-
-def algebra_from_json(text: str) -> LieAlgebraData:
-    return algebra_from_json_dict(json.loads(text))

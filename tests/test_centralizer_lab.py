@@ -206,16 +206,6 @@ def test_gl4_2_1_1_needs_char_coefficients():
     assert star.degree_sum == star.b_centralizer == 7
 
 
-def test_optional_singular_codim_on_star(algebras):
-    L = algebras[("gl", 3)]
-    star = condition_star(L, nilpotent_from_partition(L, (2, 1)), check_singular_codim=True)
-    assert star.singular_codim == 3
-    star3 = condition_star(L, nilpotent_from_partition(L, (3,)), check_singular_codim=True)
-    assert star3.singular_codim is None  # abelian centralizer: no singular points
-    default = condition_star(L, nilpotent_from_partition(L, (2, 1)))
-    assert default.singular_codim is None
-
-
 def test_centralizer_dims_match_slice(algebras):
     L = algebras[("gl", 3)]
     for part in PARTITIONS3:

@@ -96,6 +96,12 @@ def test_substitute_swap_symmetric():
     assert f.substitute([y, x]) == f
 
 
+def test_substitute_cancelling_terms_leave_no_zeros():
+    t = Poly.variable(1, 0)
+    assert (x - y).substitute([t, t]).terms == {}
+    assert (x * x - x * y + 2 * y).substitute([t, t]).terms == {(1,): Fraction(2)}
+
+
 def test_substitute_arity_mismatch():
     with pytest.raises(ValueError):
         (x * y).substitute([x])

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argshift import bicone
 from argshift.exactpoly import Poly, format_poly, parse_poly
@@ -102,6 +104,12 @@ def test_normal_form_of_zero():
     assert normal_form(Poly.zero(2), []) == Poly.zero(2)
 
 
+def test_normal_form_skips_zero_reducers():
+    g = 2 * x * x - 3 * y
+    f = x**3 + x * y + y * y
+    assert normal_form(f, [Poly.zero(2), g]) == normal_form(f, [g])
+
+
 def test_normal_form_shift_invariance(algebras, families, triples):
     # normal_form(f*g + h) == normal_form(h) whenever g is in the ideal
     gens = sl2_family(algebras, families, triples)
@@ -136,6 +144,55 @@ def test_lex_example_contains_y4_minus_y():
     target = y**4 - y
     assert any(p == target for p in gb.basis)
     assert ideal_dimension(gb) == 0
+
+
+def test_zero_generators_are_ignored():
+    g = 2 * x * x - 3 * y
+    assert buchberger([Poly.zero(2), g, Poly.zero(2)]).basis == buchberger([g]).basis
+
+
+def _monomials(n, d):
+    return [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """2-4 homogeneous polynomials in 2-4 variables, degree <= 3, small integer coefficients."""
+    n = draw(st.integers(2, 4))
+    system = []
+    for _ in range(draw(st.integers(2, 4))):
+        monos = draw(st.lists(st.sampled_from(_monomials(n, draw(st.integers(1, 3)))),
+                              min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(monos), max_size=len(monos)))
+        system.append(Poly(n, dict(zip(monos, coeffs))))
+    return system
+
+
+def _monic_term_sets(polys):
+    return {frozenset(p.terms.items()) for p in polys}
+
+
+@pytest.mark.parametrize("kind,sympy_order", [("degrevlex", "grevlex"), ("lex", "lex")])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(system=homogeneous_systems())
+def test_reduced_basis_matches_sympy(kind, sympy_order, system):
+    import sympy
+
+    n = system[0].arity
+    xs = sympy.symbols(f"v0:{n}")
+    exprs = [sum(int(c) * sympy.Mul(*(v**e for v, e in zip(xs, m))) for m, c in p.terms.items())
+             for p in system]
+    ref = sympy.groebner(exprs, *xs, order=sympy_order, domain="QQ")
+    want = []
+    for e in ref.exprs:
+        poly = sympy.Poly(e, *xs, domain="QQ")
+        lc = poly.LC(order=sympy_order)  # monic() would divide by the lex leading coefficient
+        want.append(Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+                    * Fraction(int(lc.q), int(lc.p)))
+    gb = buchberger(system, MonomialOrder(kind))
+    assert _monic_term_sets(gb.basis) == _monic_term_sets(want)
+    assert len(gb.basis) == len(want)
 
 
 def test_reduced_gb_is_fixed_point():

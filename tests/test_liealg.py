@@ -7,8 +7,6 @@ from argshift import liealg
 from argshift.liealg import (
     LieAlgebraError,
     adjoint_matrix,
-    algebra_from_json,
-    algebra_to_json,
     bracket,
     build_classical,
     centralizer,
@@ -227,33 +225,11 @@ def test_sl2_slice_direction_is_f(algebras, triples):
     assert chart.directions == [[Fraction(0), Fraction(0), Fraction(1)]]
 
 
-def test_json_round_trip(algebras):
-    for L in algebras.values():
-        back = algebra_from_json(algebra_to_json(L))
-        assert back.dim == L.dim
-        assert back.basis_labels == L.basis_labels
-        assert back.structure == L.structure
-        assert back.form == L.form
-        assert back.meta == L.meta
-
-
 def test_coords_matrix_round_trip(algebras):
     L = algebras[("sp", 4)]
     rng = random.Random(2)
     v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(L.dim)]
     assert coords_of_matrix(L, liealg.matrix_of_coords(L, v)) == v
-
-
-def test_singular_codimension_small_cases(algebras):
-    # the singular locus of these rank-one-or-two algebras is the set where
-    # the structure matrix vanishes: codimension 3 in each case
-    for spec in [("sl", 2), ("gl", 2), ("so", 3)]:
-        assert liealg.singular_codimension(algebras[spec]) == 3
-
-
-def test_singular_codimension_guard(algebras):
-    with pytest.raises(ValueError):
-        liealg.singular_codimension(algebras[("gl", 3)])
 
 
 def test_draw_regular_is_deterministic(algebras):
