@@ -89,7 +89,7 @@ def bicone_dimension_check(
     fam: InvariantFamily,
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
-    cache_dir: str | None = None,
+    cache_dir: None = None,  # passed on; regular_sequence_verdict accepts only None
 ) -> DimensionReport:
     """Full bicone: verdict true iff its dimension is 3(b - ell) in 2n vars."""
     identity = counting_identity(L, fam)
@@ -111,7 +111,7 @@ def bicone_fiber_check(
     e,
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
-    cache_dir: str | None = None,
+    cache_dir: None = None,  # passed on; regular_sequence_verdict accepts only None
 ) -> DimensionReport:
     """Fiber of the first projection over a regular nilpotent element e.
 

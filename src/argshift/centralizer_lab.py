@@ -320,7 +320,7 @@ def conjecture_check(
     seed: int,
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
-    cache_dir: str | None = None,
+    cache_dir: None = None,  # passed on; regular_sequence_verdict accepts only None
 ) -> ConjectureRow:
     """Regular-sequence experiment for the shift family over a centralizer.
 

@@ -4,15 +4,15 @@ Subcommands: algebra, invariants, mf, commute, regseq, bicone, star,
 conjecture.  Every run emits one JSON report (stdout or --output).
 
 Exit codes: 0 verdict true / success, 1 verdict false, 2 inconclusive
-(timeout), 3 usage or input error.
+(timeout), 3 usage or input error, 4 internal error (never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -26,6 +26,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -69,12 +70,6 @@ def _resolve_xi(L, spec: str, seed: int):
 
 def _order(args) -> MonomialOrder:
     return MonomialOrder(kind=args.order)
-
-
-def _cache_dir(args) -> str | None:
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("ARGSHIFT_CACHE_DIR") or None
 
 
 def _emit(args, payload) -> None:
@@ -174,7 +169,6 @@ def cmd_regseq(args) -> int:
         L.dim,
         order=_order(args),
         timeout_secs=args.timeout_secs,
-        cache_dir=_cache_dir(args),
         zero_labels=family.zero_entries,
     )
     payload = {
@@ -196,12 +190,12 @@ def cmd_bicone(args) -> int:
     if args.fiber:
         t = liealg.principal_sl2(L)
         rep = bicone_mod.bicone_fiber_check(
-            L, fam, t.e, order=_order(args), timeout_secs=args.timeout_secs, cache_dir=_cache_dir(args)
+            L, fam, t.e, order=_order(args), timeout_secs=args.timeout_secs
         )
         kind = "fiber"
     else:
         rep = bicone_mod.bicone_dimension_check(
-            L, fam, order=_order(args), timeout_secs=args.timeout_secs, cache_dir=_cache_dir(args)
+            L, fam, order=_order(args), timeout_secs=args.timeout_secs
         )
         kind = "full"
     payload = {
@@ -241,7 +235,7 @@ def cmd_star(args) -> int:
     return _verdict_exit(star.verdict)
 
 
-def _conjecture_row(kind, size, partition, seed, order_kind, timeout_secs, cache_dir):
+def _conjecture_row(kind, size, partition, seed, order_kind, timeout_secs):
     L = liealg.build_classical(kind, size)
     e = cl.nilpotent_from_partition(L, partition)
     start = time.monotonic()
@@ -251,7 +245,6 @@ def _conjecture_row(kind, size, partition, seed, order_kind, timeout_secs, cache
         seed=seed,
         order=MonomialOrder(kind=order_kind),
         timeout_secs=timeout_secs,
-        cache_dir=cache_dir,
     )
     data = row.to_json_dict()
     data["gb_seconds"] = time.monotonic() - start
@@ -269,13 +262,12 @@ def cmd_conjecture(args) -> int:
         else [_parse_partition(args.partition, args.size)]
     )
     jobs = []
-    cache = _cache_dir(args)
     if args.jobs > 1 and len(partitions) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
                 pool.submit(
                     _conjecture_row, args.type, args.size, part, args.seed,
-                    args.order, args.timeout_secs, cache,
+                    args.order, args.timeout_secs,
                 )
                 for part in partitions
             ]
@@ -283,7 +275,7 @@ def cmd_conjecture(args) -> int:
     else:
         jobs = [
             _conjecture_row(
-                args.type, args.size, part, args.seed, args.order, args.timeout_secs, cache
+                args.type, args.size, part, args.seed, args.order, args.timeout_secs
             )
             for part in partitions
         ]
@@ -321,7 +313,6 @@ def _add_common(sub, xi: bool = False, gb: bool = False, partition: bool = False
     if gb:
         sub.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
         sub.add_argument("--timeout-secs", type=float, default=None)
-        sub.add_argument("--cache-dir", default=None, help="GB cache (or env ARGSHIFT_CACHE_DIR)")
     if partition:
         sub.add_argument("--partition", default=None, help="Jordan type, e.g. 2,1")
     return sub
@@ -375,6 +366,10 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:  # a bug, not a verdict: keep it off exit 1 ("false")
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

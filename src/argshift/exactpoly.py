@@ -7,9 +7,8 @@ polynomials are equal exactly when their term maps are equal, and the zero
 polynomial has an empty term map.
 
 All arithmetic is exact; there is no floating-point path anywhere.  The
-canonical text form (used in reports, golden files and cache files) lists
-terms in descending graded reverse lexicographic order, e.g.
-``3/2*x0^2*x2 - x1``.
+canonical text form (used in reports and golden files) lists terms in
+descending graded reverse lexicographic order, e.g. ``3/2*x0^2*x2 - x1``.
 """
 
 from __future__ import annotations

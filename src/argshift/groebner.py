@@ -12,8 +12,7 @@ key of its leading monomial, the leading monomial, the leading coefficient
 records in a list kept sorted by key with ``bisect.insort``, and the critical
 pairs wait in a heap of (degree of the lcm, i, j) next to the set of pending
 pairs that the chain criterion reads.  Output is deterministic for a fixed
-input sequence and order, which is what makes the disk cache and the golden
-reports sound.
+input sequence and order, which is what makes the golden reports sound.
 
 The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from bisect import insort
 from dataclasses import dataclass, field
@@ -42,7 +40,6 @@ from .exactpoly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    parse_poly,
 )
 
 
@@ -148,19 +145,19 @@ def _content_normalize(d: IntPoly) -> None:
 
 
 class _Budget:
-    """Cooperative deadline checks for the inner loops."""
+    """Cooperative deadline checks for the inner loops.
 
-    __slots__ = ("deadline", "counter")
+    The clock is read on every tick: one reduction step can cost far more
+    than a clock read once coefficients grow.
+    """
+
+    __slots__ = ("deadline",)
 
     def __init__(self, timeout_secs):
         self.deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
-        self.counter = 0
 
-    def tick(self, stride: int = 256) -> None:
-        if self.deadline is None:
-            return
-        self.counter += 1
-        if self.counter % stride == 0 and time.monotonic() > self.deadline:
+    def tick(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise GBTimeout("basis computation exceeded the time budget")
 
 
@@ -280,42 +277,10 @@ def input_digest(gens: list[Poly], order: MonomialOrder, arity: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_path(cache_dir: str, digest: str) -> str:
-    return os.path.join(cache_dir, f"gb-{digest}.json")
-
-
-def _cache_load(cache_dir, digest, gens, order, arity) -> list[Poly] | None:
-    """The cached basis, or None on a miss; an unreadable or malformed file is a miss."""
-    try:
-        with open(_cache_path(cache_dir, digest), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("generators") != [format_poly(p) for p in gens]:
-            return None
-        return [parse_poly(t, arity) for t in data["basis"]]
-    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError):
-        return None
-
-
-def _cache_store(cache_dir, digest, gens, order, arity, basis) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, digest)
-    tmp = path + ".tmp"
-    payload = {
-        "order": order.to_json(),
-        "arity": arity,
-        "generators": [format_poly(p) for p in gens],
-        "basis": [format_poly(p) for p in basis],
-    }
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-    os.replace(tmp, path)
-
-
 def buchberger(
     gens: list[Poly],
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
-    cache_dir: str | None = None,
     arity: int | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
@@ -332,11 +297,6 @@ def buchberger(
     for p in gens:
         if p.arity != arity:
             raise ValueError("generators live in different rings")
-    digest = input_digest(gens, order, arity)
-    if cache_dir is not None:
-        cached = _cache_load(cache_dir, digest, gens, order, arity)
-        if cached is not None:
-            return GroebnerBasis(order=order, arity=arity, basis=cached, input_hash=digest)
     budget = _Budget(timeout_secs)
 
     G: list[_Record] = []  # pairs index into G
@@ -368,7 +328,7 @@ def buchberger(
     heap = [(sum(mono_lcm(G[i].lm, G[j].lm)), i, j) for i, j in pending]
     heapify(heap)
     while heap:
-        budget.tick(stride=1)
+        budget.tick()
         _, i, j = heappop(heap)
         pending.discard((i, j))
         li, lj = G[i].lm, G[j].lm
@@ -394,9 +354,9 @@ def buchberger(
                 heappush(heap, (sum(mono_lcm(G[a].lm, G[t].lm)), a, t))
 
     basis = _reduce_and_normalize(reducers, order, budget)
-    if cache_dir is not None:
-        _cache_store(cache_dir, digest, gens, order, arity, basis)
-    return GroebnerBasis(order=order, arity=arity, basis=basis, input_hash=digest)
+    return GroebnerBasis(
+        order=order, arity=arity, basis=basis, input_hash=input_digest(gens, order, arity)
+    )
 
 
 def _reduce_and_normalize(
@@ -532,7 +492,7 @@ def regular_sequence_verdict(
     n: int,
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
-    cache_dir: str | None = None,
+    cache_dir: None = None,  # None only: bench/workloads.py passes cache_dir=None; remove with it
     zero_labels: list | None = None,
 ) -> DimensionReport:
     """Verdict: do the homogeneous gens cut a scheme of dimension n - k?
@@ -542,6 +502,8 @@ def regular_sequence_verdict(
     verdict False immediately (the labeled family is degenerate); a timeout
     yields the distinct "inconclusive" status with verdict None.
     """
+    if cache_dir is not None:
+        raise ValueError("there is no Groebner cache; cache_dir must be None")
     order = order or MonomialOrder()
     k = len(gens)
     if k > n:
@@ -560,7 +522,7 @@ def regular_sequence_verdict(
             zero_generators=list(labels), **report,
         )
     try:
-        gb = buchberger(gens, order=order, timeout_secs=timeout_secs, cache_dir=cache_dir, arity=n)
+        gb = buchberger(gens, order=order, timeout_secs=timeout_secs, arity=n)
         dim = ideal_dimension(gb)
     except GBTimeout:
         return DimensionReport(ideal_dimension=None, verdict=None, status="inconclusive", **report)

@@ -49,8 +49,7 @@ class LieAlgebraData:
     meta: dict = field(default_factory=dict)
     defining: list[list[list[Fraction]]] | None = None
 
-    _index_cache: "IndexReport | None" = field(default=None, repr=False, compare=False)
-    _form_inv: list[list[Fraction]] | None = field(default=None, repr=False, compare=False)
+    # per-algebra memos: "index", "form_inverse", "coord_brackets"
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -61,9 +60,10 @@ class LieAlgebraData:
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
 
     def form_inverse(self) -> list[list[Fraction]]:
-        if self._form_inv is None:
-            self._form_inv = linalg.invert(self.form)
-        return self._form_inv
+        inv = self._caches.get("form_inverse")
+        if inv is None:
+            inv = self._caches["form_inverse"] = linalg.invert(self.form)
+        return inv
 
 
 @dataclass
@@ -460,8 +460,9 @@ def index_of(L: LieAlgebraData) -> IndexReport:
     elimination; above EXACT_INDEX_MAX_DIM it falls back to the max rank over
     5 seeded rational sample points and reports mode="sampled".
     """
-    if L._index_cache is not None:
-        return L._index_cache
+    cached = L._caches.get("index")
+    if cached is not None:
+        return cached
     n = L.dim
     certificates: list[Vector] = []
     if n <= EXACT_INDEX_MAX_DIM:
@@ -484,7 +485,7 @@ def index_of(L: LieAlgebraData) -> IndexReport:
         certificate_points=certificates,
         mode=mode,
     )
-    L._index_cache = report
+    L._caches["index"] = report
     return report
 
 

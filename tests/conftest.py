@@ -21,8 +21,3 @@ def families(algebras):
 @pytest.fixture(scope="session")
 def triples(algebras):
     return {spec: liealg.principal_sl2(L) for spec, L in algebras.items()}
-
-
-@pytest.fixture(scope="session")
-def gb_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("gb-cache"))

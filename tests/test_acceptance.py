@@ -98,7 +98,7 @@ def test_c04_poisson_commutativity(algebras, families, triples):
     print(f"ACCEPTANCE 4: PASS - zero failing Poisson pairs at e, e+f, random regular ({dt:.2f}s)")
 
 
-def test_c05_regular_sequence_verdicts(algebras, families, triples, gb_cache, state):
+def test_c05_regular_sequence_verdicts(algebras, families, triples, state):
     limits = {("sl", 2): 1.0, ("sl", 3): 300.0, ("gl", 3): 600.0}
     expected_dim = {("sl", 2): 1, ("sl", 3): 3, ("gl", 3): 3}
     for spec in MAIN_TRIO:
@@ -110,7 +110,7 @@ def test_c05_regular_sequence_verdicts(algebras, families, triples, gb_cache, st
         for name, xi in points.items():
             t0 = time.monotonic()
             mf = mf_generators(L, families[spec], xi)
-            rep = regular_sequence_verdict(mf.polynomials(), L.dim, cache_dir=gb_cache)
+            rep = regular_sequence_verdict(mf.polynomials(), L.dim)
             dt = _elapsed(t0)
             assert rep.verdict is True, (spec, name)
             assert rep.ideal_dimension == expected_dim[spec]
@@ -120,27 +120,27 @@ def test_c05_regular_sequence_verdicts(algebras, families, triples, gb_cache, st
           "for sl2/sl3/gl3 at principal e and seeded regular xi")
 
 
-def test_c06_nilpotent_cone(algebras, families, gb_cache):
+def test_c06_nilpotent_cone(algebras, families):
     expected = {("sl", 2): 2, ("sl", 3): 6, ("gl", 3): 6}
     for spec in MAIN_TRIO:
         L = algebras[spec]
         fam = families[spec]
-        rep = regular_sequence_verdict(fam.generators, L.dim, cache_dir=gb_cache)
+        rep = regular_sequence_verdict(fam.generators, L.dim)
         assert rep.verdict is True, spec
         assert rep.ideal_dimension == expected[spec] == L.dim - len(fam.generators)
     print("ACCEPTANCE 6: PASS - invariant generators alone cut the nilpotent cone "
           "as a complete intersection of codimension l")
 
 
-def test_c07_bicone_dimension(algebras, families, gb_cache):
+def test_c07_bicone_dimension(algebras, families):
     t0 = time.monotonic()
-    rep = bicone_dimension_check(algebras[("sl", 2)], families[("sl", 2)], cache_dir=gb_cache)
+    rep = bicone_dimension_check(algebras[("sl", 2)], families[("sl", 2)])
     dt = _elapsed(t0)
     assert rep.verdict is True and rep.ideal_dimension == 3
     assert dt < 30.0
     # stretch goal: sl3 under a timeout; inconclusive acceptable, false is not
     rep3 = bicone_dimension_check(
-        algebras[("sl", 3)], families[("sl", 3)], timeout_secs=120.0, cache_dir=gb_cache
+        algebras[("sl", 3)], families[("sl", 3)], timeout_secs=120.0
     )
     assert rep3.verdict is not False
     detail = (
@@ -153,11 +153,11 @@ def test_c07_bicone_dimension(algebras, families, gb_cache):
     print(f"ACCEPTANCE 7: PASS - sl2 bicone has dimension 3 = 3(b - l) ({dt:.2f}s); {detail}")
 
 
-def test_c08_bicone_fiber(algebras, families, triples, gb_cache, state):
+def test_c08_bicone_fiber(algebras, families, triples, state):
     expected = {("sl", 2): 1, ("sl", 3): 3, ("gl", 3): 3}
     for spec in MAIN_TRIO:
         rep = bicone_fiber_check(
-            algebras[spec], families[spec], triples[spec].e, cache_dir=gb_cache
+            algebras[spec], families[spec], triples[spec].e
         )
         assert rep.verdict is True, spec
         assert rep.ideal_dimension == expected[spec]
@@ -211,14 +211,14 @@ def test_c10_degenerate_zero_point(algebras, families):
           f"false for every algebra ({dt:.2f}s)")
 
 
-def test_c11_centralizer_pipeline(algebras, gb_cache):
+def test_c11_centralizer_pipeline(algebras):
     t0 = time.monotonic()
     L = algebras[("gl", 3)]
     for part in [(1, 1, 1), (2, 1), (3,)]:
         e = nilpotent_from_partition(L, part)
         star = condition_star(L, e)
         assert star.verdict, part
-        row = conjecture_check(L, e, seed=SEED, cache_dir=gb_cache)
+        row = conjecture_check(L, e, seed=SEED)
         assert row.report.verdict is True, part
     dt = _elapsed(t0)
     assert dt < 900.0
@@ -247,14 +247,14 @@ def _cli_payload(tmp_path, name, argv):
     return code, json.loads(out.read_text())
 
 
-def test_c13_determinism(tmp_path, gb_cache):
+def test_c13_determinism(tmp_path):
     runs = {
         "commute": ["commute", "--type", "sl", "--size", "3", "--xi", "random-regular",
                      "--seed", str(SEED)],
         "regseq": ["regseq", "--type", "gl", "--size", "3", "--xi", "random-regular",
-                    "--seed", str(SEED), "--cache-dir", gb_cache],
+                    "--seed", str(SEED)],
         "conjecture": ["conjecture", "--type", "gl", "--size", "3", "--all-partitions",
-                        "--seed", str(SEED), "--cache-dir", gb_cache],
+                        "--seed", str(SEED)],
     }
     for name, argv in runs.items():
         code_a, payload_a = _cli_payload(tmp_path, name + "-a", argv)

@@ -148,18 +148,18 @@ def test_membership_span_invariance(algebras, families):
 # ---------------------------------------------------------------------------
 
 
-def test_sl2_bicone_dimension(algebras, families, gb_cache):
-    rep = bicone_dimension_check(algebras[("sl", 2)], families[("sl", 2)], cache_dir=gb_cache)
+def test_sl2_bicone_dimension(algebras, families):
+    rep = bicone_dimension_check(algebras[("sl", 2)], families[("sl", 2)])
     assert rep.ideal_dimension == 3
     assert rep.verdict is True
     assert rep.extra["counting_identity"]["three_b_minus_ell"] == 3
 
 
-def test_fiber_dimensions(algebras, families, triples, gb_cache):
+def test_fiber_dimensions(algebras, families, triples):
     expected = {("sl", 2): 1, ("sl", 3): 3, ("gl", 3): 3}
     for spec, dim in expected.items():
         rep = bicone_fiber_check(
-            algebras[spec], families[spec], triples[spec].e, cache_dir=gb_cache
+            algebras[spec], families[spec], triples[spec].e
         )
         assert rep.ideal_dimension == dim
         assert rep.expected_dimension == dim

@@ -143,11 +143,11 @@ def test_transport_identity_for_zero(algebras, families):
         assert transport_to_centralizer(sr, chart, Lc) == p
 
 
-def test_conjecture_rows_gl3(algebras, gb_cache):
+def test_conjecture_rows_gl3(algebras):
     L = algebras[("gl", 3)]
     expected_dims = {(1, 1, 1): 3, (2, 1): 1, (3,): 0}
     for part in PARTITIONS3:
-        row = conjecture_check(L, nilpotent_from_partition(L, part), seed=42, cache_dir=gb_cache)
+        row = conjecture_check(L, nilpotent_from_partition(L, part), seed=42)
         assert row.partition == part
         assert row.star.verdict
         assert row.report.verdict is True
@@ -155,13 +155,13 @@ def test_conjecture_rows_gl3(algebras, gb_cache):
         assert row.report.generator_count == row.star.b_centralizer
 
 
-def test_conjecture_zero_partition_reproduces_ambient_run(algebras, gb_cache):
+def test_conjecture_zero_partition_reproduces_ambient_run(algebras):
     L = algebras[("gl", 3)]
-    row = conjecture_check(L, nilpotent_from_partition(L, (1, 1, 1)), seed=42, cache_dir=gb_cache)
+    row = conjecture_check(L, nilpotent_from_partition(L, (1, 1, 1)), seed=42)
     fam = invariant_generators(L)
     xi, _ = draw_regular_dual_point(L, 42)
     mf = mf_generators(L, fam, xi)
-    rep = regular_sequence_verdict(mf.polynomials(), 9, cache_dir=gb_cache)
+    rep = regular_sequence_verdict(mf.polynomials(), 9)
     assert row.xi == xi
     assert row.report.to_json_dict() == rep.to_json_dict()
 

@@ -1,5 +1,6 @@
 import json
 
+from argshift import cli
 from argshift.cli import main
 from argshift.reports import canonical_json, report_digest, strip_volatile
 
@@ -96,20 +97,18 @@ def test_star_and_conjecture(capsys):
     assert payload["rows"][0]["report"]["verdict"] is True
 
 
-def test_conjecture_all_partitions(capsys, gb_cache):
+def test_conjecture_all_partitions(capsys):
     code, payload = run_cli(
         capsys,
-        "conjecture", "--type", "gl", "--size", "3", "--all-partitions",
-        "--seed", "42", "--cache-dir", gb_cache,
+        "conjecture", "--type", "gl", "--size", "3", "--all-partitions", "--seed", "42",
     )
     assert code == 0
     assert [row["partition"] for row in payload["rows"]] == [[3], [2, 1], [1, 1, 1]]
     assert all(row["report"]["verdict"] for row in payload["rows"])
 
 
-def test_conjecture_parallel_jobs_match_serial(capsys, gb_cache):
-    base = ["conjecture", "--type", "gl", "--size", "3", "--all-partitions",
-            "--seed", "42", "--cache-dir", gb_cache]
+def test_conjecture_parallel_jobs_match_serial(capsys):
+    base = ["conjecture", "--type", "gl", "--size", "3", "--all-partitions", "--seed", "42"]
     _, serial = run_cli(capsys, *base, "--jobs", "1")
     _, parallel = run_cli(capsys, *base, "--jobs", "3")
     assert report_digest(serial) == report_digest(parallel)
@@ -143,11 +142,8 @@ def test_output_file(tmp_path, capsys):
     assert data["report"]["verdict"] is True
 
 
-def test_seeded_runs_have_identical_digests(capsys, gb_cache):
-    args = [
-        "regseq", "--type", "sl", "--size", "3", "--xi", "random-regular",
-        "--seed", "42", "--cache-dir", gb_cache,
-    ]
+def test_seeded_runs_have_identical_digests(capsys):
+    args = ["regseq", "--type", "sl", "--size", "3", "--xi", "random-regular", "--seed", "42"]
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)
     assert report_digest(first) == report_digest(second)
@@ -157,24 +153,20 @@ def test_seeded_runs_have_identical_digests(capsys, gb_cache):
     assert "gb_seconds" not in strip_volatile(first)
 
 
-def test_cache_does_not_change_reports(capsys, tmp_path):
-    args = ["regseq", "--type", "sl", "--size", "2", "--xi", "e"]
-    _, plain = run_cli(capsys, *args)
-    cached_args = args + ["--cache-dir", str(tmp_path)]
-    _, cold = run_cli(capsys, *cached_args)
-    _, warm = run_cli(capsys, *cached_args)
-    assert report_digest(plain) == report_digest(cold) == report_digest(warm)
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("computed dimension below the Krull bound: engine bug")
+
+    monkeypatch.setattr(cli, "regular_sequence_verdict", broken)
+    code = main(["regseq", "--type", "sl", "--size", "2", "--xi", "e"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert "internal error: AssertionError" in captured.err
 
 
-def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ARGSHIFT_CACHE_DIR", str(tmp_path))
-    code, _ = run_cli(capsys, "regseq", "--type", "sl", "--size", "2", "--xi", "e")
-    assert code == 0
-    assert list(tmp_path.glob("gb-*.json"))
-
-
-def test_different_seeds_differ(capsys, gb_cache):
-    base = ["regseq", "--type", "sl", "--size", "3", "--xi", "random-regular", "--cache-dir", gb_cache]
+def test_different_seeds_differ(capsys):
+    base = ["regseq", "--type", "sl", "--size", "3", "--xi", "random-regular"]
     _, a = run_cli(capsys, *base, "--seed", "1")
     _, b = run_cli(capsys, *base, "--seed", "2")
     assert a["xi"] != b["xi"]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argshift import bicone
-from argshift.exactpoly import Poly, format_poly, parse_poly
+from argshift.exactpoly import Poly, parse_poly
 from argshift.groebner import (
     GBTimeout,
     MonomialOrder,
     buchberger,
     ideal_dimension,
-    input_digest,
     jacobian_rank,
     normal_form,
     regular_sequence_verdict,
@@ -214,7 +214,7 @@ def test_input_order_does_not_change_reduced_basis(algebras, families, triples):
     a = buchberger(gens)
     b = buchberger(list(reversed(gens)))
     assert a.basis == b.basis
-    assert a.input_hash != b.input_hash  # the cache key tracks the input
+    assert a.input_hash != b.input_hash  # the input digest tracks the generator sequence
 
 
 def test_every_generator_reduces_to_zero_against_own_gb(algebras, families, triples):
@@ -354,6 +354,28 @@ def test_timeout_is_inconclusive(algebras, families):
     assert rep.ideal_dimension is None
 
 
+# under lex this system's coefficients grow so fast that a few reduction steps
+# take seconds, so the budget must read the clock on every step
+COEFFICIENT_GROWTH_SYSTEM = [
+    "-5/3*x1^2*x2^2 + 1/2*x1*x2^2 + 5/2*x0",
+    "-3/2*x0^2*x1^2 + 2*x1^2*x2 - 2/3*x0*x2 + x1*x2",
+    "-5/3*x0^2*x1^2*x2 + 2*x0^2*x1^2 - 3*x1^2*x2^2 - 2/3*x0",
+]
+
+
+def test_timeout_bounds_coefficient_growth():
+    gens = [parse_poly(t, 3) for t in COEFFICIENT_GROWTH_SYSTEM]
+    start = time.monotonic()
+    with pytest.raises(GBTimeout):
+        buchberger(gens, order=MonomialOrder("lex"), timeout_secs=3)
+    assert time.monotonic() - start < 10
+
+
+def test_cache_dir_other_than_none_is_rejected():
+    with pytest.raises(ValueError):
+        regular_sequence_verdict([x, y], 2, cache_dir="x")
+
+
 # ---------------------------------------------------------------------------
 # jacobian rank
 # ---------------------------------------------------------------------------
@@ -370,56 +392,3 @@ def test_jacobian_rank_at_origin_vanishes():
 
 def test_jacobian_rank_with_linear_form():
     assert jacobian_rank([x + 2 * y], [5, Fraction(1, 3)]) >= 1
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def test_cache_round_trip(tmp_path, algebras, families, triples):
-    gens = sl2_family(algebras, families, triples)
-    cache = str(tmp_path)
-    cold = buchberger(gens, cache_dir=cache)
-    digest = input_digest(gens, MonomialOrder(), 3)
-    assert (tmp_path / f"gb-{digest}.json").exists()
-    warm = buchberger(gens, cache_dir=cache)
-    assert warm.basis == cold.basis
-    assert warm.input_hash == cold.input_hash
-
-
-def test_cache_is_semantically_invisible(tmp_path, algebras, families, triples):
-    gens = sl2_family(algebras, families, triples)
-    plain = regular_sequence_verdict(gens, 3)
-    cached1 = regular_sequence_verdict(gens, 3, cache_dir=str(tmp_path))
-    cached2 = regular_sequence_verdict(gens, 3, cache_dir=str(tmp_path))
-    assert plain.to_json_dict() == cached1.to_json_dict() == cached2.to_json_dict()
-
-
-def _cache_without_basis(gens):
-    return json.dumps({"generators": [format_poly(p) for p in gens]})
-
-
-def _cache_with_bad_term(gens):
-    return json.dumps({"generators": [format_poly(p) for p in gens], "basis": ["x9"]})
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        lambda gens: '{"generators": ["x0',  # truncated
-        _cache_without_basis,
-        _cache_with_bad_term,
-        lambda gens: "[1, 2]",
-    ],
-    ids=["truncated", "no-basis", "bad-term", "not-an-object"],
-)
-def test_malformed_cache_file_is_a_miss(tmp_path, algebras, families, triples, content):
-    gens = sl2_family(algebras, families, triples)
-    path = tmp_path / f"gb-{input_digest(gens, MonomialOrder(), 3)}.json"
-    path.write_text(content(gens))
-    plain = regular_sequence_verdict(gens, 3)
-    cached = regular_sequence_verdict(gens, 3, cache_dir=str(tmp_path))
-    assert cached.to_json_dict() == plain.to_json_dict()
-    # the miss recomputes and overwrites the file with a readable one
-    assert json.loads(path.read_text())["basis"]
