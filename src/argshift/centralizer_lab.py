@@ -24,6 +24,7 @@ from .invariants import (
     verify_invariance,
 )
 from .liealg import (
+    InternalError,
     LieAlgebraData,
     SL2Triple,
     SliceChart,
@@ -173,7 +174,7 @@ def restrict_to_slice(
         images.append(Poly(m, terms))
     restricted = p.substitute(images)
     if restricted.is_zero():
-        raise ValueError("restriction of a nonzero invariant to the slice vanished (bug)")
+        raise InternalError("restriction of a nonzero invariant to the slice vanished (bug)")
     comps = restricted.homogeneous_components()
     degree = min(comps)
     return SliceRestriction(

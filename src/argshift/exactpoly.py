@@ -14,6 +14,7 @@ descending graded reverse lexicographic order, e.g. ``3/2*x0^2*x2 - x1``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, ...]
@@ -27,10 +28,6 @@ def grevlex_key(mono: Monomial) -> tuple:
     reversed, negated exponent vector.
     """
     return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -187,19 +184,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
-        out: dict[Monomial, Coeff] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(m, Fraction(0)) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        p = Poly.__new__(Poly)
-        p.arity = self.arity
-        p.terms = out
-        return p
+        return dot((self,), (other,), self.arity)
 
     __rmul__ = __mul__
 
@@ -317,7 +302,7 @@ class Poly:
             q_coeff = rem[m] / g_lc
             quo[q_mono] = q_coeff
             for gm, gc in g_terms:
-                k = mono_mul(gm, q_mono)
+                k = tuple(map(add, gm, q_mono))
                 s = rem.get(k, Fraction(0)) - gc * q_coeff
                 if s:
                     rem[k] = s
@@ -332,6 +317,28 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.arity}, {format_poly(self)!r})"
+
+
+def dot(fs: Iterable[Poly], gs: Iterable[Poly], arity: int) -> Poly:
+    """Exact sum of f * g over the paired entries of fs and gs.
+
+    This is the one polynomial product loop of the library: every product of
+    two polynomials is a dot product of length one.  All products accumulate
+    into a single term map, and cancelled terms are dropped once at the end.
+    """
+    out: dict[Monomial, Coeff] = {}
+    get = out.get
+    for f, g in zip(fs, gs, strict=True):
+        g_terms = g.terms.items()
+        for ma, ca in f.terms.items():
+            for mb, cb in g_terms:
+                m = tuple(map(add, ma, mb))
+                c = get(m)
+                out[m] = ca * cb if c is None else c + ca * cb
+    p = Poly.__new__(Poly)
+    p.arity = arity
+    p.terms = {m: c for m, c in out.items() if c}
+    return p
 
 
 def format_poly(p: Poly) -> str:

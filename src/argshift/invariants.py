@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import liealg, poisson
-from .exactpoly import Poly
+from .exactpoly import Poly, dot
 from .groebner import jacobian_rank
 from .liealg import LieAlgebraData
 
@@ -61,18 +61,11 @@ def _power_traces(X: list[list[Poly]], powers: list[int]) -> list[Poly]:
     m = len(X)
     arity = X[0][0].arity
     traces = {}
+    cols = list(zip(*X))
     cur = X
     for k in range(1, max(powers) + 1):
         if k > 1:
-            nxt = [[Poly.zero(arity) for _ in range(m)] for _ in range(m)]
-            for a in range(m):
-                for b in range(m):
-                    acc = Poly.zero(arity)
-                    for c in range(m):
-                        if cur[a][c] and X[c][b]:
-                            acc = acc + cur[a][c] * X[c][b]
-                    nxt[a][b] = acc
-            cur = nxt
+            cur = [[dot(row, col, arity) for col in cols] for row in cur]
         if k in powers:
             tr = Poly.zero(arity)
             for a in range(m):
@@ -106,19 +99,16 @@ def invariant_generators(L: LieAlgebraData) -> InvariantFamily:
     gens = _power_traces(X, powers)
     for p, d in zip(gens, powers):
         if p.is_zero() or not p.is_homogeneous() or p.total_degree() != d:
-            raise liealg.LieAlgebraError(f"power trace of degree {d} is malformed (bug)")
+            raise liealg.InternalError(f"power trace of degree {d} is malformed (bug)")
     if len(gens) != L.meta.get("rank"):
-        raise liealg.LieAlgebraError("generator count does not match the rank (bug)")
+        raise liealg.InternalError("generator count does not match the rank (bug)")
     return InvariantFamily(algebra=L, generators=gens, degrees=powers)
 
 
 def verify_invariance(L: LieAlgebraData, p: Poly) -> bool:
-    """True iff {p, x_k} = 0 exactly for every coordinate function x_k."""
-    for k in range(L.dim):
-        xk = Poly.variable(L.dim, k)
-        if not poisson.poisson_bracket(L, p, xk).is_zero():
-            return False
-    return True
+    """True iff {x_k, p} = 0 exactly for every coordinate function x_k, i.e.
+    the Hamiltonian field of p vanishes."""
+    return all(row.is_zero() for row in poisson.hamiltonian(L, p))
 
 
 def kostant_regularity_certificate(L: LieAlgebraData, fam: InvariantFamily, z) -> bool:

@@ -33,6 +33,10 @@ class LieAlgebraError(ValueError):
     pass
 
 
+class InternalError(Exception):
+    """A broken internal invariant: a bug, never a verdict or a usage error."""
+
+
 @dataclass
 class LieAlgebraData:
     """Structure-constant presentation of a Lie algebra with invariant form.
@@ -49,7 +53,7 @@ class LieAlgebraData:
     meta: dict = field(default_factory=dict)
     defining: list[list[list[Fraction]]] | None = None
 
-    # per-algebra memos: "index", "form_inverse", "coord_brackets"
+    # per-algebra memos: "index", "form_inverse", "structure_matrix"
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -179,15 +183,16 @@ def _flatten(mat) -> Vector:
     return [x for row in mat for x in row]
 
 
-def _structure_constants(columns: list[Vector], bracket_of, error: str) -> dict:
+def _structure_constants(columns: list[Vector], bracket_of, error: Exception) -> dict:
     """Structure constants of the span of columns: each bracket_of(i, j),
-    i < j, solved in the basis columns (one elimination for all pairs)."""
+    i < j, solved in the basis columns (one elimination for all pairs).
+    Raises error if some bracket leaves the span."""
     d = len(columns)
     rows = [list(r) for r in zip(*columns)]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     sols = linalg.solve_many(rows, [bracket_of(i, j) for i, j in pairs]) if pairs else []
     if sols is None:
-        raise LieAlgebraError(error)
+        raise error
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pair, sol in zip(pairs, sols):
         comps = {k: c for k, c in enumerate(sol) if c != 0}
@@ -204,7 +209,7 @@ def _from_matrices(
     structure = _structure_constants(
         [_flatten(m) for m in mats],
         lambda i, j: _flatten(_mat_commutator(mats[i], mats[j])),
-        "basis does not close under the bracket",
+        LieAlgebraError("basis does not close under the bracket"),
     )
     form = [[_mat_trace_pairing(mats[i], mats[j]) for j in range(n)] for i in range(n)]
     return LieAlgebraData(
@@ -388,7 +393,7 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
     structure = _structure_constants(
         kernel,
         lambda a, b: bracket(L, kernel[a], kernel[b]),
-        "centralizer is not closed under bracket (bug)",
+        InternalError("centralizer is not closed under bracket (bug)"),
     )
     form = _pairing(L, kernel, kernel)
     meta = {
@@ -412,27 +417,18 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
 # ---------------------------------------------------------------------------
 
 
-def coordinate_brackets(L: LieAlgebraData) -> dict[tuple[int, int], Poly]:
-    """{x_i, x_j} = sum_k c_ij^k x_k for i < j as linear polynomials,
-    memoized per algebra."""
-    table = L._caches.get("coord_brackets")
-    if table is None:
-        n = L.dim
-        table = {
-            (i, j): Poly.linear_form([comps.get(k, 0) for k in range(n)])
-            for (i, j), comps in L.structure.items()
-        }
-        L._caches["coord_brackets"] = table
-    return table
-
-
 def structure_matrix_poly(L: LieAlgebraData) -> list[list[Poly]]:
-    """B(x) with B_ij = sum_k c_ij^k x_k, entries linear polynomials."""
-    n = L.dim
-    mat = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
-    for (i, j), p in coordinate_brackets(L).items():
-        mat[i][j] = p
-        mat[j][i] = -p
+    """B(x) with B_ij = {x_i, x_j} = sum_k c_ij^k x_k, entries linear
+    polynomials, memoized per algebra (callers must not mutate it)."""
+    mat = L._caches.get("structure_matrix")
+    if mat is None:
+        n = L.dim
+        mat = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
+        for (i, j), comps in L.structure.items():
+            p = Poly.linear_form([comps.get(k, 0) for k in range(n)])
+            mat[i][j] = p
+            mat[j][i] = -p
+        L._caches["structure_matrix"] = mat
     return mat
 
 
@@ -618,7 +614,7 @@ def principal_sl2(L: LieAlgebraData) -> SL2Triple:
         raise LieAlgebraError(f"no principal triple for type {kind!r}")
     verify_sl2(L, t)
     if not is_regular_point(L, dual_of(L, t.e)):
-        raise LieAlgebraError("principal nilpotent is not regular (bug)")
+        raise InternalError("principal nilpotent is not regular (bug)")
     return t
 
 
@@ -632,7 +628,7 @@ def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
     directions = linalg.nullspace(adjoint_matrix(L, t.f))
     ge_basis = linalg.nullspace(adjoint_matrix(L, t.e))
     if len(directions) != len(ge_basis):
-        raise LieAlgebraError("dim g^f != dim g^e (bug)")
+        raise InternalError("dim g^f != dim g^e (bug)")
     gram = _pairing(L, ge_basis, directions)
     if linalg.rank(gram) != len(directions):
         raise LieAlgebraError("degenerate g^e x g^f pairing: form is not invariant")

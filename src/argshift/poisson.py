@@ -1,10 +1,13 @@
 """Lie-Poisson structure on the symmetric algebra, and commutativity reports.
 
 The bracket of two coordinate functions is the linear form given by the
-structure constants; the bracket of arbitrary polynomials extends it by the
-Leibniz rule:
+structure constants, {x_i, x_j} = B_ij(x); the bracket of arbitrary
+polynomials extends it by the Leibniz rule:
 
-    {f, g} = sum_{i<j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i) {x_i, x_j}
+    {f, g} = sum_i df/dx_i {x_i, g} = grad f . X_g,   X_g = B(x) grad g
+
+X_g is the Hamiltonian field of g.  A commutativity report computes it once
+per family member, so that every pair costs one dot product.
 
 Everything is exact, so "commutes" means the bracket is the zero polynomial.
 """
@@ -13,22 +16,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactpoly import Poly
-from .liealg import LieAlgebraData, coordinate_brackets
+from .exactpoly import Poly, dot
+from .liealg import LieAlgebraData, structure_matrix_poly
+
+
+def _check_arity(L: LieAlgebraData, p: Poly) -> None:
+    if p.arity != L.dim:
+        raise ValueError("polynomial arity does not match the algebra dimension")
+
+
+def _field(L: LieAlgebraData, grad: list[Poly]) -> list[Poly]:
+    return [dot(row, grad, L.dim) for row in structure_matrix_poly(L)]
+
+
+def hamiltonian(L: LieAlgebraData, g: Poly) -> list[Poly]:
+    """The Hamiltonian field X_g[i] = {x_i, g} = sum_j {x_i, x_j} dg/dx_j."""
+    _check_arity(L, g)
+    return _field(L, g.gradient())
 
 
 def poisson_bracket(L: LieAlgebraData, f: Poly, g: Poly) -> Poly:
     """Exact Poisson bracket {f, g} in the coordinates of L."""
-    if f.arity != L.dim or g.arity != L.dim:
-        raise ValueError("polynomial arity does not match the algebra dimension")
-    df = f.gradient()
-    dg = g.gradient()
-    out = Poly.zero(L.dim)
-    for (i, j), lin in coordinate_brackets(L).items():
-        term = df[i] * dg[j] - df[j] * dg[i]
-        if term:
-            out = out + term * lin
-    return out
+    _check_arity(L, f)
+    return dot(f.gradient(), hamiltonian(L, g), L.dim)
 
 
 @dataclass
@@ -54,19 +64,22 @@ def commutativity_report(L: LieAlgebraData, family) -> CommutativityReport:
     """Bracket every unordered pair of a labeled family exactly.
 
     family is an MFGeneratorSet (or anything with .entries of (i, j, poly)).
+    Each member's gradient and Hamiltonian field are computed once.
     """
     entries = family.entries
+    for _, _, p in entries:
+        _check_arity(L, p)
+    grads = [p.gradient() for _, _, p in entries]
+    fields = [_field(L, grad) for grad in grads]
     failures = []
-    count = 0
-    for a in range(len(entries)):
-        ia, ja, pa = entries[a]
+    for a, (ia, ja, _) in enumerate(entries):
         for b in range(a + 1, len(entries)):
-            ib, jb, pb = entries[b]
-            count += 1
-            br = poisson_bracket(L, pa, pb)
+            br = dot(grads[a], fields[b], L.dim)
             if not br.is_zero():
+                ib, jb, _ = entries[b]
                 failures.append((entry_label(ia, ja), entry_label(ib, jb), br))
-    return CommutativityReport(pair_count=count, failures=failures)
+    n = len(entries)
+    return CommutativityReport(pair_count=n * (n - 1) // 2, failures=failures)
 
 
 def entry_label(i: int, j: int) -> str:

@@ -1,6 +1,6 @@
 import json
 
-from argshift import cli
+from argshift import cli, liealg
 from argshift.cli import main
 from argshift.reports import canonical_json, report_digest, strip_volatile
 
@@ -163,6 +163,18 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.out == ""
     assert "internal error: AssertionError" in captured.err
+
+
+def test_broken_internal_invariant_exits_4(capsys, monkeypatch):
+    # principal_sl2 checks that its e is regular; a failure there is a bug in
+    # the triple, not a bad input, so it must not exit 3 ("usage error")
+    assert not issubclass(liealg.InternalError, ValueError)
+    monkeypatch.setattr(liealg, "is_regular_point", lambda L, xi: False)
+    code = main(["commute", "--type", "sl", "--size", "2", "--xi", "e"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert "internal error: InternalError: principal nilpotent is not regular (bug)" in captured.err
 
 
 def test_different_seeds_differ(capsys):

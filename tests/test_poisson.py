@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from argshift.centralizer_lab import nilpotent_from_partition
 from argshift.exactpoly import Poly
-from argshift.liealg import draw_regular_dual_point, dual_of
+from argshift.invariants import invariant_generators, verify_invariance
+from argshift.liealg import build_classical, centralizer, draw_regular_dual_point, dual_of, principal_sl2
 from argshift.poisson import commutativity_report, entry_label, poisson_bracket
 from argshift.shift import MFGeneratorSet, mf_generators
 
@@ -122,3 +129,76 @@ def test_report_json_shape(algebras, families, triples):
     mf = mf_generators(L, families[("sl", 2)], dual_of(L, triples[("sl", 2)].e))
     data = commutativity_report(L, mf).to_json_dict()
     assert data == {"pair_count": 1, "failure_count": 0, "failures": []}
+
+
+# -- differential check against the textbook Leibniz sum ----------------------
+
+DIFF_ALGEBRAS = ["sl2", "sl3", "gl3", "sp4", "so5", "gl3 centralizer (2,1)"]
+
+
+@lru_cache(maxsize=None)
+def diff_algebra(name):
+    if name.startswith("gl3 centralizer"):
+        gl3 = build_classical("gl", 3)
+        return centralizer(gl3, nilpotent_from_partition(gl3, (2, 1)))[0]
+    return build_classical(name[:-1], int(name[-1]))
+
+
+def leibniz_reference(L, f, g):
+    """sum_{i<j} (df_i dg_j - df_j dg_i) {x_i, x_j}, written out term by term
+    from the structure constants (no polynomial products of the library)."""
+    df, dg = f.gradient(), g.gradient()
+    out = {}
+    for (i, j), comps in L.structure.items():
+        for a, b, sign in ((df[i], dg[j], 1), (df[j], dg[i], -1)):
+            for ma, ca in a.terms.items():
+                for mb, cb in b.terms.items():
+                    for k, c in comps.items():
+                        m = [x + y for x, y in zip(ma, mb)]
+                        m[k] += 1
+                        m = tuple(m)
+                        out[m] = out.get(m, 0) + sign * ca * cb * c
+    return Poly(L.dim, out)
+
+
+def polys_of_degree_at_most_3(dim):
+    """Nonconstant terms only, so that most drawn pairs have a nonzero bracket."""
+    coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    mono = st.lists(st.integers(0, dim - 1), min_size=1, max_size=3).map(
+        lambda vs: tuple(vs.count(k) for k in range(dim)))
+    return st.dictionaries(mono, coeff, min_size=1, max_size=4).map(lambda t: Poly(dim, t))
+
+
+@pytest.mark.parametrize("name", DIFF_ALGEBRAS)
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_leibniz_sum(name, data):
+    L = diff_algebra(name)
+    f = data.draw(polys_of_degree_at_most_3(L.dim))
+    g = data.draw(polys_of_degree_at_most_3(L.dim))
+    assert poisson_bracket(L, f, g) == leibniz_reference(L, f, g)
+    coords = [Poly.variable(L.dim, k) for k in range(L.dim)]
+    assert verify_invariance(L, f) == all(leibniz_reference(L, f, x).is_zero() for x in coords)
+
+
+@pytest.mark.parametrize("name", DIFF_ALGEBRAS)
+def test_verify_invariance_rejects_non_invariant(name):
+    L = diff_algebra(name)
+    (i, j), _ = next(iter(L.structure.items()))  # {x_i, x_j} != 0, so x_i is not invariant
+    x_i = Poly.variable(L.dim, i)
+    assert not leibniz_reference(L, x_i, Poly.variable(L.dim, j)).is_zero()
+    assert not verify_invariance(L, x_i)
+    assert not verify_invariance(L, x_i * x_i + Poly.variable(L.dim, j))
+
+
+# -- the heaviest commute instances of the benchmark ---------------------------
+
+
+@pytest.mark.parametrize("kind, size, point, pairs", [("gl", 4, "e", 45), ("sl", 4, "h", 36)])
+def test_commutativity_rank_3_families(kind, size, point, pairs):
+    L = build_classical(kind, size)
+    triple = principal_sl2(L)
+    mf = mf_generators(L, invariant_generators(L), dual_of(L, getattr(triple, point)))
+    rep = commutativity_report(L, mf)
+    assert rep.pair_count == pairs
+    assert rep.commutes
