@@ -27,6 +27,8 @@ Vector = list[Fraction]
 EXACT_INDEX_MAX_DIM = 12
 # seed of index_of's sample and certificate points
 INDEX_SEED = 20250810
+# seeded points draw_regular_dual_point tries; regular points are dense, so running out is a bug
+REGULAR_POINT_ATTEMPTS = 200
 
 
 class LieAlgebraError(ValueError):
@@ -96,15 +98,11 @@ class IndexReport:
     mode: str  # "exact" (function-field rank) or "sampled"
 
 
-def zero_vector(n: int) -> Vector:
-    return [Fraction(0)] * n
-
-
 def bracket(L: LieAlgebraData, x: Vector, y: Vector) -> Vector:
     """[x, y] from the structure constants."""
     if len(x) != L.dim or len(y) != L.dim:
         raise LieAlgebraError("vector length mismatch")
-    out = zero_vector(L.dim)
+    out = linalg.zeros_vector(L.dim)
     for (i, j), comps in L.structure.items():
         coef = x[i] * y[j] - x[j] * y[i]
         if coef:
@@ -118,7 +116,7 @@ def adjoint_matrix(L: LieAlgebraData, x: Vector) -> list[list[Fraction]]:
     if len(x) != L.dim:
         raise LieAlgebraError("vector length mismatch")
     n = L.dim
-    mat = [zero_vector(n) for _ in range(n)]
+    mat = [linalg.zeros_vector(n) for _ in range(n)]
     for (i, j), comps in L.structure.items():
         if x[i]:
             for k, c in comps.items():
@@ -310,58 +308,42 @@ def build_classical(kind: str, size: int) -> LieAlgebraData:
     else:
         raise LieAlgebraError(f"unsupported type {kind!r}")
     L = _from_matrices(mats, labels, meta)
-    validate(L, require_nondegenerate=True)
+    validate(L)
     return L
 
 
-def validate(L: LieAlgebraData, require_nondegenerate: bool = False) -> None:
+def validate(L: LieAlgebraData) -> None:
     """Exact checks: Jacobi, form symmetry and invariance, nondegeneracy."""
     n = L.dim
-    brk = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = zero_vector(n)
-            for k, c in L.bracket_basis(i, j).items():
-                v[k] = c
-            brk[(i, j)] = v
-
-    def bv(i, j):
-        if i == j:
-            return zero_vector(n)
-        if i < j:
-            return brk[(i, j)]
-        return [-x for x in brk[(j, i)]]
-
+    br = L.bracket_basis
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = zero_vector(n)
+                # sum over the cyclic terms of [[b_a, b_b], b_c] = sum_m c_ab^m [b_m, b_c]
+                acc: dict[int, Fraction] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = bv(a, b)
-                    term = bracket(L, inner, _basis_vector(n, c))
-                    acc = [p + q for p, q in zip(acc, term)]
-                if any(acc):
+                    for m, cm in br(a, b).items():
+                        for p, cp in br(m, c).items():
+                            acc[p] = acc.get(p, 0) + cm * cp
+                if any(acc.values()):
                     raise LieAlgebraError(f"Jacobi identity fails on basis triple {(i, j, k)}")
     for i in range(n):
         for j in range(n):
             if L.form[i][j] != L.form[j][i]:
                 raise LieAlgebraError("form is not symmetric")
-    # ([x,y]|z) + (y|[x,z]) = 0 on basis triples
+    # the form being symmetric (checked above), invariance is t[j][k] = -t[k][j]
     for i in range(n):
-        for j in range(n):
-            vij = bv(i, j)
-            for k in range(n):
-                vik = bv(i, k)
-                s = sum((vij[a] * L.form[a][k] for a in range(n)), Fraction(0))
-                s += sum((L.form[j][a] * vik[a] for a in range(n)), Fraction(0))
-                if s != 0:
-                    raise LieAlgebraError("form is not invariant")
-    if require_nondegenerate and linalg.rank(L.form) != n:
+        # t[j][k] = ([b_i, b_j] | b_k)
+        t = [[sum((c * L.form[a][k] for a, c in br(i, j).items()), Fraction(0)) for k in range(n)]
+             for j in range(n)]
+        if any(t[j][k] + t[k][j] for j in range(n) for k in range(j, n)):
+            raise LieAlgebraError("form is not invariant")
+    if linalg.rank(L.form) != n:
         raise LieAlgebraError("form is degenerate")
 
 
 def _basis_vector(n: int, i: int) -> Vector:
-    v = zero_vector(n)
+    v = linalg.zeros_vector(n)
     v[i] = Fraction(1)
     return v
 
@@ -493,19 +475,17 @@ def is_regular_point(L: LieAlgebraData, xi: Vector) -> bool:
     return linalg.rank(structure_matrix_at(L, xi)) == L.dim - report.index
 
 
-def draw_regular_dual_point(
-    L: LieAlgebraData, seed: int, max_attempts: int = 200
-) -> tuple[Vector, int]:
+def draw_regular_dual_point(L: LieAlgebraData, seed: int) -> tuple[Vector, int]:
     """Seeded random regular point of the dual space.
 
     Entries are uniform in {-10..10}/{1..10}; regularity is re-checked
     exactly.  Returns (point, attempts).  Used by the CLI and the centralizer
     experiments so that both share one reproducible drawing procedure.
     """
-    for attempt, xi in enumerate(_seeded_points(L.dim, seed, max_attempts), start=1):
+    for attempt, xi in enumerate(_seeded_points(L.dim, seed, REGULAR_POINT_ATTEMPTS), start=1):
         if is_regular_point(L, xi):
             return xi, attempt
-    raise LieAlgebraError(f"no regular point found in {max_attempts} attempts (index bug?)")
+    raise InternalError(f"no regular point found in {REGULAR_POINT_ATTEMPTS} attempts (index bug?)")
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +497,9 @@ def _principal_gl_sl(L: LieAlgebraData) -> SL2Triple:
     n = L.meta["size"]
     kind = L.meta["type"]
     labels = {lab: i for i, lab in enumerate(L.basis_labels)}
-    e = zero_vector(L.dim)
-    f = zero_vector(L.dim)
-    h = zero_vector(L.dim)
+    e = linalg.zeros_vector(L.dim)
+    f = linalg.zeros_vector(L.dim)
+    h = linalg.zeros_vector(L.dim)
     for i in range(1, n):
         e[labels[f"E{i}{i + 1}"]] = Fraction(1)
         f[labels[f"E{i + 1}{i}"]] = Fraction(i * (n - i))
@@ -588,7 +568,7 @@ def _principal_so_sp(L: LieAlgebraData) -> SL2Triple:
         row = ad_h[i][:]
         row[i] += Fraction(2)
         stacked.append(row)
-    f = linalg.solve_many(stacked, [h + zero_vector(L.dim)])
+    f = linalg.solve_many(stacked, [h + linalg.zeros_vector(L.dim)])
     if f is None:
         raise LieAlgebraError("cannot complete nilpotent to a triple (f step)")
     return SL2Triple(e=e, h=h, f=f[0])

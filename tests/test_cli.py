@@ -177,6 +177,16 @@ def test_broken_internal_invariant_exits_4(capsys, monkeypatch):
     assert "internal error: InternalError: principal nilpotent is not regular (bug)" in captured.err
 
 
+def test_no_regular_point_found_exits_4(capsys, monkeypatch):
+    # every seeded point rejected means the index is wrong: a bug, not a bad input
+    monkeypatch.setattr(liealg, "is_regular_point", lambda L, xi: False)
+    code = main(["regseq", "--type", "sl", "--size", "2", "--xi", "random-regular"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert "internal error: InternalError: no regular point found in 200 attempts" in captured.err
+
+
 def test_different_seeds_differ(capsys):
     base = ["regseq", "--type", "sl", "--size", "3", "--xi", "random-regular"]
     _, a = run_cli(capsys, *base, "--seed", "1")

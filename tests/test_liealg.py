@@ -5,6 +5,7 @@ import pytest
 
 from argshift import liealg
 from argshift.liealg import (
+    LieAlgebraData,
     LieAlgebraError,
     adjoint_matrix,
     bracket,
@@ -15,6 +16,7 @@ from argshift.liealg import (
     index_of,
     is_regular_point,
     kostant_slice,
+    principal_sl2,
 )
 from argshift import linalg
 
@@ -31,7 +33,92 @@ def test_constructors_verify_axioms(algebras):
     dims = {("gl", 2): 4, ("gl", 3): 9, ("sl", 2): 3, ("sl", 3): 8, ("so", 3): 3, ("sp", 4): 10}
     for spec, L in algebras.items():
         assert L.dim == dims[spec]
-        liealg.validate(L, require_nondegenerate=True)
+        liealg.validate(L)
+
+
+def dense_validate(L):
+    """Message of the first check L fails, or None: the checks of validate
+    done densely, with every bracket taken through liealg.bracket on basis
+    vectors and invariance summed over all basis triples."""
+    n = L.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    b = [[bracket(L, e[i], e[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = [bracket(L, b[x][y], e[z]) for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
+                if any(sum(col) for col in zip(*terms)):
+                    return f"Jacobi identity fails on basis triple {(i, j, k)}"
+    if any(L.form[i][j] != L.form[j][i] for i in range(n) for j in range(n)):
+        return "form is not symmetric"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                s = sum(b[i][j][a] * L.form[a][k] + L.form[j][a] * b[i][k][a] for a in range(n))
+                if s != 0:
+                    return "form is not invariant"
+    if linalg.rank(L.form) != n:
+        return "form is degenerate"
+    return None
+
+
+def _corruptions(L, rng, count):
+    """count seeded single-entry corruptions of each kind, then the zero form."""
+    n = L.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def copy(form=None):
+        return LieAlgebraData(
+            dim=n,
+            basis_labels=L.basis_labels,
+            structure={p: dict(c) for p, c in L.structure.items()},
+            form=form or [row[:] for row in L.form],
+            meta=L.meta,
+        )
+
+    for _ in range(count):
+        # one structure constant c_ij^k, possibly of a zero bracket
+        C = copy()
+        pair, k = rng.choice(pairs), rng.randrange(n)
+        comps = C.structure.setdefault(pair, {})
+        comps[k] = comps.get(k, Fraction(0)) + rng.choice([-2, -1, 1, 2, Fraction(1, 2)])
+        yield C
+        # one form entry
+        C = copy()
+        i, j = rng.randrange(n), rng.randrange(n)
+        C.form[i][j] += rng.choice([-1, 1, 3])
+        yield C
+        # a symmetric pair of form entries
+        C = copy()
+        delta = rng.choice([-1, 1, Fraction(1, 3)])
+        C.form[i][j] += delta
+        if i != j:
+            C.form[j][i] += delta
+        yield C
+    yield copy(form=[[Fraction(0)] * n for _ in range(n)])
+
+
+def test_validate_rejects_corruptions_like_dense_reference(algebras, monkeypatch):
+    # validated inside build_classical, its one caller, which always checks nondegeneracy
+    rng = random.Random(20250810)
+    seen = set()
+    for spec in [("sl", 2), ("so", 3), ("gl", 2), ("sl", 3)]:
+        for C in _corruptions(algebras[spec], rng, 25):
+            expected = dense_validate(C)
+            monkeypatch.setattr(liealg, "_from_matrices", lambda *args: C)
+            try:
+                build_classical(*spec)
+                got = None
+            except LieAlgebraError as err:
+                got = str(err)
+            assert got == expected
+            seen.add(expected and expected.split(" on ")[0])
+    assert seen - {None} == {
+        "Jacobi identity fails",
+        "form is not symmetric",
+        "form is not invariant",
+        "form is degenerate",
+    }
 
 
 def test_invalid_sizes():
@@ -238,3 +325,11 @@ def test_draw_regular_is_deterministic(algebras):
     xi2, a2 = liealg.draw_regular_dual_point(L, 42)
     assert (xi1, a1) == (xi2, a2)
     assert is_regular_point(L, xi1)
+
+
+@pytest.mark.parametrize("spec", [("gl", 5), ("sp", 6), ("so", 7)])
+def test_larger_algebras(spec):
+    L = build_classical(*spec)
+    assert L.dim == {("gl", 5): 25, ("sp", 6): 21, ("so", 7): 21}[spec]
+    assert index_of(L).index == L.meta["rank"]
+    liealg.verify_sl2(L, principal_sl2(L))
