@@ -21,7 +21,7 @@ from . import linalg
 from .exactpoly import Poly
 from .groebner import DimensionReport, MonomialOrder, jacobian_rank, regular_sequence_verdict
 from .invariants import InvariantFamily
-from .liealg import LieAlgebraData, dual_of, index_of, is_regular_point
+from .liealg import InternalError, LieAlgebraData, dual_of, index_of, is_regular_point
 from .shift import bigraded_components, mf_generators
 
 
@@ -42,18 +42,18 @@ def counting_identity(L: LieAlgebraData, fam: InvariantFamily) -> dict:
     """Exact integer bookkeeping behind the bicone dimension formula.
 
     With n = 2b - ell and sum(d_i) = b we get sum(d_i + 1) = b + ell and
-    2n - (b + ell) = 3(b - ell); all three equalities are asserted.
+    2n - (b + ell) = 3(b - ell); all three equalities are checked.
     """
     n = L.dim
     ell = index_of(L).index
     b = (n + ell) // 2
     if 2 * b != n + ell:
-        raise AssertionError("dim + index is odd (structure matrix rank bug)")
+        raise InternalError("dim + index is odd (structure matrix rank bug)")
     degree_sum = sum(fam.degrees)
     count = sum(d + 1 for d in fam.degrees)
     ok = degree_sum == b and count == b + ell and 2 * n - count == 3 * (b - ell)
     if not ok:
-        raise AssertionError("bicone counting identity fails: family is not a b-degree family")
+        raise InternalError("bicone counting identity fails: family is not a b-degree family")
     return {
         "dim": n,
         "index": ell,

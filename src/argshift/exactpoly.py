@@ -281,35 +281,6 @@ class Poly:
             buckets.setdefault(sum(mono), {})[mono] = coeff
         return {d: Poly(self.arity, t) for d, t in sorted(buckets.items())}
 
-    def div_exact(self, g: "Poly") -> "Poly":
-        """Exact quotient self / g; raises ValueError if g does not divide self.
-
-        Needed by fraction-free elimination, where divisions are exact by
-        construction.
-        """
-        self._check_same_ring(g)
-        if g.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        g_terms = g.sorted_terms()
-        g_lm, g_lc = g_terms[0]
-        rem = dict(self.terms)
-        quo: dict[Monomial, Coeff] = {}
-        while rem:
-            m = max(rem, key=grevlex_key)
-            if not mono_divides(g_lm, m):
-                raise ValueError("inexact polynomial division")
-            q_mono = mono_div(m, g_lm)
-            q_coeff = rem[m] / g_lc
-            quo[q_mono] = q_coeff
-            for gm, gc in g_terms:
-                k = tuple(map(add, gm, q_mono))
-                s = rem.get(k, Fraction(0)) - gc * q_coeff
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return Poly(self.arity, quo)
-
     # -- canonical text form -------------------------------------------------
 
     def __str__(self) -> str:

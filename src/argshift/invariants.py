@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import liealg, poisson
 from .exactpoly import Poly, dot
-from .groebner import jacobian_rank
 from .liealg import LieAlgebraData
 
 
@@ -109,16 +108,6 @@ def verify_invariance(L: LieAlgebraData, p: Poly) -> bool:
     """True iff {x_k, p} = 0 exactly for every coordinate function x_k, i.e.
     the Hamiltonian field of p vanishes."""
     return all(row.is_zero() for row in poisson.hamiltonian(L, p))
-
-
-def kostant_regularity_certificate(L: LieAlgebraData, fam: InvariantFamily, z) -> bool:
-    """Differential criterion for regularity of the dual point z.
-
-    The point is regular exactly when the gradients of the invariant
-    generators at z are linearly independent; this must agree pointwise with
-    is_regular_point, which is how the tests pin it down.
-    """
-    return jacobian_rank(fam.generators, z) == len(fam.generators)
 
 
 def power_sums_to_elementary(power_sums: list[Poly]) -> list[Poly]:

@@ -2,8 +2,9 @@
 
 An algebra is stored by structure constants over Q together with the trace
 form of its defining representation.  Brackets, adjoint maps, centralizers,
-the index (via fraction-free rank of the structure matrix over the function
-field), principal sl2-triples and Kostant slices are all computed exactly.
+principal sl2-triples and Kostant slices are all computed exactly.  The index
+is certified by two bounds that meet at a seeded point: the rank of the
+structure matrix there, and the rank of the invariants' gradients there.
 
 Coordinate convention: S(g) uses coordinates x_0..x_{n-1} dual to the chosen
 basis, so a point of the dual space is a plain coordinate vector and the
@@ -19,14 +20,14 @@ from fractions import Fraction
 
 from . import linalg
 from .exactpoly import Poly
+from .groebner import jacobian_rank
 from .reports import fractions_json
 
 Vector = list[Fraction]
 
-# dim threshold below which the index is certified by symbolic rank
-EXACT_INDEX_MAX_DIM = 12
-# seed of index_of's sample and certificate points
+# seed and count of index_of's sample and certificate points
 INDEX_SEED = 20250810
+INDEX_POINTS = 5
 # seeded points draw_regular_dual_point tries; regular points are dense, so running out is a bug
 REGULAR_POINT_ATTEMPTS = 200
 
@@ -95,7 +96,7 @@ class IndexReport:
     generic_rank: int
     index: int
     certificate_points: list[Vector]
-    mode: str  # "exact" (function-field rank) or "sampled"
+    mode: str  # "exact" (rank bound met by the invariants' gradients) or "sampled"
 
 
 def bracket(L: LieAlgebraData, x: Vector, y: Vector) -> Vector:
@@ -158,12 +159,15 @@ def _mat_scale(a, c):
 
 
 def _mat_mul(a, b):
-    m = len(a)
-    p = len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(p)]
-        for i in range(m)
-    ]
+    """Matrix product that skips the zero entries of both factors."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = [[Fraction(0)] * len(b[0]) for _ in a]
+    for row, a_row in zip(out, a):
+        for k, x in enumerate(a_row):
+            if x:
+                for j, y in b_rows[k]:
+                    row[j] += x * y
+    return out
 
 
 def _mat_commutator(a, b):
@@ -431,38 +435,47 @@ def _seeded_points(n: int, seed: int, count: int):
         yield [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)]
 
 
-def index_of(L: LieAlgebraData) -> IndexReport:
-    """Index = dim - generic rank of the structure matrix.
+def index_of(L: LieAlgebraData, invariants: list[Poly] | None = None) -> IndexReport:
+    """Index = dim - generic rank of the structure matrix B(x).
 
-    Exact mode computes the rank of B over Q(x_0,..,x_{n-1}) by fraction-free
-    elimination; above EXACT_INDEX_MAX_DIM it falls back to the max rank over
-    5 seeded rational sample points and reports mode="sampled".
+    rank B(pt) bounds the generic rank from below at any point.  Every
+    invariant p has B(x) grad p = 0 (checked exactly here), so if the
+    gradients of the invariants have rank l at pt, they are independent over
+    Q(x) and the generic rank is at most dim - l.  The first seeded point
+    where the two bounds meet proves the index: mode "exact".  Without such a
+    point the index is dim minus the largest rank over the INDEX_POINTS
+    points: mode "sampled".
+
+    invariants default to the power traces (gl, sl, odd so, sp); a
+    centralizer has none unless the caller passes the transported family.
+    An "exact" report is memoized for good, a "sampled" one is recomputed
+    when a call brings invariants.
     """
     cached = L._caches.get("index")
-    if cached is not None:
+    if cached is not None and (cached.mode == "exact" or invariants is None):
         return cached
+    from .invariants import invariant_generators, verify_invariance  # it imports liealg
+
+    if invariants is None:
+        try:
+            invariants = invariant_generators(L).generators
+        except LieAlgebraError:  # centralizers and even so: no power-trace family
+            invariants = []
+    for p in invariants:
+        if not verify_invariance(L, p):
+            raise InternalError("an invariant passed to index_of is not Poisson-central (bug)")
     n = L.dim
-    certificates: list[Vector] = []
-    if n <= EXACT_INDEX_MAX_DIM:
-        generic_rank = linalg.poly_matrix_rank(structure_matrix_poly(L))
-        mode = "exact"
-        for pt in _seeded_points(n, INDEX_SEED, 50):
-            if linalg.rank(structure_matrix_at(L, pt)) == generic_rank:
-                certificates.append(pt)
-                break
+    points = list(_seeded_points(n, INDEX_SEED, INDEX_POINTS))
+    ranks = []
+    for pt in points:
+        r = linalg.rank(structure_matrix_at(L, pt))
+        ranks.append(r)
+        if n - r == jacobian_rank(invariants, pt):
+            report = IndexReport(n, r, n - r, [pt], "exact")
+            break
     else:
-        generic_rank = 0
-        for pt in _seeded_points(n, INDEX_SEED, 5):
-            generic_rank = max(generic_rank, linalg.rank(structure_matrix_at(L, pt)))
-            certificates.append(pt)
-        mode = "sampled"
-    report = IndexReport(
-        dim=n,
-        generic_rank=generic_rank,
-        index=n - generic_rank,
-        certificate_points=certificates,
-        mode=mode,
-    )
+        r = max(ranks)
+        report = IndexReport(n, r, n - r, points, "sampled")
     L._caches["index"] = report
     return report
 

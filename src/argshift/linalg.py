@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and fraction-free polynomial-matrix rank.
+"""Exact rational linear algebra, plus the determinant of a polynomial matrix.
 
 Matrices are lists of lists of Fraction.  Everything here is deterministic:
 pivots are always the first usable row/column, so kernel bases and echelon
@@ -112,44 +112,6 @@ def solve_many(rows: Matrix, rhs_columns: list[Vector]) -> list[Vector] | None:
             x[pc] = red[r][n_cols + t]
         sols.append(x)
     return sols
-
-
-def poly_matrix_rank(entries: list[list[Poly]]) -> int:
-    """Rank of a polynomial matrix over the rational function field.
-
-    Bareiss-style fraction-free elimination: every division is exact in the
-    polynomial ring, so the computation never leaves Q[x].
-    """
-    m = [row[:] for row in entries]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    if n_cols == 0:
-        return 0
-    arity = m[0][0].arity
-    prev = Poly.constant(arity, 1)
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, n_rows):
-            head = m[i][c]
-            for j in range(c + 1, n_cols):
-                num = m[i][j] * pivot - head * m[r][j]
-                m[i][j] = num.div_exact(prev)
-            m[i][c] = Poly.zero(arity)
-        prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return r
 
 
 def poly_det(mat: list[list[Poly]]) -> Poly:

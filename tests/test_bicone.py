@@ -92,6 +92,23 @@ def test_counting_identity(algebras, families):
         assert 2 * info["dim"] - info["generator_count"] == info["three_b_minus_ell"]
 
 
+def test_odd_dim_plus_index_is_internal_error(algebras, families, monkeypatch):
+    from argshift import centralizer_lab as cl
+    from argshift.liealg import IndexReport, InternalError
+
+    def odd_index(L, invariants=None):
+        ind = 1 - L.dim % 2  # dim + index odd
+        return IndexReport(L.dim, L.dim - ind, ind, [], "exact")
+
+    monkeypatch.setattr(bicone, "index_of", odd_index)
+    monkeypatch.setattr(cl, "index_of", odd_index)
+    with pytest.raises(InternalError):
+        counting_identity(algebras[("sl", 3)], families[("sl", 3)])
+    L = algebras[("gl", 3)]
+    with pytest.raises(InternalError):
+        cl.condition_star(L, cl.nilpotent_from_partition(L, (2, 1)))
+
+
 def test_gl3_arithmetic_precheck(algebras, families):
     info = counting_identity(algebras[("gl", 3)], families[("gl", 3)])
     assert (info["dim"], info["generator_count"], info["three_b_minus_ell"]) == (9, 9, 9)

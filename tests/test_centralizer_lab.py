@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from argshift.centralizer_lab import (
+    _slice_pipeline,
     all_partitions,
     condition_star,
     conjecture_check,
@@ -18,6 +19,7 @@ from argshift.liealg import (
     build_classical,
     centralizer,
     draw_regular_dual_point,
+    index_of,
     kostant_slice,
 )
 from argshift.shift import mf_generators
@@ -122,8 +124,6 @@ def test_condition_star_gl3(algebras):
 
 
 def test_transport_is_invariant(algebras):
-    from argshift.centralizer_lab import _slice_pipeline
-
     L = algebras[("gl", 3)]
     pipe = _slice_pipeline(L, nilpotent_from_partition(L, (2, 1)))
     for sr in pipe.restrictions:
@@ -204,6 +204,32 @@ def test_gl4_2_1_1_needs_char_coefficients():
     assert star.verdict
     assert star.generator_family == "char-coefficients"
     assert star.degree_sum == star.b_centralizer == 7
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pipeline_certifies_every_centralizer_index(n):
+    # the chosen transported family certifies ind(g^e) = n for every Jordan type
+    L = build_classical("gl", n)
+    for part in all_partitions(n):
+        pipe = _slice_pipeline(L, nilpotent_from_partition(L, part))
+        rep = index_of(pipe.centralizer)
+        assert (rep.mode, rep.index) == ("exact", n)
+        assert pipe.star.centralizer_index == n
+
+
+def test_dependent_transported_family_leaves_index_sampled():
+    # the four power traces of gl_4 transported to the (2,1,1) centralizer
+    # have Jacobian rank 3, one short of the index 4, so they certify nothing
+    L = build_classical("gl", 4)
+    part = (2, 1, 1)
+    chart = kostant_slice(L, sl2_from_partition(L, part))
+    Lc, _ = centralizer(L, nilpotent_from_partition(L, part))
+    traces = [
+        transport_to_centralizer(restrict_to_slice(p, chart, L), chart, Lc)
+        for p in invariant_generators(L).generators
+    ]
+    rep = index_of(Lc, traces)
+    assert (rep.mode, rep.index) == ("sampled", 4)
 
 
 def test_centralizer_dims_match_slice(algebras):

@@ -132,13 +132,6 @@ def test_canonical_text():
     assert format_poly(Poly.zero(3)) == "0"
 
 
-def test_div_exact():
-    f = (x + y) * (x - 2 * y)
-    assert f.div_exact(x + y) == x - 2 * y
-    with pytest.raises(ValueError):
-        (x * x + y).div_exact(x + y)
-
-
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from argshift.liealg import (
     principal_sl2,
 )
 from argshift import linalg
+from argshift.exactpoly import Poly
 
 
 def basis_vec(n, i):
@@ -219,6 +220,19 @@ def test_index_values(algebras):
     assert index_of(algebras[("sp", 4)]).index == 2
 
 
+def test_every_classical_index_is_certified(algebras):
+    # the power traces' gradients meet the structure-matrix rank at a seeded point
+    for L in [*algebras.values(), build_classical("gl", 4), build_classical("sl", 4)]:
+        rep = index_of(L)
+        assert (rep.mode, rep.index) == ("exact", L.meta["rank"])
+
+
+def test_non_invariant_passed_as_invariant_is_internal_error():
+    L = build_classical("sl", 2)
+    with pytest.raises(liealg.InternalError):
+        index_of(L, [Poly.variable(3, 0)])
+
+
 def test_generic_rank_is_even_and_b_integral(algebras):
     for L in algebras.values():
         rep = index_of(L)
@@ -331,5 +345,6 @@ def test_draw_regular_is_deterministic(algebras):
 def test_larger_algebras(spec):
     L = build_classical(*spec)
     assert L.dim == {("gl", 5): 25, ("sp", 6): 21, ("so", 7): 21}[spec]
-    assert index_of(L).index == L.meta["rank"]
+    rep = index_of(L)
+    assert (rep.mode, rep.index) == ("exact", L.meta["rank"])
     liealg.verify_sl2(L, principal_sl2(L))
