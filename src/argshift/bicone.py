@@ -164,6 +164,7 @@ def bicone_fiber_check(
         zero_generators=dropped,
         order=gb_report.order,
         input_hash=gb_report.input_hash,
+        stats=gb_report.stats,
     )
     report.extra["counting_identity"] = identity
     report.extra["shift_family_dimension"] = mf_dim

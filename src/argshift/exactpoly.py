@@ -21,6 +21,14 @@ Monomial = tuple[int, ...]
 Coeff = Fraction
 
 
+class InternalError(Exception):
+    """A broken internal invariant: a bug, never a verdict or a usage error.
+
+    Defined here, at the base of the import graph, so that every module
+    (groebner included) raises the one class; liealg re-exports it.
+    """
+
+
 def grevlex_key(mono: Monomial) -> tuple:
     """Sort key for graded reverse lexicographic order (x0 > x1 > ...).
 
@@ -28,20 +36,6 @@ def grevlex_key(mono: Monomial) -> tuple:
     reversed, negated exponent vector.
     """
     return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient monomial a / b; caller must ensure divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class Poly:

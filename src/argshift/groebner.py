@@ -6,13 +6,39 @@ integer vectors, and all reductions are integer pseudo-reductions, so no
 rational arithmetic happens in the hot loop; the reduced basis is converted
 to monic rational polynomials at the end.
 
+Inside the engine a monomial is one Python int.  With W = FIELD_BITS and
+R = 2^W, the exponent vector e of n variables packs as
+
+    degrevlex:  M = deg(e)*R^n + sum e_i*R^i
+    lex:        M = sum e_i*R^(n-1-i)
+
+so a product of monomials is one int addition and a quotient one
+subtraction.  The order key is ((M >> s) << (s+1)) - M, with s = W*n under
+degrevlex (that is deg*R^n - sum e_i*R^i: the degree first, then the smaller
+last exponents) and s = 0 under lex (M itself, x0 in the top field).  The
+negated key is an involution of the packed ints, so the reduction heap holds
+plain ints and the same formula turns a popped entry back into its monomial.
+Every field stays below 2^(W-1), so its top bit is a guard: with G the mask
+of the guard bits, a divides b iff ((b | G) - a) & G == G.  The subtraction
+keeps the guard of exactly the fields where b_i >= a_i, and since each field
+of b | G is at least as large as the field of a, no field borrows from its
+neighbour.  A monomial whose degree would reach 2^(W-1) raises InternalError
+and the computation yields no basis.  Under degrevlex a reduction never
+raises the degree, so the inputs and the S-pair lcms are checked; under lex
+each reduction step and each S-polynomial is checked as well.  Tuples are
+built once on input and once on output: Poly terms, GroebnerBasis.basis,
+leading_monomials() and normal_form's result keep tuple monomials.
+
 Each basis element is one record, built when it enters the basis: the order
 key of its leading monomial, the leading monomial, the leading coefficient
-(made positive there, once) and the terms as a tuple.  The reducers are those
-records in a list kept sorted by key with ``bisect.insort``, and the critical
-pairs wait in a heap of (degree of the lcm, i, j) next to the set of pending
-pairs that the chain criterion reads.  Output is deterministic for a fixed
-input sequence and order, which is what makes the golden reports sound.
+(made positive there, once), the terms as a tuple and how far its terms'
+degree exceeds the lead's (0 under degrevlex).  The reducers are those
+records in a list kept sorted by key with ``bisect.insort``; the divisor scan
+stops at the first lead above the monomial, which no divisor is.  The
+critical pairs wait in a heap of (degree of the lcm, i, j) next to the set of
+pending pairs that the chain criterion reads.  Output is deterministic for a
+fixed input sequence and order, which is what makes the golden reports
+sound, and so are the engine counters in GroebnerBasis.stats.
 
 The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
@@ -32,53 +58,27 @@ from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .exactpoly import (
-    Monomial,
-    Poly,
-    format_poly,
-    grevlex_key,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-)
+from .exactpoly import InternalError, Monomial, Poly, format_poly, grevlex_key
+
+# bits of one packed exponent field; every exponent and degree stays below 2**(FIELD_BITS - 1)
+FIELD_BITS = 32
 
 
 class GBTimeout(Exception):
     """Raised when a basis computation exceeds its time budget."""
 
 
-def _grevlex_negkey(mono: Monomial):
-    return (-sum(mono), tuple(reversed(mono)))
-
-
-def _lex_key(mono: Monomial):
-    return mono
-
-
-def _lex_negkey(mono: Monomial):
-    return tuple(-e for e in mono)
-
-
-_ORDER_KEYS = {"degrevlex": (grevlex_key, _grevlex_negkey), "lex": (_lex_key, _lex_negkey)}
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative monomial order with x0 > x1 > ...: degrevlex
-    (default) or lex.
-
-    key(m) grows with m and negkey(m) shrinks with it; both are plain
-    functions bound once per order, so the hot loops pay no dispatch.
+    (default) or lex.  The engine orders packed monomials by _Packing.key.
     """
 
     kind: str = "degrevlex"
 
     def __post_init__(self):
-        if self.kind not in _ORDER_KEYS:
+        if self.kind not in ("degrevlex", "lex"):
             raise ValueError(f"unsupported order {self.kind!r}")
-        key, negkey = _ORDER_KEYS[self.kind]
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "negkey", negkey)
 
     def to_json(self) -> dict:
         # "permutation" is kept so that input digests and golden reports stay byte-identical
@@ -91,9 +91,79 @@ class GroebnerBasis:
     arity: int
     basis: list[Poly]  # reduced: monic, pairwise non-divisible leads, sorted by lead
     input_hash: str
+    stats: dict = field(default_factory=dict)  # engine counters, see buchberger
 
     def leading_monomials(self) -> list[Monomial]:
-        return [max(p.terms, key=self.order.key) for p in self.basis]
+        # tuples compare lexicographically, so lex needs no key
+        key = grevlex_key if self.order.kind == "degrevlex" else None
+        return [max(p.terms, key=key) for p in self.basis]
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+class _Packing:
+    """The packed-int monomials of one ring and order (see the module docstring).
+
+    degree() sums the n exponent fields with one multiplication; it is exact
+    while the sum is below 2^W, which holds for every monomial of the engine
+    and for the lcm of two of them.
+    """
+
+    __slots__ = ("n", "lex", "w", "s", "guard", "limit", "low", "ones")
+
+    def __init__(self, n: int, order: MonomialOrder):
+        w = self.w = FIELD_BITS
+        self.n, self.lex = n, order.kind == "lex"
+        self.s = 0 if self.lex else w * n
+        fields = n if self.lex else n + 1
+        self.guard = sum(1 << (w * i + w - 1) for i in range(fields))
+        self.limit = 1 << (w - 1)
+        self.low = (1 << (w * n)) - 1  # the n exponent fields
+        self.ones = sum(1 << (w * i) for i in range(n))
+
+    def encode(self, mono: Monomial) -> int:
+        d = sum(mono)
+        self.check(d)
+        w, n = self.w, self.n
+        if self.lex:
+            return sum(e << (w * (n - 1 - i)) for i, e in enumerate(mono))
+        return sum(e << (w * i) for i, e in enumerate(mono)) + (d << self.s)
+
+    def decode(self, m: int) -> Monomial:
+        w = self.w
+        f = (1 << w) - 1
+        exps = tuple((m >> (w * i)) & f for i in range(self.n))
+        return exps[::-1] if self.lex else exps
+
+    def key(self, m: int) -> int:
+        s = self.s
+        return ((m >> s) << (s + 1)) - m
+
+    def degree(self, m: int) -> int:
+        w = self.w
+        return ((m & self.low) * self.ones >> (w * max(self.n - 1, 0))) & ((1 << w) - 1)
+
+    def divides(self, a: int, b: int) -> bool:
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        g = self.guard
+        t = ((a | g) - b) & g  # the guard bits of the fields where a_i >= b_i
+        t |= t - (t >> (self.w - 1))  # ... widened to the whole field
+        m = (a & t) | (b & ~t)
+        d = self.degree(m)
+        self.check(d)
+        return m if self.lex else (m & self.low) + (d << self.s)
+
+    def check(self, degree: int) -> None:
+        if degree >= self.limit:
+            raise InternalError(
+                f"a monomial of degree {degree} overflows the {self.w}-bit exponent fields"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -101,34 +171,36 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 
-IntPoly = dict  # Monomial -> int, content 1
+IntPoly = dict  # packed monomial -> int, content 1
 
 
 class _Record(NamedTuple):
     """One basis element; its lead is found and its sign fixed once, in _record."""
 
-    key: tuple  # order key of lm
-    lm: Monomial
+    key: int  # order key of lm
+    lm: int
     lc: int  # positive
     terms: tuple  # ((monomial, int), ...), content 1
+    grow: int  # highest term degree minus deg lm: 0 under degrevlex
 
 
-def _record(d: IntPoly, order: MonomialOrder) -> _Record:
-    lm = max(d, key=order.key)
+def _record(d: IntPoly, P: _Packing) -> _Record:
+    lm = max(d, key=P.key)
     if d[lm] < 0:
         d = {m: -c for m, c in d.items()}
-    return _Record(order.key(lm), lm, d[lm], tuple(d.items()))
+    grow = max(map(P.degree, d)) - P.degree(lm)
+    return _Record(P.key(lm), lm, d[lm], tuple(d.items()), grow)
 
 
 def _by_key(rec: _Record):
     return rec.key
 
 
-def _to_int_poly(p: Poly) -> IntPoly:
+def _to_int_poly(p: Poly, P: _Packing) -> IntPoly:
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    out = {m: int(c * den) for m, c in p.terms.items()}
+    out = {P.encode(m): int(c * den) for m, c in p.terms.items()}
     _content_normalize(out)
     return out
 
@@ -145,16 +217,18 @@ def _content_normalize(d: IntPoly) -> None:
 
 
 class _Budget:
-    """Cooperative deadline checks for the inner loops.
+    """Cooperative deadline checks for the inner loops, and the number of
+    reduction steps made under them.
 
     The clock is read on every tick: one reduction step can cost far more
     than a clock read once coefficients grow.
     """
 
-    __slots__ = ("deadline",)
+    __slots__ = ("deadline", "steps")
 
     def __init__(self, timeout_secs):
         self.deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
+        self.steps = 0
 
     def tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -162,7 +236,7 @@ class _Budget:
 
 
 def _reduce_full(
-    f, reducers: list[_Record], order: MonomialOrder, budget: _Budget, out: IntPoly | None = None
+    f, reducers: list[_Record], P: _Packing, budget: _Budget, out: IntPoly | None = None
 ) -> IntPoly:
     """Full normal form of f (a dict or a tuple of items) against reducers
     (records sorted by key).
@@ -176,33 +250,34 @@ def _reduce_full(
     """
     if not f:
         return {}
-    # under degrevlex the key starts with the degree, so the divisor scan can
-    # stop once leads outgrow the target
-    degree_sorted = order.kind == "degrevlex"
+    s, s1, guard = P.s, P.s + 1, P.guard
     work = dict(f)
     out = {} if out is None else out
-    heap = [(order.negkey(m), m) for m in work]
+    heap = [m - ((m >> s) << s1) for m in work]  # -key(m): the largest monomial pops first
     heapify(heap)
     steps = 0
     while heap:
-        _, m = heappop(heap)
+        v = heappop(heap)
+        m = v - ((v >> s) << s1)  # the same map takes -key(m) back to m
         c = work.get(m)
         if not c:
             continue
-        mdeg = sum(m)
+        mkey, mg = -v, m | guard
         hit = None
-        for key, lm, lc, terms in reducers:
-            if degree_sorted and key[0] > mdeg:
-                break
-            if mono_divides(lm, m):
-                hit = (lm, lc, terms)
+        for key, lm, lc, terms, grow in reducers:
+            if key > mkey:
+                break  # a divisor of m is not above m
+            if (mg - lm) & guard == guard:  # P.divides(lm, m), inlined
+                hit = (lm, lc, terms, grow)
                 break
         if hit is None:
             out[m] = c
             del work[m]
             continue
-        lm, lc, terms = hit
-        q = mono_div(m, lm)
+        lm, lc, terms, grow = hit
+        if grow:  # lex only: the step may raise the degree
+            P.check(P.degree(m) + grow)
+        q = m - lm
         g = gcd(c, lc)
         a, b = lc // g, c // g  # a > 0: record leading coefficients are positive
         if a != 1:
@@ -214,14 +289,15 @@ def _reduce_full(
         for gm, gc in terms:
             if gm == lm:
                 continue
-            k = tuple(x + y for x, y in zip(gm, q))
-            nv = work.get(k, 0) - b * gc
-            if nv:
-                if k not in work:
-                    heappush(heap, (order.negkey(k), k))
-                work[k] = nv
+            k, t = gm + q, b * gc
+            old = work.get(k)
+            if old is None:
+                work[k] = -t
+                heappush(heap, k - ((k >> s) << s1))
+            elif old != t:
+                work[k] = old - t
             else:
-                work.pop(k, None)
+                del work[k]
         budget.tick()
         steps += 1
         if steps % 64 == 0:
@@ -240,21 +316,23 @@ def _reduce_full(
                     work[k] //= merged_gcd
                 for k in out:
                     out[k] //= merged_gcd
+    budget.steps += steps
     _content_normalize(out)
     return out
 
 
-def _spoly(f: _Record, g: _Record) -> IntPoly:
-    lcm = mono_lcm(f.lm, g.lm)
+def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing) -> IntPoly:
+    if f.grow or g.grow:  # lex only: a term may outgrow the lcm's degree
+        P.check(P.degree(lcm) + max(f.grow, g.grow))
     d = gcd(f.lc, g.lc)
-    mf, mg = mono_div(lcm, f.lm), mono_div(lcm, g.lm)
+    mf, mg = lcm - f.lm, lcm - g.lm
     af, ag = g.lc // d, f.lc // d
     out: IntPoly = {}
     for m, c in f.terms:
-        k = tuple(x + y for x, y in zip(m, mf))
+        k = m + mf
         out[k] = out.get(k, 0) + af * c
     for m, c in g.terms:
-        k = tuple(x + y for x, y in zip(m, mg))
+        k = m + mg
         v = out.get(k, 0) - ag * c
         if v:
             out[k] = v
@@ -288,6 +366,11 @@ def buchberger(
     Deterministic for a fixed input sequence and order.  Zero generators are
     ignored; an empty input yields the empty basis (pass arity in that
     case).  Raises GBTimeout when the time budget runs out.
+
+    The basis carries deterministic engine counters in stats: critical pairs
+    formed, pairs skipped by the coprime and by the chain criterion,
+    S-polynomials that reduced to zero, reduction steps (over every
+    reduction of the run) and the basis size before minimalization.
     """
     order = order or MonomialOrder()
     if gens:
@@ -297,14 +380,15 @@ def buchberger(
     for p in gens:
         if p.arity != arity:
             raise ValueError("generators live in different rings")
+    P = _Packing(arity, order)
     budget = _Budget(timeout_secs)
 
     G: list[_Record] = []  # pairs index into G
     reducers: list[_Record] = []  # the records of G, sorted by key
     for p in gens:
-        r = _reduce_full(_to_int_poly(p), reducers, order, budget)
+        r = _reduce_full(_to_int_poly(p, P), reducers, P, budget)
         if r:
-            G.append(_record(r, order))
+            G.append(_record(r, P))
             insort(reducers, G[-1], key=_by_key)
     # inter-reduce the seed basis to a fixpoint; linear generators then
     # eliminate their variables before any pair is formed
@@ -313,7 +397,7 @@ def buchberger(
         changed = False
         for idx, rec in enumerate(G):
             reducers.remove(rec)
-            r = _reduce_full(rec.terms, reducers, order, budget)
+            r = _reduce_full(rec.terms, reducers, P, budget)
             if r == dict(rec.terms):
                 insort(reducers, rec, key=_by_key)
                 continue
@@ -321,47 +405,62 @@ def buchberger(
             if not r:
                 G.pop(idx)
                 break
-            G[idx] = _record(r, order)
+            G[idx] = _record(r, P)
             insort(reducers, G[idx], key=_by_key)
 
     pending = {(i, j) for j in range(len(G)) for i in range(j)}
-    heap = [(sum(mono_lcm(G[i].lm, G[j].lm)), i, j) for i, j in pending]
+    heap = [(P.degree(P.lcm(G[i].lm, G[j].lm)), i, j) for i, j in pending]
     heapify(heap)
+    formed = len(heap)
+    coprime = chain = zeros = 0
     while heap:
         budget.tick()
         _, i, j = heappop(heap)
         pending.discard((i, j))
         li, lj = G[i].lm, G[j].lm
-        lcm_ij = mono_lcm(li, lj)
+        lcm_ij = P.lcm(li, lj)
         # first criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(li, lj, lcm_ij)):
+        if lcm_ij == li + lj:
+            coprime += 1
             continue
         # chain criterion: some k with lt_k | lcm and both side pairs done
         if any(
-            k != i and k != j and mono_divides(rec.lm, lcm_ij)
+            k != i and k != j and P.divides(rec.lm, lcm_ij)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, rec in enumerate(G)
         ):
+            chain += 1
             continue
-        r = _reduce_full(_spoly(G[i], G[j]), reducers, order, budget)
-        if r:
-            t = len(G)
-            G.append(_record(r, order))
-            insort(reducers, G[t], key=_by_key)
-            for a in range(t):
-                pending.add((a, t))
-                heappush(heap, (sum(mono_lcm(G[a].lm, G[t].lm)), a, t))
+        r = _reduce_full(_spoly(G[i], G[j], lcm_ij, P), reducers, P, budget)
+        if not r:
+            zeros += 1
+            continue
+        t = len(G)
+        G.append(_record(r, P))
+        insort(reducers, G[t], key=_by_key)
+        for a in range(t):
+            pending.add((a, t))
+            heappush(heap, (P.degree(P.lcm(G[a].lm, G[t].lm)), a, t))
+        formed += t
 
-    basis = _reduce_and_normalize(reducers, order, budget)
+    unminimized = len(reducers)
+    basis = _reduce_and_normalize(reducers, P, budget)
+    stats = {
+        "pairs_formed": formed,
+        "pairs_coprime": coprime,
+        "pairs_chain": chain,
+        "zero_reductions": zeros,
+        "reduction_steps": budget.steps,
+        "basis_before_minimal": unminimized,
+    }
     return GroebnerBasis(
-        order=order, arity=arity, basis=basis, input_hash=input_digest(gens, order, arity)
+        order=order, arity=arity, basis=basis, input_hash=input_digest(gens, order, arity),
+        stats=stats,
     )
 
 
-def _reduce_and_normalize(
-    reducers: list[_Record], order: MonomialOrder, budget: _Budget
-) -> list[Poly]:
+def _reduce_and_normalize(reducers: list[_Record], P: _Packing, budget: _Budget) -> list[Poly]:
     """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
 
     A lead kept by minimalization is divisible by no other kept lead, so it
@@ -369,13 +468,13 @@ def _reduce_and_normalize(
     """
     minimal: list[_Record] = []
     for rec in reducers:
-        if not any(mono_divides(m.lm, rec.lm) for m in minimal):
+        if not any(P.divides(m.lm, rec.lm) for m in minimal):
             minimal.append(rec)
     out: list[Poly] = []
     for idx, rec in enumerate(minimal):
-        r = _reduce_full(rec.terms, minimal[:idx] + minimal[idx + 1 :], order, budget)
+        r = _reduce_full(rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
         lc = r[rec.lm]
-        out.append(Poly(len(rec.lm), {m: Fraction(c, lc) for m, c in r.items()}))
+        out.append(Poly(P.n, {P.decode(m): Fraction(c, lc) for m, c in r.items()}))
     return out
 
 
@@ -389,17 +488,18 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder | None = None) 
     reduced Groebner basis this is the unique normal form, so membership in
     the ideal is the test `normal_form(f, gb.basis, gb.order).is_zero()`.
     """
-    order = order or MonomialOrder()
-    g = _to_int_poly(f)
+    P = _Packing(f.arity, order or MonomialOrder())
+    g = _to_int_poly(f, P)
     if not g:
         return Poly(f.arity)
-    reducers = [_record(_to_int_poly(b), order) for b in basis if not b.is_zero()]
+    reducers = [_record(_to_int_poly(b, P), P) for b in basis if not b.is_zero()]
     reducers.sort(key=_by_key)
-    # the kernel returns factor * NF(g), factor in the _SCALE entry, and g = (g/f) * f
-    out = _reduce_full(g, reducers, order, _Budget(None), out={_SCALE: 1})
-    m = next(iter(g))
-    scale = out.pop(_SCALE) * (g[m] / f.terms[m])
-    return Poly(f.arity, {k: v / scale for k, v in out.items()})
+    # the kernel returns factor * NF(g), factor in the _SCALE entry, and g = (g/f) * f,
+    # read off the first term (g keeps the term order of f)
+    out = _reduce_full(g, reducers, P, _Budget(None), out={_SCALE: 1})
+    scale = out.pop(_SCALE) * (next(iter(g.values())) / next(iter(f.terms.values())))
+    return Poly(f.arity, {P.decode(k): v / scale for k, v in out.items()})
+
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +570,7 @@ class DimensionReport:
     order: MonomialOrder = field(default_factory=MonomialOrder)
     input_hash: str | None = None
     extra: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)  # the basis' engine counters; out of every digest
 
     def to_json_dict(self) -> dict:
         out = {
@@ -482,6 +583,7 @@ class DimensionReport:
             "zero_generators": [list(z) for z in self.zero_generators],
             "order": self.order.to_json(),
             "input_hash": self.input_hash,
+            "stats": self.stats,
         }
         out.update(self.extra)
         return out
@@ -527,11 +629,12 @@ def regular_sequence_verdict(
     except GBTimeout:
         return DimensionReport(ideal_dimension=None, verdict=None, status="inconclusive", **report)
     if dim != -1 and dim < n - k:
-        raise AssertionError(
+        raise InternalError(
             f"computed dimension {dim} below the Krull bound {n - k}: engine bug"
         )
     return DimensionReport(
-        ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=gb.input_hash, **report
+        ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=gb.input_hash,
+        stats=gb.stats, **report,
     )
 
 

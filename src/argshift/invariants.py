@@ -78,8 +78,12 @@ def invariant_generators(L: LieAlgebraData) -> InvariantFamily:
 
     gl_n: tr(X^i) for i = 1..n; sl_n: i = 2..n; so_{2m+1} and sp_{2m}:
     tr(X^{2i}) for i = 1..m.  Even so is not supported (its generator set
-    needs the Pfaffian).
+    needs the Pfaffian).  Memoized in the algebra's "invariants" cache, so
+    index_of and the callers after it share one build.
     """
+    cached = L._caches.get("invariants")
+    if cached is not None:
+        return cached
     kind = L.meta.get("type")
     size = L.meta.get("size")
     if kind == "gl":
@@ -101,7 +105,8 @@ def invariant_generators(L: LieAlgebraData) -> InvariantFamily:
             raise liealg.InternalError(f"power trace of degree {d} is malformed (bug)")
     if len(gens) != L.meta.get("rank"):
         raise liealg.InternalError("generator count does not match the rank (bug)")
-    return InvariantFamily(algebra=L, generators=gens, degrees=powers)
+    fam = L._caches["invariants"] = InvariantFamily(algebra=L, generators=gens, degrees=powers)
+    return fam
 
 
 def verify_invariance(L: LieAlgebraData, p: Poly) -> bool:

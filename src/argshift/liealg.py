@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .exactpoly import Poly
+from .exactpoly import InternalError, Poly
 from .groebner import jacobian_rank
 from .reports import fractions_json
 
@@ -34,10 +34,6 @@ REGULAR_POINT_ATTEMPTS = 200
 
 class LieAlgebraError(ValueError):
     pass
-
-
-class InternalError(Exception):
-    """A broken internal invariant: a bug, never a verdict or a usage error."""
 
 
 @dataclass
@@ -56,7 +52,7 @@ class LieAlgebraData:
     meta: dict = field(default_factory=dict)
     defining: list[list[list[Fraction]]] | None = None
 
-    # per-algebra memos: "index", "form_inverse", "structure_matrix"
+    # per-algebra memos: "index", "form_inverse", "structure_matrix", "invariants"
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:

@@ -1,9 +1,10 @@
 """Canonical JSON reports and content digests.
 
 Reports must be byte-identical across seeded reruns, so wall-clock fields
-(anything named in VOLATILE_KEYS) are stripped before canonicalization and
-digesting; they stay in the emitted files for humans but never influence a
-digest comparison.
+and engine counters (anything named in VOLATILE_KEYS) are stripped before
+canonicalization and digesting; they stay in the emitted files for humans
+but never influence a digest comparison, so an engine change that does more
+or less work leaves every digest and golden file as it was.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-VOLATILE_KEYS = frozenset({"seconds", "gb_seconds", "timing"})
+VOLATILE_KEYS = frozenset({"seconds", "gb_seconds", "timing", "stats"})
 
 
 def fractions_json(values) -> list[str]:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import bicone
+from argshift import bicone, exactpoly, groebner, liealg
 from argshift.exactpoly import Poly, parse_poly
 from argshift.groebner import (
     GBTimeout,
+    InternalError,
     MonomialOrder,
     buchberger,
     ideal_dimension,
@@ -20,7 +21,8 @@ from argshift.groebner import (
     normal_form,
     regular_sequence_verdict,
 )
-from argshift.liealg import dual_of
+from argshift.liealg import draw_regular_dual_point, dual_of
+from argshift.reports import canonical_json
 from argshift.shift import mf_generators
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -195,6 +197,111 @@ def test_reduced_basis_matches_sympy(kind, sympy_order, system):
     assert len(gb.basis) == len(want)
 
 
+def _as_sympy(p, xs):
+    import sympy
+
+    return sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(xs, m)))
+               for m, c in p.terms.items())
+
+
+def _from_sympy(expr, xs):
+    import sympy
+
+    poly = sympy.Poly(expr, *xs, domain="QQ")
+    return Poly(len(xs), {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+def _shift_family(algebras, families, triples, spec, point):
+    L = algebras[spec]
+    if point == "h":
+        xi = dual_of(L, triples[spec].h)
+    else:
+        xi = draw_regular_dual_point(L, point)[0]
+    return mf_generators(L, families[spec], xi).polynomials()
+
+
+# 8 and 9 variables: many packed fields, and under degrevlex a degree field on top
+SHIFT_CASES = [
+    (("sl", 3), "h", "degrevlex", "grevlex"),
+    (("sl", 3), "h", "lex", "lex"),
+    (("gl", 3), 5, "degrevlex", "grevlex"),
+    (("gl", 3), 7, "degrevlex", "grevlex"),
+]
+
+
+@pytest.mark.parametrize("spec,point,kind,sympy_order", SHIFT_CASES)
+def test_shift_family_basis_and_normal_form_match_sympy(
+    algebras, families, triples, spec, point, kind, sympy_order
+):
+    import sympy
+
+    gens = _shift_family(algebras, families, triples, spec, point)
+    n = gens[0].arity
+    xs = sympy.symbols(f"v0:{n}")
+    ref = sympy.groebner([_as_sympy(p, xs) for p in gens], *xs, order=sympy_order, domain="QQ")
+    want = []
+    for e in ref.exprs:
+        lc = sympy.Poly(e, *xs, domain="QQ").LC(order=sympy_order)
+        want.append(_from_sympy(e / lc, xs))
+    gb = buchberger(gens, MonomialOrder(kind))
+    assert _monic_term_sets(gb.basis) == _monic_term_sets(want)
+    assert len(gb.basis) == len(want)
+    # normal forms of random polynomials of degree <= 3 are sympy's remainders
+    rng = random.Random(hash((spec, point, kind)) % 1000)
+    for _ in range(4):
+        f = Poly(n, {
+            tuple(rng.choice(_monomials(n, rng.randint(0, 3)))): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(5)
+        })
+        f = f + gens[rng.randrange(len(gens))] * Poly.variable(n, rng.randrange(n))
+        got = normal_form(f, gb.basis, gb.order)
+        assert got == _from_sympy(ref.reduce(_as_sympy(f, xs))[1], xs)
+
+
+def test_exponents_up_to_the_field_limit_round_trip():
+    top = 2**31 - 1
+    g = Poly(2, {(top, 0): Fraction(3), (0, top): Fraction(-6)})
+    for kind in ("degrevlex", "lex"):
+        gb = buchberger([g], MonomialOrder(kind))
+        assert gb.basis == [Fraction(1, 3) * g]
+        assert gb.leading_monomials() == [(top, 0)]
+        assert normal_form(Poly(2, {(top, 0): Fraction(1)}), gb.basis, gb.order) == Poly(
+            2, {(0, top): Fraction(2)}
+        )
+
+
+def test_exponent_overflow_raises_internal_error(monkeypatch):
+    # real width: one exponent of 2^31 does not fit a field
+    big = Poly(2, {(2**31, 0): Fraction(1), (0, 2**31): Fraction(1)})
+    for kind in ("degrevlex", "lex"):
+        with pytest.raises(InternalError):
+            buchberger([big], MonomialOrder(kind))
+    monkeypatch.setattr(groebner, "FIELD_BITS", 4)  # exponents and degrees below 8
+    u, v, w = (Poly.variable(3, i) for i in range(3))
+    degree9 = [u**4 * v**3 * w**2 - w**9, u * v - w**2]
+    for kind in ("degrevlex", "lex"):
+        with pytest.raises(InternalError):
+            buchberger(degree9, MonomialOrder(kind))
+        with pytest.raises(InternalError):
+            normal_form(degree9[0], [degree9[1]], MonomialOrder(kind))
+    with pytest.raises(InternalError):  # never a verdict
+        regular_sequence_verdict([u**9 - v**9, w], 3)
+    # degree 7 fits, but an S-pair lcm of degree 8 does not
+    for kind in ("degrevlex", "lex"):
+        with pytest.raises(InternalError):
+            buchberger([u**7 + v**7, u**6 * v + w**7], MonomialOrder(kind))
+    # lex: a reduction step by u - v^7 raises the degree by 6
+    with pytest.raises(InternalError):
+        buchberger([u - v**7, u * u], MonomialOrder("lex"))
+    with pytest.raises(InternalError):
+        normal_form(u**3, [u - v**7], MonomialOrder("lex"))
+    # lex: the S-polynomial of u*v - w^7 and u*w has the term w^8, above its lcm u*v*w
+    with pytest.raises(InternalError, match="degree 8 "):
+        buchberger([u * v - w**7, u * w], MonomialOrder("lex"))
+    # the same inputs within the width are fine
+    assert buchberger([u - v**3, u * u], MonomialOrder("lex")).basis == [v**6, u - v**3]
+
+
 def test_reduced_gb_is_fixed_point():
     first = buchberger([x * x - y, y * y - x])
     again = buchberger(first.basis)
@@ -230,6 +337,23 @@ def test_deterministic_repeat(algebras, families, triples):
     b = buchberger(gens)
     assert a.basis == b.basis
     assert a.input_hash == b.input_hash
+
+
+def test_engine_counters_repeat_and_stay_out_of_digests(algebras, families, triples):
+    gens = _shift_family(algebras, families, triples, ("gl", 3), 5)
+    a, b = buchberger(gens), buchberger(gens)
+    assert a.stats == b.stats
+    assert set(a.stats) == {"pairs_formed", "pairs_coprime", "pairs_chain", "zero_reductions",
+                            "reduction_steps", "basis_before_minimal"}
+    skipped = a.stats["pairs_coprime"] + a.stats["pairs_chain"] + a.stats["zero_reductions"]
+    assert 0 < skipped <= a.stats["pairs_formed"]
+    assert a.stats["basis_before_minimal"] >= len(a.basis)
+    assert a.stats["reduction_steps"] > 0
+    rep = regular_sequence_verdict(gens, 9)
+    assert rep.stats == a.stats
+    data = rep.to_json_dict()
+    assert data["stats"] == a.stats
+    assert canonical_json(data) == canonical_json({**data, "stats": {}})
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +448,13 @@ def test_regseq_nilpotent_cone_gl3(families):
     rep = regular_sequence_verdict(families[("gl", 3)].generators, 9)
     assert rep.ideal_dimension == 6
     assert rep.verdict is True
+
+
+def test_krull_bound_violation_is_internal_error(monkeypatch):
+    assert liealg.InternalError is exactpoly.InternalError is InternalError
+    monkeypatch.setattr(groebner, "ideal_dimension", lambda gb: 0)
+    with pytest.raises(InternalError, match="Krull bound"):
+        regular_sequence_verdict([x], 2)
 
 
 def test_regseq_rejects_nonhomogeneous():

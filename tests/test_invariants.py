@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from argshift import invariants
 from argshift.exactpoly import Poly
 from argshift.groebner import jacobian_rank
 from argshift.invariants import (
@@ -46,6 +47,19 @@ def test_every_generator_is_invariant(algebras, families):
         L = algebras[spec]
         for p in fam.generators:
             assert verify_invariance(L, p)
+
+
+def test_family_is_built_once_per_algebra(monkeypatch):
+    calls = []
+    build = invariants._power_traces
+    monkeypatch.setattr(invariants, "_power_traces", lambda *a: calls.append(1) or build(*a))
+    L = build_classical("sp", 4)
+    index_of(L)
+    fam = invariant_generators(L)
+    assert invariant_generators(L) is fam
+    assert len(calls) == 1
+    assert invariant_generators(build_classical("sp", 4)) is not fam  # the memo is per algebra
+    assert len(calls) == 2
 
 
 def test_non_invariants_detected(algebras):
