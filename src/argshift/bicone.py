@@ -13,13 +13,19 @@ computation for binary forms over Q.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .exactpoly import Poly
-from .groebner import DimensionReport, MonomialOrder, jacobian_rank, regular_sequence_verdict
+from .groebner import (
+    DimensionReport,
+    MonomialOrder,
+    deadline_after,
+    jacobian_rank,
+    regular_sequence_verdict,
+    time_left,
+)
 from .invariants import InvariantFamily
 from .liealg import InternalError, LieAlgebraData, dual_of, index_of, is_regular_point
 from .shift import bigraded_components, mf_generators
@@ -91,14 +97,18 @@ def bicone_dimension_check(
     timeout_secs: float | None = None,
     cache_dir: None = None,  # passed on; regular_sequence_verdict accepts only None
 ) -> DimensionReport:
-    """Full bicone: verdict true iff its dimension is 3(b - ell) in 2n vars."""
+    """Full bicone: verdict true iff its dimension is 3(b - ell) in 2n vars.
+
+    timeout_secs bounds the whole call.
+    """
+    deadline = deadline_after(timeout_secs)
     identity = counting_identity(L, fam)
     ideal = bicone_generators(L, fam)
     report = regular_sequence_verdict(
         ideal.polynomials(),
         2 * L.dim,
         order=order,
-        timeout_secs=timeout_secs,
+        timeout_secs=time_left(deadline),
         cache_dir=cache_dir,
     )
     report.extra["counting_identity"] = identity
@@ -119,14 +129,11 @@ def bicone_fiber_check(
     y-block; verdict true iff the dimension equals b - ell.  The report also
     runs the plain shift-family verdict at xi = e and records whether the two
     dimensions agree (they must: the fiber generators are scalar multiples of
-    the shift family).  timeout_secs bounds both verdicts together; the second
-    is skipped when the fiber verdict is already inconclusive.
+    the shift family).  timeout_secs bounds the whole call, both verdicts
+    together; the second is skipped when the fiber verdict is already
+    inconclusive.
     """
-    deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
-
-    def remaining():
-        return None if deadline is None else max(0.0, deadline - time.monotonic())
-
+    deadline = deadline_after(timeout_secs)
     e = [Fraction(v) for v in e]
     xi = dual_of(L, e)
     if not is_regular_point(L, xi):
@@ -143,14 +150,14 @@ def bicone_fiber_check(
     nonzero = [p for _, _, p in substituted if not p.is_zero()]
     dropped = [(i, j) for i, j, p in substituted if p.is_zero()]
     gb_report = regular_sequence_verdict(
-        nonzero, n, order=order, timeout_secs=remaining(), cache_dir=cache_dir
+        nonzero, n, order=order, timeout_secs=time_left(deadline), cache_dir=cache_dir
     )
     fiber_dim = gb_report.ideal_dimension
     mf_dim = None
     if gb_report.status != "inconclusive":
         mf = mf_generators(L, fam, xi)
         mf_dim = regular_sequence_verdict(
-            mf.polynomials(), n, order=order, timeout_secs=remaining(), cache_dir=cache_dir
+            mf.polynomials(), n, order=order, timeout_secs=time_left(deadline), cache_dir=cache_dir
         ).ideal_dimension
     status = gb_report.status
     verdict = None if fiber_dim is None else (fiber_dim == b - ell)

@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from . import linalg
 from .exactpoly import Poly
-from .groebner import DimensionReport, MonomialOrder, regular_sequence_verdict
+from .groebner import (
+    DimensionReport,
+    MonomialOrder,
+    deadline_after,
+    regular_sequence_verdict,
+    time_left,
+)
 from .invariants import InvariantFamily, invariant_generators, power_sums_to_elementary
 from .liealg import (
     InternalError,
@@ -335,7 +341,9 @@ def conjecture_check(
     under test).  Draws a seeded random regular point of the centralizer
     dual, builds the shift family from the transported initial components,
     and runs the dimension verdict with n = dim g^e and k = b(g^e).
+    timeout_secs bounds the whole call.
     """
+    deadline = deadline_after(timeout_secs)
     pipe = _slice_pipeline(L, e)
     if not pipe.star.verdict:
         raise ValueError("condition (*) fails; the experiment hypothesis is not met")
@@ -355,7 +363,7 @@ def conjecture_check(
         mf.polynomials(),
         Lc.dim,
         order=order,
-        timeout_secs=timeout_secs,
+        timeout_secs=time_left(deadline),
         cache_dir=cache_dir,
         zero_labels=mf.zero_entries,
     )

@@ -5,6 +5,8 @@ conjecture.  Every run emits one JSON report (stdout or --output).
 
 Exit codes: 0 verdict true / success, 1 verdict false, 2 inconclusive
 (timeout), 3 usage or input error, 4 internal error (never a verdict).
+--timeout-secs bounds the whole run: main turns it into one deadline before
+anything is built, and each verdict gets only the time left.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import bicone as bicone_mod
 from . import centralizer_lab as cl
 from . import invariants as invariants_mod
 from . import liealg, poisson, reports, shift
-from .groebner import MonomialOrder, regular_sequence_verdict
+from .groebner import MonomialOrder, deadline_after, regular_sequence_verdict, time_left
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -167,7 +169,7 @@ def cmd_regseq(args) -> int:
         family.polynomials(),
         L.dim,
         order=_order(args),
-        timeout_secs=args.timeout_secs,
+        timeout_secs=time_left(args.deadline),
         zero_labels=family.zero_entries,
     )
     payload = {
@@ -189,12 +191,12 @@ def cmd_bicone(args) -> int:
     if args.fiber:
         t = liealg.principal_sl2(L)
         rep = bicone_mod.bicone_fiber_check(
-            L, fam, t.e, order=_order(args), timeout_secs=args.timeout_secs
+            L, fam, t.e, order=_order(args), timeout_secs=time_left(args.deadline)
         )
         kind = "fiber"
     else:
         rep = bicone_mod.bicone_dimension_check(
-            L, fam, order=_order(args), timeout_secs=args.timeout_secs
+            L, fam, order=_order(args), timeout_secs=time_left(args.deadline)
         )
         kind = "full"
     payload = {
@@ -234,7 +236,8 @@ def cmd_star(args) -> int:
     return _verdict_exit(star.verdict)
 
 
-def _conjecture_row(kind, size, partition, seed, order_kind, timeout_secs):
+def _conjecture_row(kind, size, partition, seed, order_kind, deadline):
+    # deadline is a time.monotonic() value: the clock is system-wide, so a worker reads it too
     L = liealg.build_classical(kind, size)
     e = cl.nilpotent_from_partition(L, partition)
     start = time.monotonic()
@@ -243,7 +246,7 @@ def _conjecture_row(kind, size, partition, seed, order_kind, timeout_secs):
         e,
         seed=seed,
         order=MonomialOrder(kind=order_kind),
-        timeout_secs=timeout_secs,
+        timeout_secs=time_left(deadline),
     )
     data = row.to_json_dict()
     data["gb_seconds"] = time.monotonic() - start
@@ -266,7 +269,7 @@ def cmd_conjecture(args) -> int:
             futures = [
                 pool.submit(
                     _conjecture_row, args.type, args.size, part, args.seed,
-                    args.order, args.timeout_secs,
+                    args.order, args.deadline,
                 )
                 for part in partitions
             ]
@@ -274,7 +277,7 @@ def cmd_conjecture(args) -> int:
     else:
         jobs = [
             _conjecture_row(
-                args.type, args.size, part, args.seed, args.order, args.timeout_secs
+                args.type, args.size, part, args.seed, args.order, args.deadline
             )
             for part in partitions
         ]
@@ -360,6 +363,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; map the latter to 3
         return EXIT_TRUE if exc.code == 0 else EXIT_USAGE
+    args.deadline = deadline_after(getattr(args, "timeout_secs", None))
     try:
         return COMMANDS[args.command](args)
     except (UsageError, ValueError) as err:

@@ -1,4 +1,4 @@
-"""Exact Groebner engine over Q and the regular-sequence verdict.
+"""Exact Groebner engine over Q (and F_p) and the regular-sequence verdict.
 
 Buchberger's algorithm with the normal (degree) pair-selection strategy and
 the coprimality and chain criteria.  Coefficients are cleared to primitive
@@ -43,18 +43,61 @@ sound, and so are the engine counters in GroebnerBasis.stats.
 The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
 monomial (computed as a minimum hitting set over the supports).
+
+The same kernel runs over F_p when buchberger is given a modulus p: its
+records are monic, so the integer rescale never fires, coefficients are
+reduced mod p when a monomial is popped, and no content is taken.  That path
+serves only the linear section below, and stops as soon as the section is
+decided.
+
+regular_sequence_verdict decides "f_1..f_k regular" (homogeneous, positive
+degrees, in n variables) in this order: a zero generator makes the verdict
+false (certificate "degenerate"); then, when the Bezout number
+D = prod deg f_i is at most SECTION_MAX_BEZOUT, the F_p linear section below
+may prove it true ("fp-section"); otherwise, or when the section is not
+zero-dimensional, the exact engine over Q decides ("exact").  Only the exact
+engine proves a verdict false.  Above the cap the section costs more than the
+exact engine on the inputs measured (the sl_3 bicone, D = 648); below it the
+exact engine is the slow side (sp_4, sl_4 and gl_4 shift families).
+
+The section: with p = SECTION_PRIME and a seeded n x k matrix A of residues
+mod p, g_i(t) = f_i(A t) is formed from the primitive integer f_i, reduced
+mod p, and its basis computed over F_p in k variables.  The section is
+accepted when every t_j has a pure power among the leading monomials, that
+is, when F_p[t]/(g) is finite-dimensional.  Why that proves the verdict:
+M = Z_(p)[t]/(g) is finitely generated in each degree, so by Nakayama
+dim_Q (M (x) Q)_d <= dim_Fp (M (x) F_p)_d: in every degree the Hilbert
+function over Q is at most the one over F_p.  So Q[t]/(g) is
+finite-dimensional too, (g) is primary to the maximal ideal and the k forms
+g are a system of parameters, hence a regular sequence, of Q[t].  That
+forces rank A = k (otherwise the g would live in fewer than k linear forms
+and vanish on the kernel line of A).  Complete A to a basis with B and write
+x = A t + B u: the n - k linear forms u that cut out im A, together with f,
+generate an ideal primary to the maximal ideal of Q[x], so they are a
+regular sequence of length n, and so is f, with dim V(f) = n - k.  As a
+self-check, the k forms of degrees d_i are then a complete intersection over
+F_p, so the quotient has exactly D standard monomials; any other count
+raises InternalError.  A = [I; R]: an A whose top k x k block is invertible
+is this one after a change of the t coordinates, which keeps
+zero-dimensionality, so the seeded R is as generic as a seeded A.  The F_p
+basis is computed only up to degree s + 1, s = sum(d_i - 1): were the section
+zero-dimensional, its quotient would vanish above degree s, so every minimal
+lead, pure powers included, would have degree at most s + 1; a section that
+is not zero-dimensional is thus given up at that degree, or at once when a
+generator reduces to zero against the others.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from . import linalg
@@ -63,9 +106,33 @@ from .exactpoly import InternalError, Monomial, Poly, format_poly, grevlex_key
 # bits of one packed exponent field; every exponent and degree stays below 2**(FIELD_BITS - 1)
 FIELD_BITS = 32
 
+# the F_p linear section (see the module docstring): its prime, the seed of its
+# matrix, and the largest Bezout number at which it is tried before the exact engine
+SECTION_PRIME = 2**31 - 1
+SECTION_SEED = 1
+SECTION_MAX_BEZOUT = 512
+
 
 class GBTimeout(Exception):
-    """Raised when a basis computation exceeds its time budget."""
+    """Raised when a basis computation exceeds its time budget.
+
+    stats holds the counters reached so far: pairs formed, reduction steps
+    and basis size.
+    """
+
+    def __init__(self, message: str, stats: dict | None = None):
+        super().__init__(message)
+        self.stats = stats or {}
+
+
+def deadline_after(timeout_secs: float | None) -> float | None:
+    """The time.monotonic() deadline timeout_secs from now (None: no deadline)."""
+    return None if timeout_secs is None else time.monotonic() + timeout_secs
+
+
+def time_left(deadline: float | None) -> float | None:
+    """Seconds until the deadline, at least 0 (None: no deadline)."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 @dataclass(frozen=True)
@@ -89,8 +156,8 @@ class MonomialOrder:
 class GroebnerBasis:
     order: MonomialOrder
     arity: int
-    basis: list[Poly]  # reduced: monic, pairwise non-divisible leads, sorted by lead
-    input_hash: str
+    basis: list[Poly]  # reduced (over F_p minimal): monic, non-divisible leads, sorted by lead
+    input_hash: str | None  # None over F_p, where the digest, which names no field, would mislead
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
 
     def leading_monomials(self) -> list[Monomial]:
@@ -184,9 +251,13 @@ class _Record(NamedTuple):
     grow: int  # highest term degree minus deg lm: 0 under degrevlex
 
 
-def _record(d: IntPoly, P: _Packing) -> _Record:
+def _record(d: IntPoly, P: _Packing, mod: int = 0) -> _Record:
     lm = max(d, key=P.key)
-    if d[lm] < 0:
+    if mod:
+        if d[lm] != 1:
+            inv = pow(d[lm], -1, mod)
+            d = {m: c * inv % mod for m, c in d.items()}
+    elif d[lm] < 0:
         d = {m: -c for m, c in d.items()}
     grow = max(map(P.degree, d)) - P.degree(lm)
     return _Record(P.key(lm), lm, d[lm], tuple(d.items()), grow)
@@ -196,13 +267,18 @@ def _by_key(rec: _Record):
     return rec.key
 
 
-def _to_int_poly(p: Poly, P: _Packing) -> IntPoly:
+def _primitive(p: Poly) -> dict:
+    """The primitive integer multiple of p, on tuple monomials."""
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    out = {P.encode(m): int(c * den) for m, c in p.terms.items()}
+    out = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     _content_normalize(out)
     return out
+
+
+def _to_int_poly(p: Poly, P: _Packing) -> IntPoly:
+    return {P.encode(m): c for m, c in _primitive(p).items()}
 
 
 def _content_normalize(d: IntPoly) -> None:
@@ -217,26 +293,33 @@ def _content_normalize(d: IntPoly) -> None:
 
 
 class _Budget:
-    """Cooperative deadline checks for the inner loops, and the number of
-    reduction steps made under them.
+    """Cooperative deadline checks for the inner loops, and the counters of
+    the run under them: reduction steps, pairs formed and the basis records
+    (a list _basis grows in place), which a GBTimeout carries out.
 
     The clock is read on every tick: one reduction step can cost far more
     than a clock read once coefficients grow.
     """
 
-    __slots__ = ("deadline", "steps")
+    __slots__ = ("deadline", "steps", "pairs", "records")
 
     def __init__(self, timeout_secs):
-        self.deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
-        self.steps = 0
+        self.deadline = deadline_after(timeout_secs)
+        self.steps = self.pairs = 0
+        self.records: list = []
 
     def tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise GBTimeout("basis computation exceeded the time budget")
+            raise GBTimeout(
+                "basis computation exceeded the time budget",
+                {"pairs_formed": self.pairs, "reduction_steps": self.steps,
+                 "basis_size": len(self.records)},
+            )
 
 
 def _reduce_full(
-    f, reducers: list[_Record], P: _Packing, budget: _Budget, out: IntPoly | None = None
+    f, reducers: list[_Record], P: _Packing, budget: _Budget, out: IntPoly | None = None,
+    mod: int = 0,
 ) -> IntPoly:
     """Full normal form of f (a dict or a tuple of items) against reducers
     (records sorted by key).
@@ -247,6 +330,10 @@ def _reduce_full(
     form, which is all the Buchberger callers need).  Entries already in out
     are rescaled exactly like the remainder, so a caller that seeds one entry
     at 1 reads off the overall factor.
+
+    With a prime mod, the reducers are monic and the result is the normal
+    form over F_p, coefficients in [1, mod); entries of work are reduced only
+    when their monomial is popped.
     """
     if not f:
         return {}
@@ -262,6 +349,11 @@ def _reduce_full(
         c = work.get(m)
         if not c:
             continue
+        if mod:
+            c %= mod
+            if not c:
+                del work[m]
+                continue
         mkey, mg = -v, m | guard
         hit = None
         for key, lm, lc, terms, grow in reducers:
@@ -298,9 +390,10 @@ def _reduce_full(
                 work[k] = old - t
             else:
                 del work[k]
+        budget.steps += 1  # before the tick, so that an interrupted reduction counts too
         budget.tick()
         steps += 1
-        if steps % 64 == 0:
+        if steps % 64 == 0 and not mod:
             merged_gcd = 0
             for v in work.values():
                 merged_gcd = gcd(merged_gcd, v)
@@ -316,12 +409,12 @@ def _reduce_full(
                     work[k] //= merged_gcd
                 for k in out:
                     out[k] //= merged_gcd
-    budget.steps += steps
-    _content_normalize(out)
+    if not mod:
+        _content_normalize(out)
     return out
 
 
-def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing) -> IntPoly:
+def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing, mod: int = 0) -> IntPoly:
     if f.grow or g.grow:  # lex only: a term may outgrow the lcm's degree
         P.check(P.degree(lcm) + max(f.grow, g.grow))
     d = gcd(f.lc, g.lc)
@@ -338,7 +431,8 @@ def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing) -> IntPoly:
             out[k] = v
         else:
             out.pop(k, None)
-    _content_normalize(out)
+    if not mod:  # over F_p the leads are 1 and every coefficient is below mod already
+        _content_normalize(out)
     return out
 
 
@@ -360,6 +454,7 @@ def buchberger(
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
     arity: int | None = None,
+    mod: int = 0,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -371,6 +466,13 @@ def buchberger(
     formed, pairs skipped by the coprime and by the chain criterion,
     S-polynomials that reduced to zero, reduction steps (over every
     reduction of the run) and the basis size before minimalization.
+
+    With a prime mod, the gens have integer coefficients, read mod p, and the
+    run is over F_p.  That path serves only the F_p linear section of
+    regular_sequence_verdict (k forms in k variables, under degrevlex), which
+    reads only the leading monomials, and it stops early (see _basis): its
+    result is a minimal monic basis only up to the degree that decides
+    whether the section is zero-dimensional, not inter-reduced.
     """
     order = order or MonomialOrder()
     if gens:
@@ -382,13 +484,42 @@ def buchberger(
             raise ValueError("generators live in different rings")
     P = _Packing(arity, order)
     budget = _Budget(timeout_secs)
+    polys = [_to_int_poly(p, P) for p in gens]
+    if mod:
+        polys = [{m: c % mod for m, c in f.items() if c % mod} for f in polys]
+    reducers, stats = _basis(polys, P, budget, mod)
+    basis = _reduce_and_normalize(reducers, P, budget, mod)
+    stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
+    return GroebnerBasis(
+        order=order, arity=arity, basis=basis,
+        input_hash=None if mod else input_digest(gens, order, arity), stats=stats,
+    )
 
-    G: list[_Record] = []  # pairs index into G
+
+def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0):
+    """Buchberger's loop over Q, or over F_p for a prime mod (polys reduced mod it).
+
+    Returns the records of a Groebner basis, sorted by key and not
+    minimalized, and the engine counters.  The basis grows in
+    budget.records, so that a GBTimeout reports its size.
+
+    Over F_p the loop is the section's: k homogeneous polys in k variables
+    under degrevlex, asked only whether they generate an ideal primary to the
+    maximal ideal, which then holds all monomials of degree s + 1,
+    s = sum(d_i - 1).  So it stops with fewer than k records when a poly
+    reduces to zero against the others (then k - 1 of them generate the
+    ideal, whose height is below k), and leaves out the pairs of degree above
+    s + 1: the result is a basis up to that degree, which holds every minimal
+    lead of such an ideal.
+    """
+    G: list[_Record] = budget.records  # pairs index into G
     reducers: list[_Record] = []  # the records of G, sorted by key
-    for p in gens:
-        r = _reduce_full(_to_int_poly(p, P), reducers, P, budget)
+    coprime = chain = zeros = 0
+    top = sum(P.degree(next(iter(f))) - 1 for f in polys if f) + 1 if mod else 0
+    for f in polys:
+        r = _reduce_full(f, reducers, P, budget, mod=mod)
         if r:
-            G.append(_record(r, P))
+            G.append(_record(r, P, mod))
             insort(reducers, G[-1], key=_by_key)
     # inter-reduce the seed basis to a fixpoint; linear generators then
     # eliminate their variables before any pair is formed
@@ -397,7 +528,7 @@ def buchberger(
         changed = False
         for idx, rec in enumerate(G):
             reducers.remove(rec)
-            r = _reduce_full(rec.terms, reducers, P, budget)
+            r = _reduce_full(rec.terms, reducers, P, budget, mod=mod)
             if r == dict(rec.terms):
                 insort(reducers, rec, key=_by_key)
                 continue
@@ -405,17 +536,20 @@ def buchberger(
             if not r:
                 G.pop(idx)
                 break
-            G[idx] = _record(r, P)
+            G[idx] = _record(r, P, mod)
             insort(reducers, G[idx], key=_by_key)
 
     pending = {(i, j) for j in range(len(G)) for i in range(j)}
+    if mod and len(G) < len(polys):
+        pending = set()  # fewer than k generate the ideal
     heap = [(P.degree(P.lcm(G[i].lm, G[j].lm)), i, j) for i, j in pending]
     heapify(heap)
-    formed = len(heap)
-    coprime = chain = zeros = 0
+    budget.pairs = len(heap)
     while heap:
         budget.tick()
-        _, i, j = heappop(heap)
+        d, i, j = heappop(heap)
+        if mod and d > top:
+            break
         pending.discard((i, j))
         li, lj = G[i].lm, G[j].lm
         lcm_ij = P.lcm(li, lj)
@@ -432,39 +566,35 @@ def buchberger(
         ):
             chain += 1
             continue
-        r = _reduce_full(_spoly(G[i], G[j], lcm_ij, P), reducers, P, budget)
+        r = _reduce_full(_spoly(G[i], G[j], lcm_ij, P, mod), reducers, P, budget, mod=mod)
         if not r:
             zeros += 1
             continue
         t = len(G)
-        G.append(_record(r, P))
+        G.append(_record(r, P, mod))
         insort(reducers, G[t], key=_by_key)
         for a in range(t):
             pending.add((a, t))
             heappush(heap, (P.degree(P.lcm(G[a].lm, G[t].lm)), a, t))
-        formed += t
-
-    unminimized = len(reducers)
-    basis = _reduce_and_normalize(reducers, P, budget)
-    stats = {
-        "pairs_formed": formed,
+        budget.pairs += t
+    return reducers, {
+        "pairs_formed": budget.pairs,
         "pairs_coprime": coprime,
         "pairs_chain": chain,
         "zero_reductions": zeros,
         "reduction_steps": budget.steps,
-        "basis_before_minimal": unminimized,
+        "basis_before_minimal": len(reducers),
     }
-    return GroebnerBasis(
-        order=order, arity=arity, basis=basis, input_hash=input_digest(gens, order, arity),
-        stats=stats,
-    )
 
 
-def _reduce_and_normalize(reducers: list[_Record], P: _Packing, budget: _Budget) -> list[Poly]:
+def _reduce_and_normalize(
+    reducers: list[_Record], P: _Packing, budget: _Budget, mod: int = 0
+) -> list[Poly]:
     """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
 
     A lead kept by minimalization is divisible by no other kept lead, so it
-    survives the inter-reduction and is still the record's lm.
+    survives the inter-reduction and is still the record's lm.  Over F_p the
+    records are monic already and are not inter-reduced (see buchberger).
     """
     minimal: list[_Record] = []
     for rec in reducers:
@@ -472,7 +602,8 @@ def _reduce_and_normalize(reducers: list[_Record], P: _Packing, budget: _Budget)
             minimal.append(rec)
     out: list[Poly] = []
     for idx, rec in enumerate(minimal):
-        r = _reduce_full(rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
+        r = dict(rec.terms) if mod else _reduce_full(
+            rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
         lc = r[rec.lm]
         out.append(Poly(P.n, {P.decode(m): Fraction(c, lc) for m, c in r.items()}))
     return out
@@ -554,6 +685,74 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the F_p linear section
+# ---------------------------------------------------------------------------
+
+
+def _section_certificate(
+    gens: list[Poly], n: int, bezout: int, timeout_secs: float | None
+) -> dict | None:
+    """Engine counters of a zero-dimensional F_p section of gens, or None.
+
+    gens are k homogeneous forms of positive degree in n variables with
+    Bezout number bezout; the proof that a zero-dimensional section makes
+    them a regular sequence is in the module docstring.
+    """
+    k, p = len(gens), SECTION_PRIME
+    P = _Packing(k, MonomialOrder())
+    t = [P.encode(tuple(int(i == j) for i in range(k))) for j in range(k)]
+    rng = random.Random(SECTION_SEED)
+    # the image of x_j under A = [I; R]: ((packed t_l, A_jl), ...)
+    rows = [((t[j], 1),) if j < k else tuple((t[l], rng.randrange(p)) for l in range(k))
+            for j in range(n)]
+    images = {(0,) * n: {0: 1}}  # x^e -> the monomial's image, packed, mod p
+
+    def image(e: Monomial) -> dict:
+        got = images.get(e)
+        if got is None:
+            j = max(i for i, a in enumerate(e) if a)
+            got = {}
+            for m, c in image(e[:j] + (e[j] - 1,) + e[j + 1 :]).items():
+                for v, a in rows[j]:
+                    got[m + v] = got.get(m + v, 0) + c * a
+            got = images[e] = {m: c % p for m, c in got.items() if c % p}
+        return got
+
+    section = []
+    for f in gens:
+        acc: IntPoly = {}
+        for e, c in _primitive(f).items():
+            for m, v in image(e).items():
+                acc[m] = acc.get(m, 0) + c * v
+        section.append(Poly(k, {P.decode(m): c % p for m, c in acc.items()}))
+    gb = buchberger(section, timeout_secs=timeout_secs, mod=p)
+    if ideal_dimension(gb) != 0:  # some t_j has no pure power among the leads
+        return None
+    count = _standard_monomial_count([P.encode(m) for m in gb.leading_monomials()], t, P, bezout)
+    if count != bezout:
+        raise InternalError(
+            f"the zero-dimensional F_p section has {count} standard monomials, not the "
+            f"Bezout number {bezout}: engine bug"
+        )
+    return gb.stats
+
+
+def _standard_monomial_count(leads: list[int], variables: list[int], P: _Packing, cap: int) -> int:
+    """Number of monomials divisible by no lead, or a number above cap.
+
+    The leads must generate a zero-dimensional ideal.  Standard monomials
+    are closed under division, so each degree's are found among the
+    products of the previous degree's with one variable.
+    """
+    count, layer = 0, [0]
+    while layer and count <= cap:
+        count += len(layer)
+        layer = [m for m in {a + v for a in layer for v in variables}
+                 if not any(P.divides(lm, m) for lm in leads)]
+    return count
+
+
+# ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
 
@@ -570,7 +769,9 @@ class DimensionReport:
     order: MonomialOrder = field(default_factory=MonomialOrder)
     input_hash: str | None = None
     extra: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)  # the basis' engine counters; out of every digest
+    # the certificate and its engine counters (the partial ones when inconclusive);
+    # out of every digest
+    stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -601,11 +802,15 @@ def regular_sequence_verdict(
 
     In a polynomial ring (Cohen-Macaulay, gens homogeneous) this equality is
     equivalent to the gens forming a regular sequence.  Zero generators force
-    verdict False immediately (the labeled family is degenerate); a timeout
-    yields the distinct "inconclusive" status with verdict None.
+    verdict False immediately (the labeled family is degenerate); a timeout,
+    or a time budget spent before the call, yields the distinct
+    "inconclusive" status with verdict None.  The certificate, the F_p
+    section or the exact engine (see the module docstring), is named in
+    stats with its engine counters; it never changes the canonical report.
     """
     if cache_dir is not None:
         raise ValueError("there is no Groebner cache; cache_dir must be None")
+    budget = _Budget(timeout_secs)
     order = order or MonomialOrder()
     k = len(gens)
     if k > n:
@@ -621,20 +826,40 @@ def regular_sequence_verdict(
         labels = zero_labels if zero_labels is not None else zeros
         return DimensionReport(
             ideal_dimension=None, verdict=False, status="degenerate",
-            zero_generators=list(labels), **report,
+            zero_generators=list(labels), stats={"certificate": {"kind": "degenerate"}}, **report,
         )
+    degrees = [p.total_degree() for p in gens]
+    bezout = prod(degrees)
+    section = k > 0 and min(degrees) > 0 and bezout <= SECTION_MAX_BEZOUT
+    certificate = {"kind": "exact"}
+    if section:
+        certificate = {"kind": "fp-section", "prime": SECTION_PRIME, "seed": SECTION_SEED,
+                       "bezout": bezout}
     try:
-        gb = buchberger(gens, order=order, timeout_secs=timeout_secs, arity=n)
+        budget.tick()  # a budget spent before the call leaves no time for either engine
+        if section:
+            stats = _section_certificate(gens, n, bezout, time_left(budget.deadline))
+            if stats is not None:
+                return DimensionReport(
+                    ideal_dimension=n - k, verdict=True, status="ok",
+                    input_hash=input_digest(gens, order, n),
+                    stats={**stats, "certificate": certificate}, **report,
+                )
+            certificate = {"kind": "exact"}
+        gb = buchberger(gens, order=order, timeout_secs=time_left(budget.deadline), arity=n)
         dim = ideal_dimension(gb)
-    except GBTimeout:
-        return DimensionReport(ideal_dimension=None, verdict=None, status="inconclusive", **report)
+    except GBTimeout as err:
+        return DimensionReport(
+            ideal_dimension=None, verdict=None, status="inconclusive",
+            stats={**err.stats, "certificate": certificate}, **report,
+        )
     if dim != -1 and dim < n - k:
         raise InternalError(
             f"computed dimension {dim} below the Krull bound {n - k}: engine bug"
         )
     return DimensionReport(
         ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=gb.input_hash,
-        stats=gb.stats, **report,
+        stats={**gb.stats, "certificate": certificate}, **report,
     )
 
 

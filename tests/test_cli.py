@@ -1,4 +1,5 @@
 import json
+import time
 
 from argshift import cli, liealg
 from argshift.cli import main
@@ -193,3 +194,28 @@ def test_different_seeds_differ(capsys):
     _, b = run_cli(capsys, *base, "--seed", "2")
     assert a["xi"] != b["xi"]
     assert report_digest(a) != report_digest(b)
+
+
+def test_regseq_sp4_random_regular_is_certified_by_the_section(capsys):
+    code, payload = run_cli(
+        capsys, "regseq", "--type", "sp", "--size", "4", "--xi", "random-regular",
+        "--seed", "42", "--timeout-secs", "30",
+    )
+    assert code == 0
+    assert payload["report"]["ideal_dimension"] == 4
+    assert payload["report"]["stats"]["certificate"]["kind"] == "fp-section"
+
+
+def test_timeout_bounds_the_whole_run(capsys, monkeypatch):
+    real = cli.invariants_mod.invariant_generators
+
+    def slow(L):
+        time.sleep(0.4)
+        return real(L)
+
+    monkeypatch.setattr(cli.invariants_mod, "invariant_generators", slow)
+    code, payload = run_cli(
+        capsys, "regseq", "--type", "sl", "--size", "2", "--xi", "e", "--timeout-secs", "0.3"
+    )
+    assert code == 2
+    assert payload["report"]["status"] == "inconclusive"

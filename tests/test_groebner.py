@@ -3,15 +3,18 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import bicone, exactpoly, groebner, liealg
+from argshift import bicone, cli, exactpoly, groebner, liealg
+from argshift import centralizer_lab as cl
 from argshift.exactpoly import Poly, parse_poly
 from argshift.groebner import (
+    DimensionReport,
     GBTimeout,
     InternalError,
     MonomialOrder,
@@ -21,6 +24,7 @@ from argshift.groebner import (
     normal_form,
     regular_sequence_verdict,
 )
+from argshift.invariants import invariant_generators
 from argshift.liealg import draw_regular_dual_point, dual_of
 from argshift.reports import canonical_json
 from argshift.shift import mf_generators
@@ -339,7 +343,7 @@ def test_deterministic_repeat(algebras, families, triples):
     assert a.input_hash == b.input_hash
 
 
-def test_engine_counters_repeat_and_stay_out_of_digests(algebras, families, triples):
+def test_engine_counters_repeat_and_stay_out_of_digests(algebras, families, triples, monkeypatch):
     gens = _shift_family(algebras, families, triples, ("gl", 3), 5)
     a, b = buchberger(gens), buchberger(gens)
     assert a.stats == b.stats
@@ -349,11 +353,16 @@ def test_engine_counters_repeat_and_stay_out_of_digests(algebras, families, trip
     assert 0 < skipped <= a.stats["pairs_formed"]
     assert a.stats["basis_before_minimal"] >= len(a.basis)
     assert a.stats["reduction_steps"] > 0
+    section = regular_sequence_verdict(gens, 9)
+    assert section.stats == regular_sequence_verdict(gens, 9).stats
+    assert section.stats["certificate"]["kind"] == "fp-section"
+    monkeypatch.setattr(groebner, "SECTION_MAX_BEZOUT", 0)  # the exact engine decides
     rep = regular_sequence_verdict(gens, 9)
-    assert rep.stats == a.stats
+    assert rep.stats == {**a.stats, "certificate": {"kind": "exact"}}
     data = rep.to_json_dict()
-    assert data["stats"] == a.stats
+    assert data["stats"] == rep.stats
     assert canonical_json(data) == canonical_json({**data, "stats": {}})
+    assert canonical_json(data) == canonical_json(section.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +462,7 @@ def test_regseq_nilpotent_cone_gl3(families):
 def test_krull_bound_violation_is_internal_error(monkeypatch):
     assert liealg.InternalError is exactpoly.InternalError is InternalError
     monkeypatch.setattr(groebner, "ideal_dimension", lambda gb: 0)
+    monkeypatch.setattr(groebner, "SECTION_MAX_BEZOUT", 0)  # the exact engine decides
     with pytest.raises(InternalError, match="Krull bound"):
         regular_sequence_verdict([x], 2)
 
@@ -523,3 +533,178 @@ def test_jacobian_rank_at_origin_vanishes():
 
 def test_jacobian_rank_with_linear_form():
     assert jacobian_rank([x + 2 * y], [5, Fraction(1, 3)]) >= 1
+
+
+# ---------------------------------------------------------------------------
+# the F_p section certificate
+# ---------------------------------------------------------------------------
+
+
+def _section_and_exact(gens, n):
+    """The verdict as selected, and the verdict with the exact engine forced."""
+    section = regular_sequence_verdict(gens, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "SECTION_MAX_BEZOUT", 0)
+        exact = regular_sequence_verdict(gens, n)
+    return section, exact
+
+
+@pytest.fixture(scope="module")
+def so5():
+    L = liealg.build_classical("so", 5)
+    return L, invariant_generators(L), liealg.principal_sl2(L)
+
+
+def _point(L, triple, point):
+    """Dual coordinates of e, h, ef of the principal triple, or a seeded random regular point."""
+    if isinstance(point, int):
+        return draw_regular_dual_point(L, point)[0]
+    elem = {"e": triple.e, "h": triple.h, "ef": [a + b for a, b in zip(triple.e, triple.f)]}[point]
+    return dual_of(L, elem)
+
+
+SECTION_CASES = [
+    *((("sl", 3), p) for p in ("e", "h", "ef", 3, 11)),
+    *((("gl", 3), p) for p in ("e", "h", "ef", 3, 11)),
+    (("sp", 4), "e"), (("sp", 4), "h"), (("so", 5), "e"), (("so", 5), "h"),
+]
+
+
+@pytest.mark.parametrize("spec,point", SECTION_CASES)
+def test_section_report_is_the_exact_report(algebras, families, triples, so5, spec, point):
+    L, fam, triple = so5 if spec == ("so", 5) else (algebras[spec], families[spec], triples[spec])
+    gens = mf_generators(L, fam, _point(L, triple, point)).polynomials()
+    section, exact = _section_and_exact(gens, L.dim)
+    assert section.stats["certificate"] == {
+        "kind": "fp-section", "prime": 2**31 - 1, "seed": groebner.SECTION_SEED,
+        "bezout": prod(p.total_degree() for p in gens),
+    }
+    assert exact.stats["certificate"] == {"kind": "exact"}
+    assert section.verdict is True
+    assert canonical_json(section.to_json_dict()) == canonical_json(exact.to_json_dict())
+
+
+@pytest.mark.parametrize("partition", [(3,), (2, 1), (1, 1, 1)])
+def test_section_conjecture_rows_are_the_exact_rows(algebras, partition):
+    L = algebras[("gl", 3)]
+    e = cl.nilpotent_from_partition(L, partition)
+    row = cl.conjecture_check(L, e, seed=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "SECTION_MAX_BEZOUT", 0)
+        exact = cl.conjecture_check(L, e, seed=5)
+    assert row.report.stats["certificate"]["kind"] == "fp-section"
+    assert exact.report.stats["certificate"] == {"kind": "exact"}
+    assert canonical_json(row.to_json_dict()) == canonical_json(exact.to_json_dict())
+
+
+# non-regular semisimple points (a repeated eigenvalue or a repeated zero) of the
+# defining representation
+NON_REGULAR_DIAGONALS = {
+    ("sl", 3): (1, 1, -2),
+    ("gl", 3): (1, 1, 0),
+    ("sp", 4): (1, 0, 0, -1),
+    ("so", 5): (1, 0, 0, 0, -1),
+}
+
+
+def _matrix_point(L, entries):
+    """Dual coordinates of the matrix with the given {(row, column): value} entries."""
+    m = L.meta["size"]
+    mat = [[Fraction(entries.get((a, b), 0)) for b in range(m)] for a in range(m)]
+    return dual_of(L, liealg.coords_of_matrix(L, mat))
+
+
+@pytest.mark.parametrize("spec", list(NON_REGULAR_DIAGONALS))
+def test_non_regular_points_fall_through_to_the_exact_engine(algebras, families, so5, spec):
+    L, fam = so5[:2] if spec == ("so", 5) else (algebras[spec], families[spec])
+    xi = _matrix_point(L, {(a, a): v for a, v in enumerate(NON_REGULAR_DIAGONALS[spec])})
+    gens = mf_generators(L, fam, xi).polynomials()
+    assert all(not p.is_zero() for p in gens)
+    assert prod(p.total_degree() for p in gens) <= groebner.SECTION_MAX_BEZOUT
+    rep = regular_sequence_verdict(gens, L.dim)
+    assert rep.status == "ok" and rep.verdict is False
+    assert rep.ideal_dimension > rep.expected_dimension
+    assert rep.stats["certificate"] == {"kind": "exact"}
+
+
+def test_minimal_nilpotent_is_decided_before_the_section(algebras, families):
+    # the top shift of the cubic invariant vanishes at E13, so no engine runs
+    L = algebras[("sl", 3)]
+    family = mf_generators(L, families[("sl", 3)], _matrix_point(L, {(0, 2): 1}))
+    rep = regular_sequence_verdict(family.polynomials(), L.dim, zero_labels=family.zero_entries)
+    assert rep.status == "degenerate" and rep.verdict is False
+    assert rep.zero_generators == [(1, 2)]
+    assert rep.stats == {"certificate": {"kind": "degenerate"}}
+
+
+@st.composite
+def positive_degree_systems(draw):
+    """k homogeneous polynomials of degree 1-3 in n variables, 2 <= k <= n <= 5."""
+    n = draw(st.integers(2, 5))
+    system = []
+    for _ in range(draw(st.integers(2, n))):
+        monos = draw(st.lists(st.sampled_from(_monomials(n, draw(st.integers(1, 3)))),
+                              min_size=1, max_size=5, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(monos), max_size=len(monos)))
+        system.append(Poly(n, dict(zip(monos, coeffs))))
+    return system
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=positive_degree_systems())
+def test_section_certificate_is_sound(system):
+    # only this direction is claimed: a seeded section of a regular sequence may,
+    # on a thin set of inputs, fail to be zero-dimensional and leave the verdict
+    # to the exact engine
+    n, k = system[0].arity, len(system)
+    bezout = prod(p.total_degree() for p in system)
+    if groebner._section_certificate(system, n, bezout, None) is not None:
+        assert ideal_dimension(buchberger(system)) == n - k
+
+
+def test_bicone_above_the_bezout_cap_uses_the_exact_engine(algebras, families):
+    L, fam = algebras[("sl", 3)], families[("sl", 3)]
+    gens = bicone.bicone_generators(L, fam).polynomials()
+    assert prod(p.total_degree() for p in gens) == 648 > groebner.SECTION_MAX_BEZOUT
+    rep = bicone.bicone_dimension_check(L, fam)
+    assert rep.verdict is True and rep.ideal_dimension == 9
+    assert rep.stats["certificate"] == {"kind": "exact"}
+
+
+def test_inconclusive_report_keeps_partial_counters(algebras, families):
+    L, fam = algebras[("sl", 3)], families[("sl", 3)]
+    rep = bicone.bicone_dimension_check(L, fam, timeout_secs=0.05)
+    assert rep.status == "inconclusive" and rep.verdict is None
+    assert set(rep.stats) == {"pairs_formed", "reduction_steps", "basis_size", "certificate"}
+    assert rep.stats["reduction_steps"] > 0
+    assert rep.stats["certificate"] == {"kind": "exact"}
+    # the canonical report is the one without counters
+    assert canonical_json(rep.to_json_dict()) == (
+        '{"arity":16,"counting_identity":{"b":5,"degree_sum":5,"dim":8,"generator_count":7,'
+        '"identity_ok":true,"index":2,"three_b_minus_ell":9},"expected_dimension":9,'
+        '"generator_count":7,"ideal_dimension":null,"input_hash":null,'
+        '"order":{"kind":"degrevlex","permutation":null},"status":"inconclusive",'
+        '"verdict":null,"zero_generators":[]}'
+    )
+
+
+def test_section_timeout_names_the_section(algebras, families, triples):
+    gens = _shift_family(algebras, families, triples, ("gl", 3), 5)
+    rep = regular_sequence_verdict(gens, 9, timeout_secs=0)
+    assert rep.status == "inconclusive" and rep.verdict is None
+    assert rep.stats["certificate"]["kind"] == "fp-section"
+    bare = DimensionReport(9, len(gens), None, 9 - len(gens), None, status="inconclusive")
+    assert canonical_json(rep.to_json_dict()) == canonical_json(bare.to_json_dict())
+
+
+def test_standard_monomial_count_off_the_bezout_number_is_internal_error(
+    algebras, families, triples, monkeypatch, capsys
+):
+    L = algebras[("sl", 3)]
+    gens = mf_generators(L, families[("sl", 3)], dual_of(L, triples[("sl", 3)].e)).polynomials()
+    monkeypatch.setattr(groebner, "_standard_monomial_count", lambda *args: 13)
+    with pytest.raises(InternalError, match="Bezout number 12"):
+        regular_sequence_verdict(gens, 8)
+    assert cli.main(["regseq", "--type", "sl", "--size", "3", "--xi", "e"]) == cli.EXIT_INTERNAL
+    assert "standard monomials" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """The runtime stays stdlib-only (pyproject.toml: dependencies = []) and has
-no hidden knobs: nothing in it reads the environment."""
+no hidden knobs: nothing in it reads the environment, and every random draw
+comes from a generator built from a seed."""
 
 import ast
 import sys
@@ -33,6 +34,27 @@ def _environment_reads(path: Path):
                     yield node.lineno, alias.name
 
 
+def _unseeded_randomness(path: Path):
+    """Any random.<name> other than Random, any other name imported from
+    random, and any Random() built without a seed."""
+    nodes = list(_nodes(path))
+    aliases = {alias.asname or alias.name for node in nodes if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "random"}
+    for node in nodes:
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            if node.attr != "Random":
+                yield node.lineno, f"random.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            for alias in node.names:
+                if alias.name != "Random":
+                    yield node.lineno, f"from random import {alias.name}"
+        if (isinstance(node, ast.Call) and not node.args and not node.keywords
+                and (isinstance(node.func, ast.Attribute) and node.func.attr == "Random"
+                     or isinstance(node.func, ast.Name) and node.func.id == "Random")):
+            yield node.lineno, "Random() without a seed"
+
+
 def test_src_imports_only_stdlib_and_argshift():
     files = sorted(SRC.glob("*.py"))
     assert len(files) > 5
@@ -54,3 +76,14 @@ def test_src_reads_no_environment():
         for line, name in _environment_reads(path)
     ]
     assert reads == []
+
+
+def test_src_draws_randomness_only_from_seeded_generators():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    draws = [
+        f"{path.name}:{line} uses {what}"
+        for path in files
+        for line, what in _unseeded_randomness(path)
+    ]
+    assert draws == []
