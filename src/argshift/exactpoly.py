@@ -9,16 +9,40 @@ polynomial has an empty term map.
 All arithmetic is exact; there is no floating-point path anywhere.  The
 canonical text form (used in reports and golden files) lists terms in
 descending graded reverse lexicographic order, e.g. ``3/2*x0^2*x2 - x1``.
+
+Every product goes through one kernel, which does no Fraction arithmetic per
+term.  Its operands are packed (pack): a polynomial becomes its integer
+numerators over one denominator, and each monomial one int holding the
+exponent e_i in bits [32i, 32i + 32), so a product of monomials is one int
+addition.  The sum over the entries accumulates integers over the lcm of the
+entries' denominators, and the result is decoded once: one Fraction per
+surviving term, one tuple per monomial.  Monomials are encoded with signed
+32-bit fields, so an exponent of 2^31 or more raises InternalError, and the
+sum of two encoded monomials still fits the unsigned fields that the decoder
+reads.  The Groebner engine packs its monomials with the same codec.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from operator import add
+from functools import cache, reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, ...]
 Coeff = Fraction
+# (den, packed monomials, numerators): the polynomial sum numerator/den * x^monomial,
+# no zero numerator, every exponent below 2^31; read-only.  Lists, not tuples:
+# CPython keeps up to 2000 freed tuples of each length below 20 until a full
+# collection, and a report's packed values are many short sequences
+Packed = tuple[int, list[int], list[int]]
+
+# bits of one packed exponent field
+FIELD_BITS = 32
+ONE: Packed = (1, [0], [1])  # the constant 1, in any number of variables
+ZERO: Packed = (1, [], [])
 
 
 class InternalError(Exception):
@@ -27,6 +51,30 @@ class InternalError(Exception):
     Defined here, at the base of the import graph, so that every module
     (groebner included) raises the one class; liealg re-exports it.
     """
+
+
+@cache
+def _codec(n: int) -> tuple[struct.Struct, struct.Struct, int]:
+    """Signed fields to encode, unsigned ones to decode, and the byte width."""
+    return struct.Struct(f"<{n}i"), struct.Struct(f"<{n}I"), FIELD_BITS // 8 * n
+
+
+def _overflow(err: struct.error) -> InternalError:
+    return InternalError(f"an exponent overflows the {FIELD_BITS}-bit packed fields ({err})")
+
+
+def encode(mono: Monomial) -> int:
+    """The packed int sum e_i * 2^(32i) of an exponent tuple, every e_i below 2^31."""
+    try:
+        return int.from_bytes(_codec(len(mono))[0].pack(*mono), "little")
+    except struct.error as err:
+        raise _overflow(err) from None
+
+
+def decode(m: int, n: int) -> Monomial:
+    """The n exponents of a packed monomial; each field may reach 2^32 - 1."""
+    _, dec, width = _codec(n)
+    return dec.unpack(m.to_bytes(width, "little"))
 
 
 def grevlex_key(mono: Monomial) -> tuple:
@@ -242,31 +290,26 @@ class Poly:
         for g in images:
             if g.arity != target:
                 raise ValueError("images have mismatched arities")
-        out: dict[Monomial, Coeff] = {}
-        power_cache: dict[tuple[int, int], Poly] = {}
+        powers = [[pack(g)] for g in images]  # powers[k][e - 1] = images[k]^e, packed
 
-        def img_pow(k: int, e: int) -> Poly:
-            got = power_cache.get((k, e))
-            if got is None:
-                got = images[k] ** e
-                power_cache[(k, e)] = got
-            return got
+        def img_pow(k: int, e: int) -> Packed:
+            row = powers[k]
+            while len(row) < e:
+                row.append(packed_dot([row[-1]], [row[0]], target))
+            return row[e - 1]
 
+        # the result is one dot product: coefficients against the images of the monomials
+        coeffs, monos = [], []
         for mono, coeff in self.terms.items():
-            term = Poly.constant(target, coeff)
+            image = None
             for k, e in enumerate(mono):
                 if e:
-                    term = term * img_pow(k, e)
-            for m, c in term.terms.items():
-                total = out.get(m, 0) + c
-                if total:
-                    out[m] = total
-                else:
-                    out.pop(m, None)
-        result = Poly.__new__(Poly)
-        result.arity = target
-        result.terms = out
-        return result
+                    q = img_pow(k, e)
+                    image = q if image is None else packed_dot([image], [q], target)
+            coeffs.append((coeff.denominator, [0], [coeff.numerator]))
+            monos.append(ONE if image is None else image)
+        den, out = _accumulate(coeffs, monos)
+        return unpack((den, out, out.values()), target)
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
         """Split into homogeneous parts: {degree: component}, no zero entries."""
@@ -284,26 +327,95 @@ class Poly:
         return f"Poly({self.arity}, {format_poly(self)!r})"
 
 
+def pack(p: Poly) -> Packed:
+    """p as integer numerators over the lcm of its denominators, monomials encoded."""
+    terms = p.terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    enc = _codec(p.arity)[0].pack
+    frm = int.from_bytes
+    try:
+        monos = [frm(enc(*m), "little") for m in terms]
+    except struct.error as err:
+        raise _overflow(err) from None
+    return den, monos, [c.numerator * (den // c.denominator) for c in terms.values()]
+
+
+def pack_gradient(p: Poly) -> list[Packed]:
+    """The partial derivatives of p, packed, without building them as Polys:
+    over p's denominator, d/dx_k takes c * x^m to (c * m_k) * x^(m - e_k)."""
+    den, monos, nums = pack(p)
+    grad = [([], []) for _ in range(p.arity)]
+    for mono, m, c in zip(p.terms, monos, nums):
+        for k, e in enumerate(mono):
+            if e:
+                gm, gc = grad[k]
+                gm.append(m - (1 << FIELD_BITS * k))
+                gc.append(c * e)
+    return [(den, gm, gc) for gm, gc in grad]
+
+
+def unpack(q: tuple[int, Iterable[int], Iterable[int]], arity: int) -> Poly:
+    """The Poly of a packed value; a zero numerator is dropped."""
+    den, monos, nums = q
+    _, dec, width = _codec(arity)
+    fields = dec.unpack
+    p = Poly.__new__(Poly)
+    p.arity = arity
+    p.terms = {fields(m.to_bytes(width, "little")): Fraction(c, den)
+               for m, c in zip(monos, nums) if c}
+    return p
+
+
+def _accumulate(fs: Iterable[Packed], gs: Iterable[Packed]) -> tuple[int, dict[int, int]]:
+    """The one product loop: sum f * g over the paired entries, as integer
+    numerators over the lcm of the entries' denominators.  Cancelled terms
+    stay in the map with numerator 0."""
+    entries = []
+    den = 1
+    for f, g in zip(fs, gs, strict=True):
+        if f[1] and g[1]:
+            entries.append((f, g))
+            den = lcm(den, f[0] * g[0])
+    out: dict[int, int] = {}
+    get = out.get
+    for (df, fm, fc), (dg, gm, gc) in entries:
+        scale = den // (df * dg)
+        for ma, ca in zip(fm, fc):
+            a = ca * scale
+            for mb, cb in zip(gm, gc):
+                m = ma + mb
+                c = get(m)
+                out[m] = a * cb if c is None else c + a * cb
+    return den, out
+
+
 def dot(fs: Iterable[Poly], gs: Iterable[Poly], arity: int) -> Poly:
     """Exact sum of f * g over the paired entries of fs and gs.
 
-    This is the one polynomial product loop of the library: every product of
-    two polynomials is a dot product of length one.  All products accumulate
-    into a single term map, and cancelled terms are dropped once at the end.
+    Every product of two polynomials is a dot product of length one.  The
+    entries are packed here; a caller that reuses an operand packs it once
+    and calls packed_dot.
     """
-    out: dict[Monomial, Coeff] = {}
-    get = out.get
-    for f, g in zip(fs, gs, strict=True):
-        g_terms = g.terms.items()
-        for ma, ca in f.terms.items():
-            for mb, cb in g_terms:
-                m = tuple(map(add, ma, mb))
-                c = get(m)
-                out[m] = ca * cb if c is None else c + ca * cb
-    p = Poly.__new__(Poly)
-    p.arity = arity
-    p.terms = {m: c for m, c in out.items() if c}
-    return p
+    den, out = _accumulate(map(pack, fs), map(pack, gs))
+    return unpack((den, out, out.values()), arity)
+
+
+def packed_dot(fs: Iterable[Packed], gs: Iterable[Packed], arity: int) -> Packed:
+    """dot over packed operands, packed: the result is an operand again.
+
+    Raises InternalError when an exponent of a product reaches 2^31.
+    """
+    den, out = _accumulate(fs, gs)
+    if reduce(or_, out, 0) & _guard(arity):
+        raise InternalError(f"an exponent of a product reaches 2^{FIELD_BITS - 1}")
+    g = gcd(den, *out.values())
+    return den // g, [m for m, c in out.items() if c], [c // g for c in out.values() if c]
+
+
+@cache
+def _guard(n: int) -> int:
+    """The top bit of each of n fields."""
+    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(n))
 
 
 def format_poly(p: Poly) -> str:

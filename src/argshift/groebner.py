@@ -6,8 +6,9 @@ integer vectors, and all reductions are integer pseudo-reductions, so no
 rational arithmetic happens in the hot loop; the reduced basis is converted
 to monic rational polynomials at the end.
 
-Inside the engine a monomial is one Python int.  With W = FIELD_BITS and
-R = 2^W, the exponent vector e of n variables packs as
+Inside the engine a monomial is one Python int, written with the codec of
+exactpoly.  With W = FIELD_BITS (32) and R = 2^W, the exponent vector e of n
+variables packs as
 
     degrevlex:  M = deg(e)*R^n + sum e_i*R^i
     lex:        M = sum e_i*R^(n-1-i)
@@ -18,12 +19,12 @@ degrevlex (that is deg*R^n - sum e_i*R^i: the degree first, then the smaller
 last exponents) and s = 0 under lex (M itself, x0 in the top field).  The
 negated key is an involution of the packed ints, so the reduction heap holds
 plain ints and the same formula turns a popped entry back into its monomial.
-Every field stays below 2^(W-1), so its top bit is a guard: with G the mask
-of the guard bits, a divides b iff ((b | G) - a) & G == G.  The subtraction
-keeps the guard of exactly the fields where b_i >= a_i, and since each field
-of b | G is at least as large as the field of a, no field borrows from its
-neighbour.  A monomial whose degree would reach 2^(W-1) raises InternalError
-and the computation yields no basis.  Under degrevlex a reduction never
+Every field stays below EXPONENT_LIMIT = 2^(W-1), so its top bit is a guard:
+with G the mask of the guard bits, a divides b iff ((b | G) - a) & G == G.
+The subtraction keeps the guard of exactly the fields where b_i >= a_i, and
+since each field of b | G is at least as large as the field of a, no field
+borrows from its neighbour.  A monomial whose degree would reach the limit
+raises InternalError and the computation yields no basis.  Under degrevlex a reduction never
 raises the degree, so the inputs and the S-pair lcms are checked; under lex
 each reduction step and each S-polynomial is checked as well.  Tuples are
 built once on input and once on output: Poly terms, GroebnerBasis.basis,
@@ -44,11 +45,12 @@ The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
 monomial (computed as a minimum hitting set over the supports).
 
-The same kernel runs over F_p when buchberger is given a modulus p: its
+The same loop (_basis) runs over F_p when it is given a modulus p: its
 records are monic, so the integer rescale never fires, coefficients are
 reduced mod p when a monomial is popped, and no content is taken.  That path
-serves only the linear section below, and stops as soon as the section is
-decided.
+serves only the linear section below, which hands it packed residues and
+reads the leads off its minimal records, and it stops as soon as the section
+is decided.
 
 regular_sequence_verdict decides "f_1..f_k regular" (homogeneous, positive
 degrees, in n variables) in this order: a zero generator makes the verdict
@@ -101,10 +103,13 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from . import linalg
-from .exactpoly import InternalError, Monomial, Poly, format_poly, grevlex_key
+from .exactpoly import (
+    FIELD_BITS, InternalError, Monomial, Poly, decode, encode, format_poly, grevlex_key,
+)
 
-# bits of one packed exponent field; every exponent and degree stays below 2**(FIELD_BITS - 1)
-FIELD_BITS = 32
+# every exponent and degree of the engine stays below this bound, so the top
+# bit of each packed field is free for the guard
+EXPONENT_LIMIT = 2 ** (FIELD_BITS - 1)
 
 # the F_p linear section (see the module docstring): its prime, the seed of its
 # matrix, and the largest Bezout number at which it is tried before the exact engine
@@ -156,8 +161,8 @@ class MonomialOrder:
 class GroebnerBasis:
     order: MonomialOrder
     arity: int
-    basis: list[Poly]  # reduced (over F_p minimal): monic, non-divisible leads, sorted by lead
-    input_hash: str | None  # None over F_p, where the digest, which names no field, would mislead
+    basis: list[Poly]  # reduced: monic, non-divisible leads, sorted by lead
+    input_hash: str
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
 
     def leading_monomials(self) -> list[Monomial]:
@@ -176,7 +181,8 @@ class _Packing:
 
     degree() sums the n exponent fields with one multiplication; it is exact
     while the sum is below 2^W, which holds for every monomial of the engine
-    and for the lcm of two of them.
+    and for the lcm of two of them.  The exponent fields are written and read
+    by exactpoly.encode and exactpoly.decode.
     """
 
     __slots__ = ("n", "lex", "w", "s", "guard", "limit", "low", "ones")
@@ -187,23 +193,21 @@ class _Packing:
         self.s = 0 if self.lex else w * n
         fields = n if self.lex else n + 1
         self.guard = sum(1 << (w * i + w - 1) for i in range(fields))
-        self.limit = 1 << (w - 1)
+        self.limit = EXPONENT_LIMIT
         self.low = (1 << (w * n)) - 1  # the n exponent fields
         self.ones = sum(1 << (w * i) for i in range(n))
 
     def encode(self, mono: Monomial) -> int:
         d = sum(mono)
         self.check(d)
-        w, n = self.w, self.n
         if self.lex:
-            return sum(e << (w * (n - 1 - i)) for i, e in enumerate(mono))
-        return sum(e << (w * i) for i, e in enumerate(mono)) + (d << self.s)
+            return encode(mono[::-1])
+        return encode(mono) + (d << self.s)
 
     def decode(self, m: int) -> Monomial:
-        w = self.w
-        f = (1 << w) - 1
-        exps = tuple((m >> (w * i)) & f for i in range(self.n))
-        return exps[::-1] if self.lex else exps
+        if self.lex:
+            return decode(m, self.n)[::-1]
+        return decode(m & self.low, self.n)
 
     def key(self, m: int) -> int:
         s = self.s
@@ -229,7 +233,7 @@ class _Packing:
     def check(self, degree: int) -> None:
         if degree >= self.limit:
             raise InternalError(
-                f"a monomial of degree {degree} overflows the {self.w}-bit exponent fields"
+                f"a monomial of degree {degree} reaches the exponent limit {self.limit}"
             )
 
 
@@ -454,7 +458,6 @@ def buchberger(
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
     arity: int | None = None,
-    mod: int = 0,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -466,13 +469,6 @@ def buchberger(
     formed, pairs skipped by the coprime and by the chain criterion,
     S-polynomials that reduced to zero, reduction steps (over every
     reduction of the run) and the basis size before minimalization.
-
-    With a prime mod, the gens have integer coefficients, read mod p, and the
-    run is over F_p.  That path serves only the F_p linear section of
-    regular_sequence_verdict (k forms in k variables, under degrevlex), which
-    reads only the leading monomials, and it stops early (see _basis): its
-    result is a minimal monic basis only up to the degree that decides
-    whether the section is zero-dimensional, not inter-reduced.
     """
     order = order or MonomialOrder()
     if gens:
@@ -484,15 +480,12 @@ def buchberger(
             raise ValueError("generators live in different rings")
     P = _Packing(arity, order)
     budget = _Budget(timeout_secs)
-    polys = [_to_int_poly(p, P) for p in gens]
-    if mod:
-        polys = [{m: c % mod for m, c in f.items() if c % mod} for f in polys]
-    reducers, stats = _basis(polys, P, budget, mod)
-    basis = _reduce_and_normalize(reducers, P, budget, mod)
+    reducers, stats = _basis([_to_int_poly(p, P) for p in gens], P, budget)
+    basis = _reduce_and_normalize(reducers, P, budget)
     stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
     return GroebnerBasis(
-        order=order, arity=arity, basis=basis,
-        input_hash=None if mod else input_digest(gens, order, arity), stats=stats,
+        order=order, arity=arity, basis=basis, input_hash=input_digest(gens, order, arity),
+        stats=stats,
     )
 
 
@@ -587,23 +580,25 @@ def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0):
     }
 
 
-def _reduce_and_normalize(
-    reducers: list[_Record], P: _Packing, budget: _Budget, mod: int = 0
-) -> list[Poly]:
-    """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
-
-    A lead kept by minimalization is divisible by no other kept lead, so it
-    survives the inter-reduction and is still the record's lm.  Over F_p the
-    records are monic already and are not inter-reduced (see buchberger).
-    """
+def _minimal(reducers: list[_Record], P: _Packing) -> list[_Record]:
+    """The records whose lead no earlier kept lead divides; sorted by key, as reducers are."""
     minimal: list[_Record] = []
     for rec in reducers:
         if not any(P.divides(m.lm, rec.lm) for m in minimal):
             minimal.append(rec)
+    return minimal
+
+
+def _reduce_and_normalize(reducers: list[_Record], P: _Packing, budget: _Budget) -> list[Poly]:
+    """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
+
+    A lead kept by minimalization is divisible by no other kept lead, so it
+    survives the inter-reduction and is still the record's lm.
+    """
+    minimal = _minimal(reducers, P)
     out: list[Poly] = []
     for idx, rec in enumerate(minimal):
-        r = dict(rec.terms) if mod else _reduce_full(
-            rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
+        r = _reduce_full(rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
         lc = r[rec.lm]
         out.append(Poly(P.n, {P.decode(m): Fraction(c, lc) for m, c in r.items()}))
     return out
@@ -673,15 +668,17 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     Equals the size of the largest variable subset S such that no leading
     monomial has support inside S; the unit ideal returns the sentinel -1.
     """
-    if not gb.basis:
-        return gb.arity
+    return _dimension(gb.leading_monomials(), gb.arity)
+
+
+def _dimension(leads: list[Monomial], arity: int) -> int:
     supports = []
-    for lm in gb.leading_monomials():
+    for lm in leads:
         supp = frozenset(i for i, e in enumerate(lm) if e)
         if not supp:
             return -1
         supports.append(supp)
-    return gb.arity - _min_hitting_set_size(supports)
+    return arity - _min_hitting_set_size(supports)
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +717,23 @@ def _section_certificate(
 
     section = []
     for f in gens:
+        P.check(f.total_degree())  # the images are packed without encode's check
         acc: IntPoly = {}
         for e, c in _primitive(f).items():
             for m, v in image(e).items():
                 acc[m] = acc.get(m, 0) + c * v
-        section.append(Poly(k, {P.decode(m): c % p for m, c in acc.items()}))
-    gb = buchberger(section, timeout_secs=timeout_secs, mod=p)
-    if ideal_dimension(gb) != 0:  # some t_j has no pure power among the leads
+        section.append({m: c % p for m, c in acc.items() if c % p})
+    reducers, stats = _basis(section, P, _Budget(timeout_secs), p)
+    leads = [rec.lm for rec in _minimal(reducers, P)]
+    if _dimension([P.decode(m) for m in leads], k) != 0:  # some t_j has no pure power
         return None
-    count = _standard_monomial_count([P.encode(m) for m in gb.leading_monomials()], t, P, bezout)
+    count = _standard_monomial_count(leads, t, P, bezout)
     if count != bezout:
         raise InternalError(
             f"the zero-dimensional F_p section has {count} standard monomials, not the "
             f"Bezout number {bezout}: engine bug"
         )
-    return gb.stats
+    return stats
 
 
 def _standard_monomial_count(leads: list[int], variables: list[int], P: _Packing, cap: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import liealg, poisson
-from .exactpoly import Poly, dot
+from .exactpoly import ONE, ZERO, Poly, pack, packed_dot, unpack
 from .liealg import LieAlgebraData
 
 
@@ -57,19 +57,24 @@ def generic_dual_matrix(L: LieAlgebraData) -> list[list[Poly]]:
 
 
 def _power_traces(X: list[list[Poly]], powers: list[int]) -> list[Poly]:
+    """tr(X^k) for k in powers, as sum_{a,b} X^(k-1)[a][b] X[b][a]: one dot
+    product, so the largest power is never multiplied out."""
     m = len(X)
     arity = X[0][0].arity
+    packed = [[pack(p) for p in row] for row in X]
+    cols = [list(col) for col in zip(*packed)]
+    transposed = [q for col in cols for q in col]
+    cur = [[ONE if a == b else ZERO for b in range(m)] for a in range(m)]  # X^0
     traces = {}
-    cols = list(zip(*X))
-    cur = X
-    for k in range(1, max(powers) + 1):
-        if k > 1:
-            cur = [[dot(row, col, arity) for col in cols] for row in cur]
+    top = max(powers)
+    for k in range(1, top + 1):
         if k in powers:
-            tr = Poly.zero(arity)
-            for a in range(m):
-                tr = tr + cur[a][a]
-            traces[k] = tr
+            flat = [q for row in cur for q in row]
+            traces[k] = unpack(packed_dot(flat, transposed, arity), arity)
+        if k == 1:
+            cur = packed
+        elif k < top:
+            cur = [[packed_dot(row, col, arity) for col in cols] for row in cur]
     return [traces[k] for k in powers]
 
 

@@ -52,7 +52,8 @@ class LieAlgebraData:
     meta: dict = field(default_factory=dict)
     defining: list[list[list[Fraction]]] | None = None
 
-    # per-algebra memos: "index", "form_inverse", "structure_matrix", "invariants"
+    # per-algebra memos: "index", "form_inverse", "structure_matrix", "structure_rows"
+    # (its rows packed, see poisson), "invariants"
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:

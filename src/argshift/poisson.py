@@ -7,7 +7,9 @@ polynomials extends it by the Leibniz rule:
     {f, g} = sum_i df/dx_i {x_i, g} = grad f . X_g,   X_g = B(x) grad g
 
 X_g is the Hamiltonian field of g.  A commutativity report computes it once
-per family member, so that every pair costs one dot product.
+per family member, so that every pair costs one dot product.  The products
+run on packed operands (exactpoly.pack): the rows of B(x) are packed once
+per algebra, and a report packs each member's gradient and field once.
 
 Everything is exact, so "commutes" means the bracket is the zero polynomial.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactpoly import Poly, dot
+from .exactpoly import Packed, Poly, dot, pack, pack_gradient, packed_dot, unpack
 from .liealg import LieAlgebraData, structure_matrix_poly
 
 
@@ -25,14 +27,19 @@ def _check_arity(L: LieAlgebraData, p: Poly) -> None:
         raise ValueError("polynomial arity does not match the algebra dimension")
 
 
-def _field(L: LieAlgebraData, grad: list[Poly]) -> list[Poly]:
-    return [dot(row, grad, L.dim) for row in structure_matrix_poly(L)]
+def _field(L: LieAlgebraData, grad: list[Packed]) -> list[Packed]:
+    rows = L._caches.get("structure_rows")
+    if rows is None:
+        rows = L._caches["structure_rows"] = [
+            [pack(p) for p in row] for row in structure_matrix_poly(L)
+        ]
+    return [packed_dot(row, grad, L.dim) for row in rows]
 
 
 def hamiltonian(L: LieAlgebraData, g: Poly) -> list[Poly]:
     """The Hamiltonian field X_g[i] = {x_i, g} = sum_j {x_i, x_j} dg/dx_j."""
     _check_arity(L, g)
-    return _field(L, g.gradient())
+    return [unpack(q, L.dim) for q in _field(L, pack_gradient(g))]
 
 
 def poisson_bracket(L: LieAlgebraData, f: Poly, g: Poly) -> Poly:
@@ -69,15 +76,15 @@ def commutativity_report(L: LieAlgebraData, family) -> CommutativityReport:
     entries = family.entries
     for _, _, p in entries:
         _check_arity(L, p)
-    grads = [p.gradient() for _, _, p in entries]
+    grads = [pack_gradient(p) for _, _, p in entries]
     fields = [_field(L, grad) for grad in grads]
     failures = []
     for a, (ia, ja, _) in enumerate(entries):
         for b in range(a + 1, len(entries)):
-            br = dot(grads[a], fields[b], L.dim)
-            if not br.is_zero():
+            br = packed_dot(grads[a], fields[b], L.dim)
+            if br[1]:  # a nonzero bracket
                 ib, jb, _ = entries[b]
-                failures.append((entry_label(ia, ja), entry_label(ib, jb), br))
+                failures.append((entry_label(ia, ja), entry_label(ib, jb), unpack(br, L.dim)))
     n = len(entries)
     return CommutativityReport(pair_count=n * (n - 1) // 2, failures=failures)
 

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift.exactpoly import Poly, format_poly, parse_poly
+from argshift.exactpoly import (
+    InternalError, Poly, dot, format_poly, pack, packed_dot, parse_poly, unpack,
+)
 
 
 def P(arity, terms):
@@ -191,3 +194,100 @@ def test_components_reassemble(f):
     comps = f.homogeneous_components()
     assert all(c.is_homogeneous() and not c.is_zero() for c in comps.values())
     assert sum(comps.values(), Poly.zero(3)) == f
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+# ---------------------------------------------------------------------------
+
+
+def _naive_dot(fs, gs):
+    """sum f * g over the pairs, term by term in Fraction arithmetic."""
+    out = {}
+    for f, g in zip(fs, gs):
+        for ma, ca in f.terms.items():
+            for mb, cb in g.terms.items():
+                m = tuple(a + b for a, b in zip(ma, mb))
+                out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def dot_operands(draw):
+    arity = draw(st.integers(0, 3))
+    mono = st.tuples(*[st.integers(0, 3)] * arity)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    poly = st.dictionaries(mono, coeff, max_size=5).map(lambda d: Poly(arity, d))
+    # zero operands come from empty dictionaries; the i-th pair's f is scaled by
+    # 1/(i+2), so the pairs' denominators differ
+    pairs = [(f * Fraction(1, i + 2), g)
+             for i, (f, g) in enumerate(draw(st.lists(st.tuples(poly, poly), max_size=4)))]
+    if pairs and draw(st.booleans()):  # a pair cancelling another one
+        f, g = draw(st.sampled_from(pairs))
+        pairs.append((f, -g))
+    return arity, [f for f, _ in pairs], [g for _, g in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dot_operands())
+def test_dot_matches_the_naive_fraction_sum(operands):
+    arity, fs, gs = operands
+    got = dot(fs, gs, arity)
+    assert got.arity == arity
+    assert got.terms == _naive_dot(fs, gs)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    packed = packed_dot([pack(f) for f in fs], [pack(g) for g in gs], arity)
+    assert unpack(packed, arity) == got
+
+
+def test_dot_cancels_to_the_zero_polynomial():
+    f = P(2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 7)})
+    g = P(2, {(1, 1): Fraction(5, 4)})
+    assert dot([f, f], [g, -g], 2).terms == {}
+    assert dot([], [], 2).terms == {}
+    assert packed_dot([pack(f)], [pack(-g)], 2)[1] == packed_dot([pack(-f)], [pack(g)], 2)[1]
+
+
+def test_dot_rejects_sequences_of_different_lengths():
+    with pytest.raises(ValueError):
+        dot([x, y], [x], 2)
+    with pytest.raises(ValueError):
+        packed_dot([pack(x)], [pack(x), pack(y)], 2)
+
+
+def test_exponent_limit_of_the_packed_fields():
+    over = Poly(1, {(2**31,): Fraction(1)})
+    t = Poly.variable(1, 0)
+    for other in (t, Poly.constant(1, 1), Poly.zero(1)):
+        with pytest.raises(InternalError):
+            over * other
+        with pytest.raises(InternalError):
+            other * over
+    top = Poly(2, {(2**31 - 1, 0): Fraction(3, 2)})
+    assert (top * top).terms == {(2**32 - 2, 0): Fraction(9, 4)}
+    with pytest.raises(InternalError):  # a packed result is an operand again, so it must fit
+        packed_dot([pack(top)], [pack(top)], 2)
+
+
+def test_dot_does_no_fraction_arithmetic_per_term(monkeypatch):
+    rng = random.Random(11)
+    f, g = (
+        Poly(4, {tuple(rng.randint(0, 3) for _ in range(4)): Fraction(rng.randint(-9, 9) or 1,
+                                                                         rng.randint(2, 9))
+                 for _ in range(20)})
+        for _ in range(2)
+    )
+    expected = _naive_dot([f], [g])
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__"):
+        method = getattr(Fraction, name)
+
+        def counted(self, other, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    got = dot([f], [g], 4)
+    monkeypatch.undo()
+    assert calls == []
+    assert got.terms == expected

@@ -280,7 +280,7 @@ def test_exponent_overflow_raises_internal_error(monkeypatch):
     for kind in ("degrevlex", "lex"):
         with pytest.raises(InternalError):
             buchberger([big], MonomialOrder(kind))
-    monkeypatch.setattr(groebner, "FIELD_BITS", 4)  # exponents and degrees below 8
+    monkeypatch.setattr(groebner, "EXPONENT_LIMIT", 8)  # exponents and degrees below 8
     u, v, w = (Poly.variable(3, i) for i in range(3))
     degree9 = [u**4 * v**3 * w**2 - w**9, u * v - w**2]
     for kind in ("degrevlex", "lex"):

@@ -124,6 +124,27 @@ def test_adversarial_family_fails(algebras):
     assert br == Poly.variable(3, 1)  # {x_e, x_f} = x_h
 
 
+def test_adversarial_family_with_rational_coefficients_fails(algebras):
+    L = algebras[("sl", 2)]
+    fake = MFGeneratorSet(
+        algebra=L,
+        xi=[Fraction(0)] * 3,
+        entries=[
+            (0, 0, Fraction(1, 3) * Poly.variable(3, 0)),
+            (1, 0, Fraction(2, 5) * Poly.variable(3, 2)),
+        ],
+        degrees=[1, 1],
+        expected_count=2,
+    )
+    rep = commutativity_report(L, fake)
+    left, right, br = rep.failures[0]
+    assert (left, right) == (entry_label(0, 0), entry_label(1, 0))
+    assert br.terms == {(0, 1, 0): Fraction(2, 15)}  # {x_e/3, 2x_f/5} = 2x_h/15
+    assert rep.to_json_dict()["failures"] == [
+        {"left": "D^0(p_1)", "right": "D^0(p_2)", "bracket": "2/15*x1"}
+    ]
+
+
 def test_report_json_shape(algebras, families, triples):
     L = algebras[("sl", 2)]
     mf = mf_generators(L, families[("sl", 2)], dual_of(L, triples[("sl", 2)].e))
