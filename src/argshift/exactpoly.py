@@ -341,8 +341,10 @@ def pack(p: Poly) -> Packed:
 
 
 def pack_gradient(p: Poly) -> list[Packed]:
-    """The partial derivatives of p, packed, without building them as Polys:
-    over p's denominator, d/dx_k takes c * x^m to (c * m_k) * x^(m - e_k)."""
+    """The partial derivatives of p, packed, without building them as Polys
+    (p.gradient() builds a tuple per term and variable; a commutativity
+    report runs faster and peaks lower without them).  Over p's denominator,
+    d/dx_k takes c * x^m to (c * m_k) * x^(m - e_k)."""
     den, monos, nums = pack(p)
     grad = [([], []) for _ in range(p.arity)]
     for mono, m, c in zip(p.terms, monos, nums):
@@ -406,15 +408,15 @@ def packed_dot(fs: Iterable[Packed], gs: Iterable[Packed], arity: int) -> Packed
     Raises InternalError when an exponent of a product reaches 2^31.
     """
     den, out = _accumulate(fs, gs)
-    if reduce(or_, out, 0) & _guard(arity):
+    if reduce(or_, out, 0) & guard_mask(arity):
         raise InternalError(f"an exponent of a product reaches 2^{FIELD_BITS - 1}")
     g = gcd(den, *out.values())
     return den // g, [m for m, c in out.items() if c], [c // g for c in out.values() if c]
 
 
 @cache
-def _guard(n: int) -> int:
-    """The top bit of each of n fields."""
+def guard_mask(n: int) -> int:
+    """The top bit of each of n packed fields (the Groebner engine's guard bits)."""
     return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(n))
 
 

@@ -24,9 +24,10 @@ with G the mask of the guard bits, a divides b iff ((b | G) - a) & G == G.
 The subtraction keeps the guard of exactly the fields where b_i >= a_i, and
 since each field of b | G is at least as large as the field of a, no field
 borrows from its neighbour.  A monomial whose degree would reach the limit
-raises InternalError and the computation yields no basis.  Under degrevlex a reduction never
-raises the degree, so the inputs and the S-pair lcms are checked; under lex
-each reduction step and each S-polynomial is checked as well.  Tuples are
+raises InternalError and the computation yields no basis.  Under degrevlex a
+reduction never raises the degree, so the inputs and the S-pair lcms are
+checked; under lex each reduction step and each S-polynomial is checked as
+well.  Tuples are
 built once on input and once on output: Poly terms, GroebnerBasis.basis,
 leading_monomials() and normal_form's result keep tuple monomials.
 
@@ -45,12 +46,11 @@ The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
 monomial (computed as a minimum hitting set over the supports).
 
-The same loop (_basis) runs over F_p when it is given a modulus p: its
+The same kernel runs over F_p when buchberger is given a modulus p: its
 records are monic, so the integer rescale never fires, coefficients are
 reduced mod p when a monomial is popped, and no content is taken.  That path
-serves only the linear section below, which hands it packed residues and
-reads the leads off its minimal records, and it stops as soon as the section
-is decided.
+serves only the linear section below, and stops as soon as the section is
+decided.
 
 regular_sequence_verdict decides "f_1..f_k regular" (homogeneous, positive
 degrees, in n variables) in this order: a zero generator makes the verdict
@@ -105,6 +105,7 @@ from typing import NamedTuple
 from . import linalg
 from .exactpoly import (
     FIELD_BITS, InternalError, Monomial, Poly, decode, encode, format_poly, grevlex_key,
+    guard_mask,
 )
 
 # every exponent and degree of the engine stays below this bound, so the top
@@ -161,8 +162,8 @@ class MonomialOrder:
 class GroebnerBasis:
     order: MonomialOrder
     arity: int
-    basis: list[Poly]  # reduced: monic, non-divisible leads, sorted by lead
-    input_hash: str
+    basis: list[Poly]  # reduced (over F_p minimal): monic, non-divisible leads, sorted by lead
+    input_hash: str | None  # None over F_p, where the digest, which names no field, would mislead
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
 
     def leading_monomials(self) -> list[Monomial]:
@@ -181,8 +182,8 @@ class _Packing:
 
     degree() sums the n exponent fields with one multiplication; it is exact
     while the sum is below 2^W, which holds for every monomial of the engine
-    and for the lcm of two of them.  The exponent fields are written and read
-    by exactpoly.encode and exactpoly.decode.
+    and for the lcm of two of them.  The fields are written and read by
+    exactpoly.encode and exactpoly.decode, and the guard bits are exactpoly's.
     """
 
     __slots__ = ("n", "lex", "w", "s", "guard", "limit", "low", "ones")
@@ -191,8 +192,7 @@ class _Packing:
         w = self.w = FIELD_BITS
         self.n, self.lex = n, order.kind == "lex"
         self.s = 0 if self.lex else w * n
-        fields = n if self.lex else n + 1
-        self.guard = sum(1 << (w * i + w - 1) for i in range(fields))
+        self.guard = guard_mask(n if self.lex else n + 1)
         self.limit = EXPONENT_LIMIT
         self.low = (1 << (w * n)) - 1  # the n exponent fields
         self.ones = sum(1 << (w * i) for i in range(n))
@@ -458,6 +458,7 @@ def buchberger(
     order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
     arity: int | None = None,
+    mod: int = 0,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -469,6 +470,13 @@ def buchberger(
     formed, pairs skipped by the coprime and by the chain criterion,
     S-polynomials that reduced to zero, reduction steps (over every
     reduction of the run) and the basis size before minimalization.
+
+    With a prime mod, the gens have integer coefficients, read mod p, and the
+    run is over F_p.  That path serves only the F_p linear section of
+    regular_sequence_verdict (k forms in k variables, under degrevlex), which
+    reads only the leading monomials, and it stops early (see _basis): its
+    result is a minimal monic basis only up to the degree that decides
+    whether the section is zero-dimensional, not inter-reduced.
     """
     order = order or MonomialOrder()
     if gens:
@@ -480,12 +488,15 @@ def buchberger(
             raise ValueError("generators live in different rings")
     P = _Packing(arity, order)
     budget = _Budget(timeout_secs)
-    reducers, stats = _basis([_to_int_poly(p, P) for p in gens], P, budget)
-    basis = _reduce_and_normalize(reducers, P, budget)
+    polys = [_to_int_poly(p, P) for p in gens]
+    if mod:
+        polys = [{m: c % mod for m, c in f.items() if c % mod} for f in polys]
+    reducers, stats = _basis(polys, P, budget, mod)
+    basis = _reduce_and_normalize(reducers, P, budget, mod)
     stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
     return GroebnerBasis(
-        order=order, arity=arity, basis=basis, input_hash=input_digest(gens, order, arity),
-        stats=stats,
+        order=order, arity=arity, basis=basis,
+        input_hash=None if mod else input_digest(gens, order, arity), stats=stats,
     )
 
 
@@ -580,25 +591,23 @@ def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0):
     }
 
 
-def _minimal(reducers: list[_Record], P: _Packing) -> list[_Record]:
-    """The records whose lead no earlier kept lead divides; sorted by key, as reducers are."""
+def _reduce_and_normalize(
+    reducers: list[_Record], P: _Packing, budget: _Budget, mod: int = 0
+) -> list[Poly]:
+    """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
+
+    A lead kept by minimalization is divisible by no other kept lead, so it
+    survives the inter-reduction and is still the record's lm.  Over F_p the
+    records are monic already and are not inter-reduced (see buchberger).
+    """
     minimal: list[_Record] = []
     for rec in reducers:
         if not any(P.divides(m.lm, rec.lm) for m in minimal):
             minimal.append(rec)
-    return minimal
-
-
-def _reduce_and_normalize(reducers: list[_Record], P: _Packing, budget: _Budget) -> list[Poly]:
-    """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
-
-    A lead kept by minimalization is divisible by no other kept lead, so it
-    survives the inter-reduction and is still the record's lm.
-    """
-    minimal = _minimal(reducers, P)
     out: list[Poly] = []
     for idx, rec in enumerate(minimal):
-        r = _reduce_full(rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
+        r = dict(rec.terms) if mod else _reduce_full(
+            rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
         lc = r[rec.lm]
         out.append(Poly(P.n, {P.decode(m): Fraction(c, lc) for m, c in r.items()}))
     return out
@@ -668,17 +677,15 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     Equals the size of the largest variable subset S such that no leading
     monomial has support inside S; the unit ideal returns the sentinel -1.
     """
-    return _dimension(gb.leading_monomials(), gb.arity)
-
-
-def _dimension(leads: list[Monomial], arity: int) -> int:
+    if not gb.basis:
+        return gb.arity
     supports = []
-    for lm in leads:
+    for lm in gb.leading_monomials():
         supp = frozenset(i for i, e in enumerate(lm) if e)
         if not supp:
             return -1
         supports.append(supp)
-    return arity - _min_hitting_set_size(supports)
+    return gb.arity - _min_hitting_set_size(supports)
 
 
 # ---------------------------------------------------------------------------
@@ -717,23 +724,21 @@ def _section_certificate(
 
     section = []
     for f in gens:
-        P.check(f.total_degree())  # the images are packed without encode's check
         acc: IntPoly = {}
         for e, c in _primitive(f).items():
             for m, v in image(e).items():
                 acc[m] = acc.get(m, 0) + c * v
-        section.append({m: c % p for m, c in acc.items() if c % p})
-    reducers, stats = _basis(section, P, _Budget(timeout_secs), p)
-    leads = [rec.lm for rec in _minimal(reducers, P)]
-    if _dimension([P.decode(m) for m in leads], k) != 0:  # some t_j has no pure power
+        section.append(Poly(k, {P.decode(m): c % p for m, c in acc.items()}))
+    gb = buchberger(section, timeout_secs=timeout_secs, mod=p)
+    if ideal_dimension(gb) != 0:  # some t_j has no pure power among the leads
         return None
-    count = _standard_monomial_count(leads, t, P, bezout)
+    count = _standard_monomial_count([P.encode(m) for m in gb.leading_monomials()], t, P, bezout)
     if count != bezout:
         raise InternalError(
             f"the zero-dimensional F_p section has {count} standard monomials, not the "
             f"Bezout number {bezout}: engine bug"
         )
-    return stats
+    return gb.stats
 
 
 def _standard_monomial_count(leads: list[int], variables: list[int], P: _Packing, cap: int) -> int:

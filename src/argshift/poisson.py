@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactpoly import Packed, Poly, dot, pack, pack_gradient, packed_dot, unpack
+from .exactpoly import Packed, Poly, pack, pack_gradient, packed_dot, unpack
 from .liealg import LieAlgebraData, structure_matrix_poly
 
 
@@ -45,7 +45,8 @@ def hamiltonian(L: LieAlgebraData, g: Poly) -> list[Poly]:
 def poisson_bracket(L: LieAlgebraData, f: Poly, g: Poly) -> Poly:
     """Exact Poisson bracket {f, g} in the coordinates of L."""
     _check_arity(L, f)
-    return dot(f.gradient(), hamiltonian(L, g), L.dim)
+    _check_arity(L, g)
+    return unpack(packed_dot(pack_gradient(f), _field(L, pack_gradient(g)), L.dim), L.dim)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argshift.exactpoly import (
-    InternalError, Poly, dot, format_poly, pack, packed_dot, parse_poly, unpack,
+    InternalError, Poly, dot, format_poly, pack, pack_gradient, packed_dot, parse_poly, unpack,
 )
 
 
@@ -180,6 +180,12 @@ def test_substitute_then_eval_composes(f, rows, pt):
 def test_diff_is_leibniz(f, g):
     for k in range(3):
         assert (f * g).diff(k) == f.diff(k) * g + f * g.diff(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys)
+def test_pack_gradient_is_the_gradient(f):
+    assert [unpack(q, 3) for q in pack_gradient(f)] == f.gradient()
 
 
 @settings(max_examples=60, deadline=None)
