@@ -13,11 +13,11 @@ from .groebner import (
     MonomialOrder,
     buchberger,
     ideal_dimension,
-    jacobian_rank,
     normal_form,
     regular_sequence_verdict,
 )
 from .invariants import InvariantFamily, invariant_generators, verify_invariance
+from .linalg import jacobian_rank
 from .liealg import (
     LieAlgebraData,
     SL2Triple,

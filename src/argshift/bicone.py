@@ -13,7 +13,7 @@ computation for binary forms over Q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
@@ -22,7 +22,6 @@ from .groebner import (
     DimensionReport,
     MonomialOrder,
     deadline_after,
-    jacobian_rank,
     regular_sequence_verdict,
     time_left,
 )
@@ -42,6 +41,15 @@ class BiconeIdeal:
 
     def polynomials(self) -> list[Poly]:
         return [p for _, _, p in self.generators]
+
+    def vanishes_at(self, point) -> bool:
+        """True iff every generator vanishes at the point of the doubled variables."""
+        return all(p.evaluate(point) == 0 for _, _, p in self.generators)
+
+
+def _pair_point(L: LieAlgebraData, x, y) -> list[Fraction]:
+    """The point (dual of x, dual of y) of the doubled variables."""
+    return dual_of(L, [Fraction(v) for v in x]) + dual_of(L, [Fraction(v) for v in y])
 
 
 def counting_identity(L: LieAlgebraData, fam: InvariantFamily) -> dict:
@@ -82,12 +90,7 @@ def bicone_generators(L: LieAlgebraData, fam: InvariantFamily) -> BiconeIdeal:
 
 def bicone_membership(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     """True iff span(x, y) lies in the nilpotent cone (x, y elements of g)."""
-    point = dual_of(L, [Fraction(v) for v in x]) + dual_of(L, [Fraction(v) for v in y])
-    for i, p in enumerate(fam.generators):
-        for comp in bigraded_components(p):
-            if comp.evaluate(point) != 0:
-                return False
-    return True
+    return bicone_generators(L, fam).vanishes_at(_pair_point(L, x, y))
 
 
 def bicone_dimension_check(
@@ -138,13 +141,12 @@ def bicone_fiber_check(
     xi = dual_of(L, e)
     if not is_regular_point(L, xi):
         raise ValueError("base point is not regular")
-    zero = [Fraction(0)] * L.dim
-    if not bicone_membership(L, fam, e, zero):
+    n = L.dim
+    ideal = bicone_generators(L, fam)
+    if not ideal.vanishes_at(xi + [Fraction(0)] * n):
         raise ValueError("base point is not nilpotent")
     identity = counting_identity(L, fam)
     b, ell = identity["b"], identity["index"]
-    n = L.dim
-    ideal = bicone_generators(L, fam)
     images = [Poly.constant(n, v) for v in xi] + [Poly.variable(n, k) for k in range(n)]
     substituted = [(i, j, p.substitute(images)) for i, j, p in ideal.generators]
     nonzero = [p for _, _, p in substituted if not p.is_zero()]
@@ -159,19 +161,11 @@ def bicone_fiber_check(
         mf_dim = regular_sequence_verdict(
             mf.polynomials(), n, order=order, timeout_secs=time_left(deadline), cache_dir=cache_dir
         ).ideal_dimension
-    status = gb_report.status
-    verdict = None if fiber_dim is None else (fiber_dim == b - ell)
-    report = DimensionReport(
-        arity=n,
-        generator_count=len(nonzero),
-        ideal_dimension=fiber_dim,
+    report = replace(
+        gb_report,
         expected_dimension=b - ell,
-        verdict=verdict,
-        status=status,
+        verdict=None if fiber_dim is None else (fiber_dim == b - ell),
         zero_generators=dropped,
-        order=gb_report.order,
-        input_hash=gb_report.input_hash,
-        stats=gb_report.stats,
     )
     report.extra["counting_identity"] = identity
     report.extra["shift_family_dimension"] = mf_dim
@@ -282,11 +276,11 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     results = []
     disagreements = []
     for x, y in samples:
-        if not bicone_membership(L, fam, x, y):
+        point = _pair_point(L, x, y)
+        if not ideal.vanishes_at(point):
             raise ValueError("sample pair is not in the bicone")
-        point = dual_of(L, [Fraction(v) for v in x]) + dual_of(L, [Fraction(v) for v in y])
         omega = pencil_regularity(L, fam, x, y)
-        rank = jacobian_rank(gens, point)
+        rank = linalg.jacobian_rank(gens, point)
         smooth = rank == full_count
         entry = {
             "x": [str(Fraction(v)) for v in x],

@@ -161,19 +161,8 @@ def restrict_to_slice(
     m = len(chart.directions)
     base = dual_of(L, chart.base_point)
     dual_dirs = [dual_of(L, v) for v in chart.directions]
-    images = []
-    for jj in range(L.dim):
-        terms = {}
-        const = base[jj]
-        if const:
-            terms[(0,) * m] = const
-        for k in range(m):
-            c = dual_dirs[k][jj]
-            if c:
-                exp = [0] * m
-                exp[k] = 1
-                terms[tuple(exp)] = c
-        images.append(Poly(m, terms))
+    images = [Poly.linear_form(dual_dirs[k][jj] for k in range(m)) + base[jj]
+              for jj in range(L.dim)]
     restricted = p.substitute(images)
     if restricted.is_zero():
         raise InternalError("restriction of a nonzero invariant to the slice vanished (bug)")

@@ -193,18 +193,12 @@ class Poly:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        p = Poly.__new__(Poly)
-        p.arity = self.arity
-        p.terms = out
-        return p
+        return _poly(self.arity, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.arity = self.arity
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _poly(self.arity, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -219,10 +213,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            p = Poly.__new__(Poly)
-            p.arity = self.arity
-            p.terms = {} if c == 0 else {m: cc * c for m, cc in self.terms.items()}
-            return p
+            return _poly(self.arity, {} if c == 0 else {m: cc * c for m, cc in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
@@ -306,7 +297,7 @@ class Poly:
                 if e:
                     q = img_pow(k, e)
                     image = q if image is None else packed_dot([image], [q], target)
-            coeffs.append((coeff.denominator, [0], [coeff.numerator]))
+            coeffs.append(pack_constant(coeff))
             monos.append(ONE if image is None else image)
         den, out = _accumulate(coeffs, monos)
         return unpack((den, out, out.values()), target)
@@ -327,6 +318,14 @@ class Poly:
         return f"Poly({self.arity}, {format_poly(self)!r})"
 
 
+def _poly(arity: int, terms: dict[Monomial, Coeff]) -> Poly:
+    """A Poly on a term map that is clean already: right arity, no zero coefficient."""
+    p = Poly.__new__(Poly)
+    p.arity = arity
+    p.terms = terms
+    return p
+
+
 def pack(p: Poly) -> Packed:
     """p as integer numerators over the lcm of its denominators, monomials encoded."""
     terms = p.terms
@@ -340,11 +339,16 @@ def pack(p: Poly) -> Packed:
     return den, monos, [c.numerator * (den // c.denominator) for c in terms.values()]
 
 
+def pack_constant(c: Fraction) -> Packed:
+    """The constant c, packed, in any number of variables."""
+    return (c.denominator, [0], [c.numerator]) if c else ZERO
+
+
 def pack_gradient(p: Poly) -> list[Packed]:
     """The partial derivatives of p, packed, without building them as Polys
     (p.gradient() builds a tuple per term and variable; a commutativity
-    report runs faster and peaks lower without them).  Over p's denominator,
-    d/dx_k takes c * x^m to (c * m_k) * x^(m - e_k)."""
+    report and a shift family run faster and peak lower without them).  Over
+    p's denominator, d/dx_k takes c * x^m to (c * m_k) * x^(m - e_k)."""
     den, monos, nums = pack(p)
     grad = [([], []) for _ in range(p.arity)]
     for mono, m, c in zip(p.terms, monos, nums):
@@ -361,11 +365,8 @@ def unpack(q: tuple[int, Iterable[int], Iterable[int]], arity: int) -> Poly:
     den, monos, nums = q
     _, dec, width = _codec(arity)
     fields = dec.unpack
-    p = Poly.__new__(Poly)
-    p.arity = arity
-    p.terms = {fields(m.to_bytes(width, "little")): Fraction(c, den)
-               for m, c in zip(monos, nums) if c}
-    return p
+    return _poly(arity, {fields(m.to_bytes(width, "little")): Fraction(c, den)
+                         for m, c in zip(monos, nums) if c})
 
 
 def _accumulate(fs: Iterable[Packed], gs: Iterable[Packed]) -> tuple[int, dict[int, int]]:

@@ -63,8 +63,9 @@ exact engine on the inputs measured (the sl_3 bicone, D = 648); below it the
 exact engine is the slow side (sp_4, sl_4 and gl_4 shift families).
 
 The section: with p = SECTION_PRIME and a seeded n x k matrix A of residues
-mod p, g_i(t) = f_i(A t) is formed from the primitive integer f_i, reduced
-mod p, and its basis computed over F_p in k variables.  The section is
+mod p, g_i(t) is the primitive integer multiple of f_i(A t), which
+Poly.substitute forms and buchberger reduces mod p, and its basis is
+computed over F_p in k variables.  The section is
 accepted when every t_j has a pure power among the leading monomials, that
 is, when F_p[t]/(g) is finite-dimensional.  Why that proves the verdict:
 M = Z_(p)[t]/(g) is finitely generated in each degree, so by Nakayama
@@ -99,10 +100,9 @@ from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from . import linalg
 from .exactpoly import (
     FIELD_BITS, InternalError, Monomial, Poly, decode, encode, format_poly, grevlex_key,
     guard_mask,
@@ -271,18 +271,12 @@ def _by_key(rec: _Record):
     return rec.key
 
 
-def _primitive(p: Poly) -> dict:
-    """The primitive integer multiple of p, on tuple monomials."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+def _to_int_poly(p: Poly, P: _Packing) -> IntPoly:
+    """The primitive integer multiple of p, on packed monomials."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    out = {P.encode(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     _content_normalize(out)
     return out
-
-
-def _to_int_poly(p: Poly, P: _Packing) -> IntPoly:
-    return {P.encode(m): c for m, c in _primitive(p).items()}
 
 
 def _content_normalize(d: IntPoly) -> None:
@@ -703,35 +697,15 @@ def _section_certificate(
     them a regular sequence is in the module docstring.
     """
     k, p = len(gens), SECTION_PRIME
-    P = _Packing(k, MonomialOrder())
-    t = [P.encode(tuple(int(i == j) for i in range(k))) for j in range(k)]
     rng = random.Random(SECTION_SEED)
-    # the image of x_j under A = [I; R]: ((packed t_l, A_jl), ...)
-    rows = [((t[j], 1),) if j < k else tuple((t[l], rng.randrange(p)) for l in range(k))
-            for j in range(n)]
-    images = {(0,) * n: {0: 1}}  # x^e -> the monomial's image, packed, mod p
-
-    def image(e: Monomial) -> dict:
-        got = images.get(e)
-        if got is None:
-            j = max(i for i, a in enumerate(e) if a)
-            got = {}
-            for m, c in image(e[:j] + (e[j] - 1,) + e[j + 1 :]).items():
-                for v, a in rows[j]:
-                    got[m + v] = got.get(m + v, 0) + c * a
-            got = images[e] = {m: c % p for m, c in got.items() if c % p}
-        return got
-
-    section = []
-    for f in gens:
-        acc: IntPoly = {}
-        for e, c in _primitive(f).items():
-            for m, v in image(e).items():
-                acc[m] = acc.get(m, 0) + c * v
-        section.append(Poly(k, {P.decode(m): c % p for m, c in acc.items()}))
-    gb = buchberger(section, timeout_secs=timeout_secs, mod=p)
+    # the image of x_j under A = [I; R]: t_j, then seeded linear forms in t
+    images = [Poly.variable(k, j) if j < k
+              else Poly.linear_form(rng.randrange(p) for _ in range(k)) for j in range(n)]
+    gb = buchberger([f.substitute(images) for f in gens], timeout_secs=timeout_secs, mod=p)
     if ideal_dimension(gb) != 0:  # some t_j has no pure power among the leads
         return None
+    P = _Packing(k, MonomialOrder())
+    t = [P.encode(tuple(int(i == j) for i in range(k))) for j in range(k)]
     count = _standard_monomial_count([P.encode(m) for m in gb.leading_monomials()], t, P, bezout)
     if count != bezout:
         raise InternalError(
@@ -865,14 +839,3 @@ def regular_sequence_verdict(
         ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=gb.input_hash,
         stats={**gb.stats, "certificate": certificate}, **report,
     )
-
-
-def jacobian_rank(gens: list[Poly], point) -> int:
-    """Exact rank of the matrix (d g_i / d x_j) evaluated at the point."""
-    point = [Fraction(v) for v in point]
-    rows = []
-    for g in gens:
-        if point and g.arity != len(point):
-            raise ValueError("point length does not match generator arity")
-        rows.append([g.diff(k).evaluate(point) for k in range(g.arity)])
-    return linalg.rank(rows)

@@ -43,17 +43,14 @@ def generic_dual_matrix(L: LieAlgebraData) -> list[list[Poly]]:
         )
     n = L.dim
     forminv = L.form_inverse()
-    lin = [Poly.linear_form(forminv[i]) for i in range(n)]
+
+    def entry(a: int, b: int) -> Poly:
+        weights = [(mat[a][b], row) for mat, row in zip(L.defining, forminv) if mat[a][b]]
+        return Poly.linear_form(sum((w * row[c] for w, row in weights), Fraction(0))
+                                for c in range(n))
+
     m = len(L.defining[0])
-    X = [[Poly.zero(n) for _ in range(m)] for _ in range(m)]
-    for i in range(n):
-        mat = L.defining[i]
-        li = lin[i]
-        for a in range(m):
-            for b in range(m):
-                if mat[a][b]:
-                    X[a][b] = X[a][b] + mat[a][b] * li
-    return X
+    return [[entry(a, b) for b in range(m)] for a in range(m)]
 
 
 def _power_traces(X: list[list[Poly]], powers: list[int]) -> list[Poly]:

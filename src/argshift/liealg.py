@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from . import linalg
 from .exactpoly import InternalError, Poly
-from .groebner import jacobian_rank
 from .reports import fractions_json
 
 Vector = list[Fraction]
@@ -467,7 +466,7 @@ def index_of(L: LieAlgebraData, invariants: list[Poly] | None = None) -> IndexRe
     for pt in points:
         r = linalg.rank(structure_matrix_at(L, pt))
         ranks.append(r)
-        if n - r == jacobian_rank(invariants, pt):
+        if n - r == linalg.jacobian_rank(invariants, pt):
             report = IndexReport(n, r, n - r, [pt], "exact")
             break
     else:

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra, plus the determinant of a polynomial matrix.
+"""Exact rational linear algebra, plus the determinant of a polynomial matrix
+and the rank of a Jacobian at a point.
 
 Matrices are lists of lists of Fraction.  Everything here is deterministic:
 pivots are always the first usable row/column, so kernel bases and echelon
@@ -128,3 +129,14 @@ def poly_det(mat: list[list[Poly]]) -> Poly:
         term = mat[0][j] * poly_det(sub)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def jacobian_rank(gens: list[Poly], point) -> int:
+    """Exact rank of the matrix (d g_i / d x_j) evaluated at the point."""
+    point = [Fraction(v) for v in point]
+    rows = []
+    for g in gens:
+        if point and g.arity != len(point):
+            raise ValueError("point length does not match generator arity")
+        rows.append([g.diff(k).evaluate(point) for k in range(g.arity)])
+    return rank(rows)

@@ -2,8 +2,11 @@
 
 Two independent routes to the same data:
 
-* shift_derivative iterates the directional derivative sum xi_k d/dx_k, which
-  is the j-th derivative of t -> p(x + t*xi) at t = 0;
+* shift_derivative iterates the directional derivative D = sum xi_k d/dx_k,
+  and D^j p is the j-th derivative of t -> p(x + t*xi) at t = 0.  Each step
+  is one exactpoly.packed_dot of the constants xi against the packed gradient
+  (exactpoly.pack_gradient), the product kernel the Poisson brackets run on,
+  and mf_generators takes D^0 p .. D^(d-1) p from one pass of d - 1 steps;
 * bigraded_components substitutes x_k -> x_k + y_k in doubled variables and
   splits by y-degree, recovering the coefficients of p(s*x + t*y).
 
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactpoly import Poly
+from .exactpoly import Poly, pack_constant, pack_gradient, packed_dot, unpack
 from .invariants import InvariantFamily
 from .liealg import LieAlgebraData
 from .poisson import entry_label
@@ -37,14 +40,8 @@ def bigraded_components(p: Poly) -> list[Poly]:
         raise ValueError("input must be homogeneous")
     n = p.arity
     d = p.total_degree()
-    images = []
-    for k in range(n):
-        ex = [0] * (2 * n)
-        ey = [0] * (2 * n)
-        ex[k] = 1
-        ey[n + k] = 1
-        images.append(Poly(2 * n, {tuple(ex): Fraction(1), tuple(ey): Fraction(1)}))
-    expanded = p.substitute(images)
+    expanded = p.substitute([Poly.variable(2 * n, k) + Poly.variable(2 * n, n + k)
+                             for k in range(n)])
     buckets: dict[int, dict] = {}
     for mono, coeff in expanded.terms.items():
         ydeg = sum(mono[n:])
@@ -59,14 +56,17 @@ def shift_derivative(p: Poly, xi, j: int) -> Poly:
         raise ValueError("shift point length does not match polynomial arity")
     if j < 0 or j > max(p.total_degree(), 0):
         raise ValueError(f"derivative order {j} out of range for degree {p.total_degree()}")
-    q = p
-    for _ in range(j):
-        acc = Poly.zero(p.arity)
-        for k, c in enumerate(xi):
-            if c:
-                acc = acc + c * q.diff(k)
-        q = acc
-    return q
+    return _shifts(p, xi, j + 1)[j]
+
+
+def _shifts(p: Poly, xi: list[Fraction], count: int) -> list[Poly]:
+    """D^0 p .. D^(count-1) p, D = sum xi_k d/dx_k: count - 1 packed dots."""
+    n = p.arity
+    consts = [pack_constant(v) for v in xi]
+    out = [p]
+    while len(out) < count:
+        out.append(unpack(packed_dot(consts, pack_gradient(out[-1]), n), n))
+    return out
 
 
 @dataclass
@@ -112,8 +112,7 @@ def mf_generators(L: LieAlgebraData, fam: InvariantFamily, xi) -> MFGeneratorSet
     entries = []
     zero_entries = []
     for i, (p, d) in enumerate(zip(fam.generators, fam.degrees)):
-        for j in range(d):
-            q = shift_derivative(p, xi, j)
+        for j, q in enumerate(_shifts(p, xi, d)):
             entries.append((i, j, q))
             if q.is_zero():
                 zero_entries.append((i, j))

@@ -20,12 +20,12 @@ from argshift.groebner import (
     MonomialOrder,
     buchberger,
     ideal_dimension,
-    jacobian_rank,
     normal_form,
     regular_sequence_verdict,
 )
 from argshift.invariants import invariant_generators
 from argshift.liealg import draw_regular_dual_point, dual_of
+from argshift.linalg import jacobian_rank
 from argshift.reports import canonical_json
 from argshift.shift import mf_generators
 

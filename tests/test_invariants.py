@@ -5,13 +5,13 @@ import pytest
 
 from argshift import invariants
 from argshift.exactpoly import Poly
-from argshift.groebner import jacobian_rank
 from argshift.invariants import (
     invariant_generators,
     power_sums_to_elementary,
     verify_invariance,
 )
 from argshift.liealg import build_classical, dual_of, index_of, is_regular_point
+from argshift.linalg import jacobian_rank
 
 
 def test_sl2_casimir_value(algebras, families):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from argshift.exactpoly import Poly
-from argshift.liealg import draw_regular_dual_point, dual_of
+from argshift.invariants import invariant_generators
+from argshift.liealg import build_classical, draw_regular_dual_point, dual_of, principal_sl2
 from argshift.shift import (
     bigraded_components,
     mf_generators,
@@ -98,6 +99,53 @@ def test_shift_derivative_out_of_range(families):
     p = families[("sl", 2)].generators[0]
     with pytest.raises(ValueError):
         shift_derivative(p, [1, 1, 1], 3)
+
+
+def _naive_shift(p, xi, j):
+    """D^j p by Poly.diff and Fraction scalars, term by term."""
+    for _ in range(j):
+        acc = Poly.zero(p.arity)
+        for k, c in enumerate(xi):
+            acc = acc + Fraction(c) * p.diff(k)
+        p = acc
+    return p
+
+
+def test_shift_derivative_does_no_fraction_arithmetic_per_term(monkeypatch):
+    rng = random.Random(29)
+    p = Poly(4, {tuple(rng.randint(0, 3) for _ in range(4)): Fraction(rng.randint(-9, 9) or 1,
+                                                                     rng.randint(2, 9))
+                 for _ in range(20)})
+    xi = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(4)]
+    expected = _naive_shift(p, xi, 2)
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__"):
+        method = getattr(Fraction, name)
+
+        def counted(self, other, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    got = shift_derivative(p, xi, 2)
+    monkeypatch.undo()
+    assert len(p) == 20 and not got.is_zero()
+    assert calls == []
+    assert got == expected
+
+
+@pytest.mark.parametrize("spec", [("gl", 3), ("sp", 4), ("so", 5)])
+def test_mf_entries_are_the_shift_derivatives(spec, algebras):
+    # mf_generators takes D^0 p .. D^(d-1) p in one pass per generator
+    L = algebras[spec] if spec in algebras else build_classical(*spec)
+    fam = invariant_generators(L)
+    for xi in (dual_of(L, principal_sl2(L).e), draw_regular_dual_point(L, 31)[0]):
+        mf = mf_generators(L, fam, xi)
+        assert [(i, j) for i, j, _ in mf.entries] == [
+            (i, j) for i, d in enumerate(fam.degrees) for j in range(d)]
+        for i, j, q in mf.entries:
+            p = fam.generators[i]
+            assert q == shift_derivative(p, xi, j) == _naive_shift(p, xi, j)
 
 
 def test_mf_family_sl2(algebras, families, triples):

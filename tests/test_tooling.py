@@ -1,6 +1,7 @@
 """The runtime stays stdlib-only (pyproject.toml: dependencies = []) and has
 no hidden knobs: nothing in it reads the environment, and every random draw
-comes from a generator built from a seed."""
+comes from a generator built from a seed.  The algebra layers below the
+Groebner engine do not import it."""
 
 import ast
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "argshift"
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+# the modules that the Groebner engine's callers build on; none of them imports it
+BELOW_GROEBNER = ["linalg", "liealg", "invariants", "poisson", "shift"]
 
 
 def _nodes(path: Path):
@@ -21,6 +24,22 @@ def _absolute_imports(path: Path):
                 yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.lineno, node.module
+
+
+def _argshift_imports(path: Path):
+    """The argshift modules a file imports, relatively or absolutely, at any depth."""
+    for node in _nodes(path):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["argshift" if node.level else "", node.module]))
+            names = [package] + [f"{package}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "argshift" and len(parts) > 1:
+                yield node.lineno, parts[1]
 
 
 def _environment_reads(path: Path):
@@ -87,3 +106,13 @@ def test_src_draws_randomness_only_from_seeded_generators():
         for line, what in _unseeded_randomness(path)
     ]
     assert draws == []
+
+
+def test_algebra_layers_do_not_import_groebner():
+    imports = [
+        f"{name}.py:{line} imports groebner"
+        for name in BELOW_GROEBNER
+        for line, module in _argshift_imports(SRC / f"{name}.py")
+        if module == "groebner"
+    ]
+    assert imports == []
