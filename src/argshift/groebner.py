@@ -465,8 +465,8 @@ def buchberger(
     S-polynomials that reduced to zero, reduction steps (over every
     reduction of the run) and the basis size before minimalization.
 
-    With a prime mod, the gens have integer coefficients, read mod p, and the
-    run is over F_p.  That path serves only the F_p linear section of
+    With a prime mod, the primitive integer multiple of each gen is read mod
+    p, and the run is over F_p.  That path serves only the F_p linear section of
     regular_sequence_verdict (k forms in k variables, under degrevlex), which
     reads only the leading monomials, and it stops early (see _basis): its
     result is a minimal monic basis only up to the degree that decides
