@@ -1,10 +1,26 @@
 """Exact Groebner engine over Q (and F_p) and the regular-sequence verdict.
 
-Buchberger's algorithm with the normal (degree) pair-selection strategy and
-the coprimality and chain criteria.  Coefficients are cleared to primitive
-integer vectors, and all reductions are integer pseudo-reductions, so no
-rational arithmetic happens in the hot loop; the reduced basis is converted
-to monic rational polynomials at the end.
+A signature-based Buchberger loop (Faugere, "A new efficient algorithm for
+computing Groebner bases without reduction to zero (F5)", ISSAC 2002; Eder &
+Faugere, J. Symb. Comp. 2017).  The generators, sorted by degree with a
+stable sort, enter one at a time: generator i is reduced against the basis of
+generators 0..i-1 and enters with signature (1, i).  An element of signature
+(t, i) is t times generator i plus a combination of generators 0..i-1;
+signatures compare position over term.  A new element forms one S-pair with
+each element before it, of signature max(u*sig_a, v*sig_b) (dropped when the
+two are equal), and pairs are popped by increasing signature.  A pair is
+skipped when its t is divisible by a lead of the basis of generators 0..i-1
+(a Koszul syzygy has that signature) or by the t of an earlier zero
+reduction of index i, or when a pair of the same signature was handled.  An
+S-polynomial is reduced only by multiples of smaller signature, and dropped
+as singular when its leading term can be reduced only at its own signature.
+F5's theorem: on a homogeneous regular sequence no pair left reduces to zero
+(a zero reduction at (t, i) gives a syzygy whose coefficient of generator i
+has lead t, outside the ideal of generators 0..i-1, so generator i would be
+a zero divisor modulo them).  Coefficients are cleared to primitive integer
+vectors and all reductions are integer pseudo-reductions, so no rational
+arithmetic happens in the hot loop; the reduced basis is made monic and
+rational at the end.
 
 Inside the engine a monomial is one Python int, written with the codec of
 exactpoly.  With W = FIELD_BITS (32) and R = 2^W, the exponent vector e of n
@@ -25,22 +41,21 @@ The subtraction keeps the guard of exactly the fields where b_i >= a_i, and
 since each field of b | G is at least as large as the field of a, no field
 borrows from its neighbour.  A monomial whose degree would reach the limit
 raises InternalError and the computation yields no basis.  Under degrevlex a
-reduction never raises the degree, so the inputs and the S-pair lcms are
-checked; under lex each reduction step and each S-polynomial is checked as
-well.  Tuples are
-built once on input and once on output: Poly terms, GroebnerBasis.basis,
-leading_monomials() and normal_form's result keep tuple monomials.
+reduction never raises the degree, so the inputs, the S-polynomials and the
+signatures of the pairs are checked; under lex each reduction step is checked
+as well.  Tuples are built once on input and once on output: Poly terms,
+GroebnerBasis.basis, leading_monomials() and normal_form's result keep tuple
+monomials.
 
 Each basis element is one record, built when it enters the basis: the order
 key of its leading monomial, the leading monomial, the leading coefficient
-(made positive there, once), the terms as a tuple and how far its terms'
-degree exceeds the lead's (0 under degrevlex).  The reducers are those
-records in a list kept sorted by key with ``bisect.insort``; the divisor scan
-stops at the first lead above the monomial, which no divisor is.  The
-critical pairs wait in a heap of (degree of the lcm, i, j) next to the set of
-pending pairs that the chain criterion reads.  Output is deterministic for a
-fixed input sequence and order, which is what makes the golden reports
-sound, and so are the engine counters in GroebnerBasis.stats.
+(made positive there, once), the terms as a tuple, how far its terms' degree
+exceeds the lead's (0 under degrevlex) and its signature.  The reducers are
+those records in a list kept sorted by key with ``bisect.insort``; the
+divisor scan stops at the first lead above the monomial, which no divisor
+is.  Output is deterministic for a fixed input sequence and order, which is
+what makes the golden reports sound, and so are the engine counters in
+GroebnerBasis.stats.
 
 The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
@@ -49,8 +64,7 @@ monomial (computed as a minimum hitting set over the supports).
 The same kernel runs over F_p when buchberger is given a modulus p: its
 records are monic, so the integer rescale never fires, coefficients are
 reduced mod p when a monomial is popped, and no content is taken.  That path
-serves only the linear section below, and stops as soon as the section is
-decided.
+serves only the linear section below.
 
 regular_sequence_verdict decides "f_1..f_k regular" (homogeneous, positive
 degrees, in n variables) in this order: a zero generator makes the verdict
@@ -58,16 +72,18 @@ false (certificate "degenerate"); then, when the Bezout number
 D = prod deg f_i is at most SECTION_MAX_BEZOUT, the F_p linear section below
 may prove it true ("fp-section"); otherwise, or when the section is not
 zero-dimensional, the exact engine over Q decides ("exact").  Only the exact
-engine proves a verdict false.  Above the cap the section costs more than the
-exact engine on the inputs measured (the sl_3 bicone, D = 648); below it the
-exact engine is the slow side (sp_4, sl_4 and gl_4 shift families).
+engine proves a verdict false, and a true one with a zero reduction, which
+F5's theorem rules out, raises InternalError.  Above the cap the section
+costs more than the exact engine on the inputs measured (the sl_3 bicone,
+D = 648); below it the exact engine is the slow side (sp_4, sl_4 and gl_4
+shift families).
 
 The section: with p = SECTION_PRIME and a seeded n x k matrix A of residues
 mod p, g_i(t) is the primitive integer multiple of f_i(A t), which
 Poly.substitute forms and buchberger reduces mod p, and its basis is
-computed over F_p in k variables.  The section is
-accepted when every t_j has a pure power among the leading monomials, that
-is, when F_p[t]/(g) is finite-dimensional.  Why that proves the verdict:
+computed over F_p in k variables.  The section is accepted when every t_j
+has a pure power among the leading monomials, that is, when F_p[t]/(g) is
+finite-dimensional.  Why that proves the verdict:
 M = Z_(p)[t]/(g) is finitely generated in each degree, so by Nakayama
 dim_Q (M (x) Q)_d <= dim_Fp (M (x) F_p)_d: in every degree the Hilbert
 function over Q is at most the one over F_p.  So Q[t]/(g) is
@@ -86,8 +102,8 @@ zero-dimensionality, so the seeded R is as generic as a seeded A.  The F_p
 basis is computed only up to degree s + 1, s = sum(d_i - 1): were the section
 zero-dimensional, its quotient would vanish above degree s, so every minimal
 lead, pure powers included, would have degree at most s + 1; a section that
-is not zero-dimensional is thus given up at that degree, or at once when a
-generator reduces to zero against the others.
+is not zero-dimensional is thus given up at that degree, or at its first
+zero reduction, by which F5's theorem proves the g no regular sequence.
 """
 
 from __future__ import annotations
@@ -104,7 +120,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .exactpoly import (
-    FIELD_BITS, InternalError, Monomial, Poly, decode, encode, format_poly, grevlex_key,
+    FIELD_BITS, InternalError, Monomial, Poly, _poly, decode, encode, format_poly, grevlex_key,
     guard_mask,
 )
 
@@ -120,11 +136,8 @@ SECTION_MAX_BEZOUT = 512
 
 
 class GBTimeout(Exception):
-    """Raised when a basis computation exceeds its time budget.
-
-    stats holds the counters reached so far: pairs formed, reduction steps
-    and basis size.
-    """
+    """Raised when a basis computation exceeds its time budget; stats holds the
+    counters reached so far: pairs formed, reduction steps and basis size."""
 
     def __init__(self, message: str, stats: dict | None = None):
         super().__init__(message)
@@ -186,7 +199,7 @@ class _Packing:
     exactpoly.encode and exactpoly.decode, and the guard bits are exactpoly's.
     """
 
-    __slots__ = ("n", "lex", "w", "s", "guard", "limit", "low", "ones")
+    __slots__ = ("n", "lex", "w", "s", "guard", "limit", "low", "ones", "big")
 
     def __init__(self, n: int, order: MonomialOrder):
         w = self.w = FIELD_BITS
@@ -196,6 +209,7 @@ class _Packing:
         self.limit = EXPONENT_LIMIT
         self.low = (1 << (w * n)) - 1  # the n exponent fields
         self.ones = sum(1 << (w * i) for i in range(n))
+        self.big = 1 << (w * (n + 1))  # above every key: (t, i) has signature key i*big + key(t)
 
     def encode(self, mono: Monomial) -> int:
         d = sum(mono)
@@ -226,9 +240,7 @@ class _Packing:
         t = ((a | g) - b) & g  # the guard bits of the fields where a_i >= b_i
         t |= t - (t >> (self.w - 1))  # ... widened to the whole field
         m = (a & t) | (b & ~t)
-        d = self.degree(m)
-        self.check(d)
-        return m if self.lex else (m & self.low) + (d << self.s)
+        return m if self.lex else (m & self.low) + (self.degree(m) << self.s)
 
     def check(self, degree: int) -> None:
         if degree >= self.limit:
@@ -253,9 +265,11 @@ class _Record(NamedTuple):
     lc: int  # positive
     terms: tuple  # ((monomial, int), ...), content 1
     grow: int  # highest term degree minus deg lm: 0 under degrevlex
+    sig: int  # the monomial t of the signature (t, i), 0 outside _basis
+    skey: int  # the signature's key, i*P.big + key(t)
 
 
-def _record(d: IntPoly, P: _Packing, mod: int = 0) -> _Record:
+def _record(d: IntPoly, P: _Packing, budget: _Budget, mod=0, sig=0, skey=0) -> _Record:
     lm = max(d, key=P.key)
     if mod:
         if d[lm] != 1:
@@ -263,8 +277,10 @@ def _record(d: IntPoly, P: _Packing, mod: int = 0) -> _Record:
             d = {m: c * inv % mod for m, c in d.items()}
     elif d[lm] < 0:
         d = {m: -c for m, c in d.items()}
-    grow = max(map(P.degree, d)) - P.degree(lm)
-    return _Record(P.key(lm), lm, d[lm], tuple(d.items()), grow)
+    top = max(map(P.degree, d))
+    budget.degree = max(budget.degree, top)
+    budget.bits = max(budget.bits, max(abs(c) for c in d.values()).bit_length())
+    return _Record(P.key(lm), lm, d[lm], tuple(d.items()), top - P.degree(lm), sig, skey)
 
 
 def _by_key(rec: _Record):
@@ -292,33 +308,32 @@ def _content_normalize(d: IntPoly) -> None:
 
 class _Budget:
     """Cooperative deadline checks for the inner loops, and the counters of
-    the run under them: reduction steps, pairs formed and the basis records
-    (a list _basis grows in place), which a GBTimeout carries out.
+    the run under them: reduction steps, pairs formed, the basis records
+    (a list _basis grows in place), which a GBTimeout carries out, and the
+    largest term degree and coefficient bit length of any record.
 
     The clock is read on every tick: one reduction step can cost far more
     than a clock read once coefficients grow.
     """
 
-    __slots__ = ("deadline", "steps", "pairs", "records")
+    __slots__ = ("deadline", "steps", "pairs", "records", "degree", "bits")
 
     def __init__(self, timeout_secs):
         self.deadline = deadline_after(timeout_secs)
-        self.steps = self.pairs = 0
+        self.steps = self.pairs = self.degree = self.bits = 0
         self.records: list = []
 
     def tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise GBTimeout(
-                "basis computation exceeded the time budget",
-                {"pairs_formed": self.pairs, "reduction_steps": self.steps,
-                 "basis_size": len(self.records)},
-            )
+            raise GBTimeout("basis computation exceeded the time budget", {
+                "pairs_formed": self.pairs, "reduction_steps": self.steps,
+                "basis_size": len(self.records)})
 
 
 def _reduce_full(
     f, reducers: list[_Record], P: _Packing, budget: _Budget, out: IntPoly | None = None,
-    mod: int = 0,
-) -> IntPoly:
+    mod: int = 0, bound: int | None = None,
+) -> IntPoly | None:
     """Full normal form of f (a dict or a tuple of items) against reducers
     (records sorted by key).
 
@@ -332,6 +347,10 @@ def _reduce_full(
     With a prime mod, the reducers are monic and the result is the normal
     form over F_p, coefficients in [1, mod); entries of work are reduced only
     when their monomial is popped.
+
+    Under a signature key bound (see _basis) a reducer qualifies for the term
+    m only when its multiple's signature, (m - lm)*sig, is below bound; when
+    the leading term can be reduced only at bound itself, the result is None.
     """
     if not f:
         return {}
@@ -353,14 +372,18 @@ def _reduce_full(
                 del work[m]
                 continue
         mkey, mg = -v, m | guard
-        hit = None
-        for key, lm, lc, terms, grow in reducers:
+        hit, singular = None, False
+        for key, lm, lc, terms, grow, _, skey in reducers:
             if key > mkey:
                 break  # a divisor of m is not above m
             if (mg - lm) & guard == guard:  # P.divides(lm, m), inlined
-                hit = (lm, lc, terms, grow)
-                break
+                if bound is None or mkey - key + skey < bound:
+                    hit = (lm, lc, terms, grow)
+                    break
+                singular = singular or mkey - key + skey == bound
         if hit is None:
+            if singular and not out:  # the leading term: out starts empty under a bound
+                return None
             out[m] = c
             del work[m]
             continue
@@ -413,8 +436,7 @@ def _reduce_full(
 
 
 def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing, mod: int = 0) -> IntPoly:
-    if f.grow or g.grow:  # lex only: a term may outgrow the lcm's degree
-        P.check(P.degree(lcm) + max(f.grow, g.grow))
+    P.check(P.degree(lcm) + max(f.grow, g.grow))  # grow > 0 under lex only
     d = gcd(f.lc, g.lc)
     mf, mg = lcm - f.lm, lcm - g.lm
     af, ag = g.lc // d, f.lc // d
@@ -440,11 +462,8 @@ def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing, mod: int = 0) -> IntPo
 
 
 def input_digest(gens: list[Poly], order: MonomialOrder, arity: int) -> str:
-    payload = json.dumps(
-        {"order": order.to_json(), "arity": arity, "generators": [format_poly(p) for p in gens]},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    payload = {"order": order.to_json(), "arity": arity, "generators": [format_poly(p) for p in gens]}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def buchberger(
@@ -458,19 +477,24 @@ def buchberger(
 
     Deterministic for a fixed input sequence and order.  Zero generators are
     ignored; an empty input yields the empty basis (pass arity in that
-    case).  Raises GBTimeout when the time budget runs out.
-
-    The basis carries deterministic engine counters in stats: critical pairs
-    formed, pairs skipped by the coprime and by the chain criterion,
-    S-polynomials that reduced to zero, reduction steps (over every
-    reduction of the run) and the basis size before minimalization.
+    case).  Raises GBTimeout when the time budget runs out.  The loop is the
+    signature-based one of the module docstring: an S-pair is skipped when
+    its signature is divisible by a Koszul or an earlier zero-reduction
+    signature, or repeats the one just handled.  stats holds its
+    deterministic counters: critical pairs formed, pairs skipped by the
+    first two rules (pairs_koszul), by the third or as singular
+    (pairs_rewritten), S-polynomials that reduced to zero, reduction steps
+    (over every reduction of the run), the basis size before
+    minimalization, and the largest term degree and coefficient bit length
+    of a record.
 
     With a prime mod, the primitive integer multiple of each gen is read mod
-    p, and the run is over F_p.  That path serves only the F_p linear section of
-    regular_sequence_verdict (k forms in k variables, under degrevlex), which
-    reads only the leading monomials, and it stops early (see _basis): its
-    result is a minimal monic basis only up to the degree that decides
-    whether the section is zero-dimensional, not inter-reduced.
+    p, and the run is over F_p.  That path serves only the F_p linear section
+    of regular_sequence_verdict (k forms in k variables, under degrevlex),
+    which reads only the leading monomials.  It stops at the first zero
+    reduction, which by F5's theorem proves that the forms are not a regular
+    sequence, and at degree s + 1 (see _basis): its result is a minimal monic
+    basis only up to that degree, not inter-reduced.
     """
     order = order or MonomialOrder()
     if gens:
@@ -485,126 +509,115 @@ def buchberger(
     polys = [_to_int_poly(p, P) for p in gens]
     if mod:
         polys = [{m: c % mod for m, c in f.items() if c % mod} for f in polys]
-    reducers, stats = _basis(polys, P, budget, mod)
-    basis = _reduce_and_normalize(reducers, P, budget, mod)
+    stats = _basis(polys, P, budget, mod)
+    basis = _reduce_and_normalize(budget.records, P, budget, mod)
     stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
-    return GroebnerBasis(
-        order=order, arity=arity, basis=basis,
-        input_hash=None if mod else input_digest(gens, order, arity), stats=stats,
-    )
+    return GroebnerBasis(order=order, arity=arity, basis=basis, stats=stats,
+                         input_hash=None if mod else input_digest(gens, order, arity))
 
 
-def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0):
-    """Buchberger's loop over Q, or over F_p for a prime mod (polys reduced mod it).
+def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> dict:
+    """The signature-based loop over Q, or over F_p for a prime mod (polys reduced mod it).
 
-    Returns the records of a Groebner basis, sorted by key and not
-    minimalized, and the engine counters.  The basis grows in
-    budget.records, so that a GBTimeout reports its size.
-
-    Over F_p the loop is the section's: k homogeneous polys in k variables
-    under degrevlex, asked only whether they generate an ideal primary to the
-    maximal ideal, which then holds all monomials of degree s + 1,
-    s = sum(d_i - 1).  So it stops with fewer than k records when a poly
-    reduces to zero against the others (then k - 1 of them generate the
-    ideal, whose height is below k), and leaves out the pairs of degree above
-    s + 1: the result is a basis up to that degree, which holds every minimal
-    lead of such an ideal.
+    Leaves the minimal records of a Groebner basis, sorted by key, in
+    budget.records (where the basis grows, so that a GBTimeout reports its
+    size) and returns the engine counters.  A signature (t, i) is the int
+    i*P.big + key(t).  Over F_p the loop is the section's (see the module
+    docstring): it stops at the first zero reduction and leaves out the pairs
+    of degree above s + 1, s = sum(d_i - 1).
     """
-    G: list[_Record] = budget.records  # pairs index into G
+    G: list[_Record] = budget.records  # heap entries index into G
     reducers: list[_Record] = []  # the records of G, sorted by key
-    coprime = chain = zeros = 0
-    top = sum(P.degree(next(iter(f))) - 1 for f in polys if f) + 1 if mod else 0
-    for f in polys:
-        r = _reduce_full(f, reducers, P, budget, mod=mod)
-        if r:
-            G.append(_record(r, P, mod))
-            insort(reducers, G[-1], key=_by_key)
-    # inter-reduce the seed basis to a fixpoint; linear generators then
-    # eliminate their variables before any pair is formed
-    changed = True
-    while changed and len(G) > 1:
-        changed = False
-        for idx, rec in enumerate(G):
-            reducers.remove(rec)
-            r = _reduce_full(rec.terms, reducers, P, budget, mod=mod)
-            if r == dict(rec.terms):
+    koszul = rewritten = zeros = 0
+    guard = P.guard
+    polys = sorted((f for f in polys if f), key=lambda f: max(map(P.degree, f)))
+    top = sum(P.degree(next(iter(f))) - 1 for f in polys) + 1 if mod else 0
+    for i, f in enumerate(polys):
+        leads = [rec.lm for rec in _minimal(reducers, P)]  # of a basis of polys 0..i-1
+        syzygies: list[int] = []  # the t of each zero reduction of index i
+        heap: list = []  # (signature, -position of the side that gives it, -the other's, t)
+        h, t, S = f, 0, i * P.big
+        while True:
+            r = _reduce_full(h, reducers, P, budget, mod=mod, bound=S)
+            if r is None:
+                rewritten += 1
+            elif not r:
+                zeros += 1
+                if mod:
+                    break  # not a regular sequence: the section stops here
+                syzygies.append(t)
+            else:
+                n = len(G)
+                rec = _record(r, P, budget, mod, t, S)
+                G.append(rec)
                 insort(reducers, rec, key=_by_key)
-                continue
-            changed = True
-            if not r:
-                G.pop(idx)
+                budget.pairs += n
+                for j, other in enumerate(G[:n]):
+                    lcm_ab = P.lcm(rec.lm, other.lm)
+                    if mod and P.degree(lcm_ab) > top:
+                        continue
+                    k = P.key(lcm_ab)
+                    sa, sb = rec.skey + k - rec.key, other.skey + k - other.key
+                    if sa == sb:
+                        rewritten += 1
+                        continue
+                    hi, x, y = (rec, n, j) if sa > sb else (other, j, n)
+                    u = lcm_ab - hi.lm + hi.sig
+                    P.check(P.degree(u))
+                    if any(((u | guard) - lm) & guard == guard for lm in leads):
+                        koszul += 1
+                        continue
+                    heappush(heap, (max(sa, sb), -x, -y, u))
+            # the next pair: the smallest signature that no criterion skips
+            last = S
+            while heap:
+                S, na, nb, t = heappop(heap)
+                if S == last:
+                    rewritten += 1
+                elif any(P.divides(z, t) for z in syzygies):
+                    koszul += 1
+                else:
+                    break
+            else:
                 break
-            G[idx] = _record(r, P, mod)
-            insort(reducers, G[idx], key=_by_key)
-
-    pending = {(i, j) for j in range(len(G)) for i in range(j)}
-    if mod and len(G) < len(polys):
-        pending = set()  # fewer than k generate the ideal
-    heap = [(P.degree(P.lcm(G[i].lm, G[j].lm)), i, j) for i, j in pending]
-    heapify(heap)
-    budget.pairs = len(heap)
-    while heap:
-        budget.tick()
-        d, i, j = heappop(heap)
-        if mod and d > top:
+            budget.tick()
+            a, b = G[-na], G[-nb]
+            h = _spoly(a, b, P.lcm(a.lm, b.lm), P, mod)
+        if mod and zeros:
             break
-        pending.discard((i, j))
-        li, lj = G[i].lm, G[j].lm
-        lcm_ij = P.lcm(li, lj)
-        # first criterion: coprime leading monomials
-        if lcm_ij == li + lj:
-            coprime += 1
-            continue
-        # chain criterion: some k with lt_k | lcm and both side pairs done
-        if any(
-            k != i and k != j and P.divides(rec.lm, lcm_ij)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, rec in enumerate(G)
-        ):
-            chain += 1
-            continue
-        r = _reduce_full(_spoly(G[i], G[j], lcm_ij, P, mod), reducers, P, budget, mod=mod)
-        if not r:
-            zeros += 1
-            continue
-        t = len(G)
-        G.append(_record(r, P, mod))
-        insort(reducers, G[t], key=_by_key)
-        for a in range(t):
-            pending.add((a, t))
-            heappush(heap, (P.degree(P.lcm(G[a].lm, G[t].lm)), a, t))
-        budget.pairs += t
-    return reducers, {
-        "pairs_formed": budget.pairs,
-        "pairs_coprime": coprime,
-        "pairs_chain": chain,
-        "zero_reductions": zeros,
-        "reduction_steps": budget.steps,
-        "basis_before_minimal": len(reducers),
-    }
+    G[:] = _minimal(reducers, P)  # the other records and the pairs are done with
+    return {"pairs_formed": budget.pairs, "pairs_koszul": koszul, "pairs_rewritten": rewritten,
+            "zero_reductions": zeros, "reduction_steps": budget.steps,
+            "basis_before_minimal": len(reducers), "max_degree": budget.degree,
+            "coeff_bits_max": budget.bits}
 
 
-def _reduce_and_normalize(
-    reducers: list[_Record], P: _Packing, budget: _Budget, mod: int = 0
-) -> list[Poly]:
-    """Minimalize, inter-reduce and make monic; sorted by key, as reducers are.
+def _minimal(records: list[_Record], P: _Packing) -> list[_Record]:
+    """The records (sorted by key) whose lead no earlier kept lead divides."""
+    kept: list[_Record] = []
+    for rec in records:
+        if not any(P.divides(m.lm, rec.lm) for m in kept):
+            kept.append(rec)
+    return kept
 
-    A lead kept by minimalization is divisible by no other kept lead, so it
-    survives the inter-reduction and is still the record's lm.  Over F_p the
-    records are monic already and are not inter-reduced (see buchberger).
+
+def _reduce_and_normalize(minimal: list[_Record], P: _Packing, budget: _Budget, mod=0) -> list[Poly]:
+    """Inter-reduce the minimal records and make them monic; sorted by key.
+
+    A lead of a minimal basis is divisible by no other lead, so it survives
+    the inter-reduction and is still the record's lm; a divisor of a term
+    below the lead is a lead of smaller key, so each record is reduced by
+    the reduced ones before it and replaced.  The list is emptied as it is
+    decoded, so that the records and the output never all live at once.
+    Over F_p the records are monic already and are not inter-reduced.
     """
-    minimal: list[_Record] = []
-    for rec in reducers:
-        if not any(P.divides(m.lm, rec.lm) for m in minimal):
-            minimal.append(rec)
+    for idx, rec in enumerate(minimal if not mod else ()):
+        minimal[idx] = _record(_reduce_full(rec.terms, minimal[:idx], P, budget), P, budget)
     out: list[Poly] = []
-    for idx, rec in enumerate(minimal):
-        r = dict(rec.terms) if mod else _reduce_full(
-            rec.terms, minimal[:idx] + minimal[idx + 1 :], P, budget)
-        lc = r[rec.lm]
-        out.append(Poly(P.n, {P.decode(m): Fraction(c, lc) for m, c in r.items()}))
-    return out
+    while minimal:
+        rec = minimal.pop()
+        out.append(_poly(P.n, {P.decode(m): Fraction(c, rec.lc) for m, c in rec.terms}))
+    return out[::-1]
 
 
 _SCALE = None  # key of normal_form's factor entry in out; no monomial equals it
@@ -621,14 +634,14 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder | None = None) 
     g = _to_int_poly(f, P)
     if not g:
         return Poly(f.arity)
-    reducers = [_record(_to_int_poly(b, P), P) for b in basis if not b.is_zero()]
+    budget = _Budget(None)
+    reducers = [_record(_to_int_poly(b, P), P, budget) for b in basis if not b.is_zero()]
     reducers.sort(key=_by_key)
     # the kernel returns factor * NF(g), factor in the _SCALE entry, and g = (g/f) * f,
     # read off the first term (g keeps the term order of f)
-    out = _reduce_full(g, reducers, P, _Budget(None), out={_SCALE: 1})
+    out = _reduce_full(g, reducers, P, budget, out={_SCALE: 1})
     scale = out.pop(_SCALE) * (next(iter(g.values())) / next(iter(f.terms.values())))
     return Poly(f.arity, {P.decode(k): v / scale for k, v in out.items()})
-
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +661,7 @@ def _min_hitting_set_size(supports: list[frozenset[int]]) -> int:
         nonlocal best
         if size >= best:
             return
-        pending = None
-        for s in keep:
-            if not (s & chosen):
-                pending = s
-                break
+        pending = next((s for s in keep if not s & chosen), None)
         if pending is None:
             best = size
             return
@@ -702,16 +711,16 @@ def _section_certificate(
     images = [Poly.variable(k, j) if j < k
               else Poly.linear_form(rng.randrange(p) for _ in range(k)) for j in range(n)]
     gb = buchberger([f.substitute(images) for f in gens], timeout_secs=timeout_secs, mod=p)
-    if ideal_dimension(gb) != 0:  # some t_j has no pure power among the leads
+    # a zero reduction proves the section is no regular sequence; otherwise some t_j
+    # may have no pure power among the leads
+    if gb.stats["zero_reductions"] or ideal_dimension(gb) != 0:
         return None
     P = _Packing(k, MonomialOrder())
     t = [P.encode(tuple(int(i == j) for i in range(k))) for j in range(k)]
     count = _standard_monomial_count([P.encode(m) for m in gb.leading_monomials()], t, P, bezout)
     if count != bezout:
-        raise InternalError(
-            f"the zero-dimensional F_p section has {count} standard monomials, not the "
-            f"Bezout number {bezout}: engine bug"
-        )
+        raise InternalError(f"the zero-dimensional F_p section has {count} standard monomials, "
+                            f"not the Bezout number {bezout}: engine bug")
     return gb.stats
 
 
@@ -752,18 +761,10 @@ class DimensionReport:
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "arity": self.arity,
-            "generator_count": self.generator_count,
-            "ideal_dimension": self.ideal_dimension,
-            "expected_dimension": self.expected_dimension,
-            "verdict": self.verdict,
-            "status": self.status,
-            "zero_generators": [list(z) for z in self.zero_generators],
-            "order": self.order.to_json(),
-            "input_hash": self.input_hash,
-            "stats": self.stats,
-        }
+        out = {name: getattr(self, name) for name in (
+            "arity", "generator_count", "ideal_dimension", "expected_dimension", "verdict", "status")}
+        out.update(zero_generators=[list(z) for z in self.zero_generators],
+                   order=self.order.to_json(), input_hash=self.input_hash, stats=self.stats)
         out.update(self.extra)
         return out
 
@@ -809,10 +810,8 @@ def regular_sequence_verdict(
     degrees = [p.total_degree() for p in gens]
     bezout = prod(degrees)
     section = k > 0 and min(degrees) > 0 and bezout <= SECTION_MAX_BEZOUT
-    certificate = {"kind": "exact"}
-    if section:
-        certificate = {"kind": "fp-section", "prime": SECTION_PRIME, "seed": SECTION_SEED,
-                       "bezout": bezout}
+    certificate = {"kind": "fp-section", "prime": SECTION_PRIME, "seed": SECTION_SEED,
+                   "bezout": bezout} if section else {"kind": "exact"}
     try:
         budget.tick()  # a budget spent before the call leaves no time for either engine
         if section:
@@ -832,9 +831,10 @@ def regular_sequence_verdict(
             stats={**err.stats, "certificate": certificate}, **report,
         )
     if dim != -1 and dim < n - k:
-        raise InternalError(
-            f"computed dimension {dim} below the Krull bound {n - k}: engine bug"
-        )
+        raise InternalError(f"computed dimension {dim} below the Krull bound {n - k}: engine bug")
+    if dim == n - k and gb.stats["zero_reductions"]:  # F5's theorem, see the module docstring
+        raise InternalError(f"{gb.stats['zero_reductions']} zero reductions on a regular "
+                            "sequence, which F5's theorem rules out: engine bug")
     return DimensionReport(
         ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=gb.input_hash,
         stats={**gb.stats, "certificate": certificate}, **report,

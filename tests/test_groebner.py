@@ -162,13 +162,16 @@ def _monomials(n, d):
 
 
 @st.composite
-def homogeneous_systems(draw):
-    """2-4 homogeneous polynomials in 2-4 variables, degree <= 3, small integer coefficients."""
+def small_systems(draw):
+    """2-4 polynomials in 2-4 variables, degree <= 3, small integer coefficients:
+    homogeneous, or with terms of every degree up to the top one."""
     n = draw(st.integers(2, 4))
+    homogeneous = draw(st.booleans())
     system = []
     for _ in range(draw(st.integers(2, 4))):
-        monos = draw(st.lists(st.sampled_from(_monomials(n, draw(st.integers(1, 3)))),
-                              min_size=1, max_size=4, unique=True))
+        top = draw(st.integers(1, 3))
+        monos = [m for d in ([top] if homogeneous else range(top + 1)) for m in _monomials(n, d)]
+        monos = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
         coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
                                min_size=len(monos), max_size=len(monos)))
         system.append(Poly(n, dict(zip(monos, coeffs))))
@@ -179,26 +182,28 @@ def _monic_term_sets(polys):
     return {frozenset(p.terms.items()) for p in polys}
 
 
-@pytest.mark.parametrize("kind,sympy_order", [("degrevlex", "grevlex"), ("lex", "lex")])
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(system=homogeneous_systems())
-def test_reduced_basis_matches_sympy(kind, sympy_order, system):
+def _sympy_basis(system, sympy_order):
+    """sympy's reduced Groebner basis of the system over Q, monic."""
     import sympy
 
-    n = system[0].arity
-    xs = sympy.symbols(f"v0:{n}")
-    exprs = [sum(int(c) * sympy.Mul(*(v**e for v, e in zip(xs, m))) for m, c in p.terms.items())
-             for p in system]
-    ref = sympy.groebner(exprs, *xs, order=sympy_order, domain="QQ")
-    want = []
-    for e in ref.exprs:
-        poly = sympy.Poly(e, *xs, domain="QQ")
-        lc = poly.LC(order=sympy_order)  # monic() would divide by the lex leading coefficient
-        want.append(Poly(n, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
-                    * Fraction(int(lc.q), int(lc.p)))
-    gb = buchberger(system, MonomialOrder(kind))
-    assert _monic_term_sets(gb.basis) == _monic_term_sets(want)
-    assert len(gb.basis) == len(want)
+    xs = sympy.symbols(f"v0:{system[0].arity}")
+    ref = sympy.groebner([_as_sympy(p, xs) for p in system], *xs, order=sympy_order, domain="QQ")
+    # monic() would divide by the lex leading coefficient
+    return [_from_sympy(e / sympy.Poly(e, *xs, domain="QQ").LC(order=sympy_order), xs)
+            for e in ref.exprs]
+
+
+@pytest.mark.parametrize("kind,sympy_order", [("degrevlex", "grevlex"), ("lex", "lex")])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(system=small_systems(), data=st.data())
+def test_reduced_basis_matches_sympy(kind, sympy_order, system, data):
+    # the generators enter one at a time, so their order must not matter either
+    shuffled = data.draw(st.permutations(system))
+    want = _sympy_basis(system, sympy_order)
+    for gens in (system, shuffled):
+        gb = buchberger(gens, MonomialOrder(kind))
+        assert _monic_term_sets(gb.basis) == _monic_term_sets(want)
+        assert len(gb.basis) == len(want)
 
 
 def _as_sympy(p, xs):
@@ -347,9 +352,10 @@ def test_engine_counters_repeat_and_stay_out_of_digests(algebras, families, trip
     gens = _shift_family(algebras, families, triples, ("gl", 3), 5)
     a, b = buchberger(gens), buchberger(gens)
     assert a.stats == b.stats
-    assert set(a.stats) == {"pairs_formed", "pairs_coprime", "pairs_chain", "zero_reductions",
-                            "reduction_steps", "basis_before_minimal"}
-    skipped = a.stats["pairs_coprime"] + a.stats["pairs_chain"] + a.stats["zero_reductions"]
+    assert set(a.stats) == {"pairs_formed", "pairs_koszul", "pairs_rewritten", "zero_reductions",
+                            "reduction_steps", "basis_before_minimal", "max_degree",
+                            "coeff_bits_max"}
+    skipped = a.stats["pairs_koszul"] + a.stats["pairs_rewritten"] + a.stats["zero_reductions"]
     assert 0 < skipped <= a.stats["pairs_formed"]
     assert a.stats["basis_before_minimal"] >= len(a.basis)
     assert a.stats["reduction_steps"] > 0
@@ -495,12 +501,12 @@ def test_timeout_is_inconclusive(algebras, families):
     assert rep.ideal_dimension is None
 
 
-# under lex this system's coefficients grow so fast that a few reduction steps
-# take seconds, so the budget must read the clock on every step
+# under lex this system's basis takes tens of seconds, with coefficients of thousands
+# of bits, so the budget must read the clock on every step
 COEFFICIENT_GROWTH_SYSTEM = [
-    "-5/3*x1^2*x2^2 + 1/2*x1*x2^2 + 5/2*x0",
-    "-3/2*x0^2*x1^2 + 2*x1^2*x2 - 2/3*x0*x2 + x1*x2",
-    "-5/3*x0^2*x1^2*x2 + 2*x0^2*x1^2 - 3*x1^2*x2^2 - 2/3*x0",
+    "3*x0^4*x1*x2 + 3*x0^3*x2^3 + x0*x2^2 + 3*x1*x2",
+    "2*x0^2*x2^4 - 3*x0^2*x1^3 + 4*x1*x2",
+    "4*x0^4*x1^2*x2^2 - 2*x0*x1^4*x2^3 - 5*x0*x1^4*x2",
 ]
 
 
@@ -510,6 +516,17 @@ def test_timeout_bounds_coefficient_growth():
     with pytest.raises(GBTimeout):
         buchberger(gens, order=MonomialOrder("lex"), timeout_secs=3)
     assert time.monotonic() - start < 10
+
+
+def test_lex_basis_with_coefficient_growth_matches_sympy():
+    # under lex this system's coefficients grow fast: its basis must still be sympy's
+    gens = [parse_poly(t, 3) for t in [
+        "-5/3*x1^2*x2^2 + 1/2*x1*x2^2 + 5/2*x0",
+        "-3/2*x0^2*x1^2 + 2*x1^2*x2 - 2/3*x0*x2 + x1*x2",
+        "-5/3*x0^2*x1^2*x2 + 2*x0^2*x1^2 - 3*x1^2*x2^2 - 2/3*x0",
+    ]]
+    gb = buchberger(gens, order=MonomialOrder("lex"), timeout_secs=60)
+    assert _monic_term_sets(gb.basis) == _monic_term_sets(_sympy_basis(gens, "lex"))
 
 
 def test_cache_dir_other_than_none_is_rejected():
@@ -582,6 +599,8 @@ def test_section_report_is_the_exact_report(algebras, families, triples, so5, sp
     assert exact.stats["certificate"] == {"kind": "exact"}
     assert section.verdict is True
     assert canonical_json(section.to_json_dict()) == canonical_json(exact.to_json_dict())
+    # F5's theorem: on a regular sequence no S-polynomial reduces to zero
+    assert section.stats["zero_reductions"] == exact.stats["zero_reductions"] == 0
 
 
 @pytest.mark.parametrize("partition", [(3,), (2, 1), (1, 1, 1)])
@@ -615,16 +634,30 @@ def _matrix_point(L, entries):
 
 
 @pytest.mark.parametrize("spec", list(NON_REGULAR_DIAGONALS))
-def test_non_regular_points_fall_through_to_the_exact_engine(algebras, families, so5, spec):
+def test_non_regular_points_fall_through_to_the_exact_engine(
+    algebras, families, so5, spec, monkeypatch
+):
     L, fam = so5[:2] if spec == ("so", 5) else (algebras[spec], families[spec])
     xi = _matrix_point(L, {(a, a): v for a, v in enumerate(NON_REGULAR_DIAGONALS[spec])})
     gens = mf_generators(L, fam, xi).polynomials()
     assert all(not p.is_zero() for p in gens)
     assert prod(p.total_degree() for p in gens) <= groebner.SECTION_MAX_BEZOUT
+    runs = []
+    real = groebner.buchberger
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner, "buchberger", recorded)
     rep = regular_sequence_verdict(gens, L.dim)
     assert rep.status == "ok" and rep.verdict is False
     assert rep.ideal_dimension > rep.expected_dimension
     assert rep.stats["certificate"] == {"kind": "exact"}
+    section, exact = runs
+    assert section.input_hash is None  # the F_p run
+    assert section.stats["zero_reductions"] == 1  # it stops at the first
+    assert exact.stats["zero_reductions"] >= 1
 
 
 def test_minimal_nilpotent_is_decided_before_the_section(algebras, families):
@@ -670,6 +703,22 @@ def test_bicone_above_the_bezout_cap_uses_the_exact_engine(algebras, families):
     rep = bicone.bicone_dimension_check(L, fam)
     assert rep.verdict is True and rep.ideal_dimension == 9
     assert rep.stats["certificate"] == {"kind": "exact"}
+    assert rep.stats["zero_reductions"] == 0
+
+
+def test_zero_reduction_in_a_true_exact_verdict_is_internal_error(monkeypatch):
+    real = groebner.buchberger
+
+    def one_more_zero_reduction(*args, **kwargs):
+        gb = real(*args, **kwargs)
+        gb.stats["zero_reductions"] += 1
+        return gb
+
+    monkeypatch.setattr(groebner, "buchberger", one_more_zero_reduction)
+    monkeypatch.setattr(groebner, "SECTION_MAX_BEZOUT", 0)  # the exact engine decides
+    assert regular_sequence_verdict([x, x * y], 2).verdict is False  # false: no check
+    with pytest.raises(InternalError, match="F5's theorem"):
+        regular_sequence_verdict([x * x, y * y], 2)
 
 
 def test_inconclusive_report_keeps_partial_counters(algebras, families):
