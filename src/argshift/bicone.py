@@ -96,7 +96,7 @@ def bicone_membership(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
 def bicone_dimension_check(
     L: LieAlgebraData,
     fam: InvariantFamily,
-    order: MonomialOrder | None = None,
+    order: MonomialOrder | None = None,  # unread: bench/workloads.py passes it; remove with it
     timeout_secs: float | None = None,
     cache_dir: None = None,  # passed on; regular_sequence_verdict accepts only None
 ) -> DimensionReport:
@@ -110,7 +110,6 @@ def bicone_dimension_check(
     report = regular_sequence_verdict(
         ideal.polynomials(),
         2 * L.dim,
-        order=order,
         timeout_secs=time_left(deadline),
         cache_dir=cache_dir,
     )
@@ -122,7 +121,7 @@ def bicone_fiber_check(
     L: LieAlgebraData,
     fam: InvariantFamily,
     e,
-    order: MonomialOrder | None = None,
+    order: MonomialOrder | None = None,  # unread: bench/workloads.py passes it; remove with it
     timeout_secs: float | None = None,
     cache_dir: None = None,  # passed on; regular_sequence_verdict accepts only None
 ) -> DimensionReport:
@@ -152,14 +151,14 @@ def bicone_fiber_check(
     nonzero = [p for _, _, p in substituted if not p.is_zero()]
     dropped = [(i, j) for i, j, p in substituted if p.is_zero()]
     gb_report = regular_sequence_verdict(
-        nonzero, n, order=order, timeout_secs=time_left(deadline), cache_dir=cache_dir
+        nonzero, n, timeout_secs=time_left(deadline), cache_dir=cache_dir
     )
     fiber_dim = gb_report.ideal_dimension
     mf_dim = None
     if gb_report.status != "inconclusive":
         mf = mf_generators(L, fam, xi)
         mf_dim = regular_sequence_verdict(
-            mf.polynomials(), n, order=order, timeout_secs=time_left(deadline), cache_dir=cache_dir
+            mf.polynomials(), n, timeout_secs=time_left(deadline), cache_dir=cache_dir
         ).ideal_dimension
     report = replace(
         gb_report,

@@ -35,6 +35,7 @@ from .liealg import (
     draw_regular_dual_point,
     dual_of,
     index_of,
+    jordan_triple,
     kostant_slice,
     matrix_of_coords,
     verify_sl2,
@@ -90,14 +91,7 @@ def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
         raise ValueError(f"{partition} is not a partition of {n}")
     if list(partition) != sorted(partition, reverse=True):
         raise ValueError("partition parts must be non-increasing")
-    labels = {lab: i for i, lab in enumerate(L.basis_labels)}
-    e = [Fraction(0)] * L.dim
-    offset = 0
-    for part in partition:
-        for i in range(1, part):
-            e[labels[f"E{offset + i}{offset + i + 1}"]] = Fraction(1)
-        offset += part
-    return e
+    return jordan_triple(L, partition).e
 
 
 def jordan_partition(L: LieAlgebraData, e) -> tuple[int, ...]:
@@ -121,26 +115,9 @@ def jordan_partition(L: LieAlgebraData, e) -> tuple[int, ...]:
 
 
 def sl2_from_partition(L: LieAlgebraData, partition) -> SL2Triple:
-    """Blockwise triple through the Jordan nilpotent of the partition.
-
-    Per block of size p: e = sum E_{i,i+1}, h = diag(p-1, p-3, ...),
-    f = sum i(p-i) E_{i+1,i}; blocks are assembled along the diagonal.
-    """
-    partition = tuple(int(p) for p in partition)
-    labels = {lab: i for i, lab in enumerate(L.basis_labels)}
-    e = [Fraction(0)] * L.dim
-    h = [Fraction(0)] * L.dim
-    f = [Fraction(0)] * L.dim
-    offset = 0
-    for part in partition:
-        for i in range(1, part):
-            e[labels[f"E{offset + i}{offset + i + 1}"]] = Fraction(1)
-            f[labels[f"E{offset + i + 1}{offset + i}"]] = Fraction(i * (part - i))
-        for i in range(1, part + 1):
-            h[labels[f"E{offset + i}{offset + i}"]] = Fraction(part + 1 - 2 * i)
-        offset += part
-    triple = SL2Triple(e=e, h=h, f=f)
-    if any(h) or any(e):
+    """liealg.jordan_triple of the partition, verified unless it is zero."""
+    triple = jordan_triple(L, tuple(int(p) for p in partition))
+    if any(triple.e):
         verify_sl2(L, triple)
     return triple
 
@@ -204,10 +181,8 @@ class SlicePipeline:
     """Everything condition (*) computes, kept for reuse by the experiment."""
 
     partition: tuple[int, ...]
-    triple: SL2Triple
     chart: SliceChart
     centralizer: LieAlgebraData
-    embedding: list
     restrictions: list[SliceRestriction]
     transported: list[Poly]  # transport_to_centralizer of each restriction
     star: StarReport
@@ -228,7 +203,7 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
             "pass the block nilpotent from nilpotent_from_partition"
         )
     chart = kostant_slice(L, triple) if any(e) else _full_chart(L)
-    Lc, embedding = centralizer(L, e)
+    Lc, _ = centralizer(L, e)
     # the sampled index fixes b(g^e) and the family; the chosen family certifies it below
     ind_c = index_of(Lc).index
     b_c, rem = divmod(Lc.dim + ind_c, 2)
@@ -268,10 +243,8 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     )
     return SlicePipeline(
         partition=partition,
-        triple=triple,
         chart=chart,
         centralizer=Lc,
-        embedding=embedding,
         restrictions=restrictions,
         transported=transported,
         star=star,
@@ -320,7 +293,7 @@ def conjecture_check(
     L: LieAlgebraData,
     e,
     seed: int,
-    order: MonomialOrder | None = None,
+    order: MonomialOrder | None = None,  # unread: bench/workloads.py passes it; remove with it
     timeout_secs: float | None = None,
     cache_dir: None = None,  # passed on; regular_sequence_verdict accepts only None
 ) -> ConjectureRow:
@@ -351,7 +324,6 @@ def conjecture_check(
     report = regular_sequence_verdict(
         mf.polynomials(),
         Lc.dim,
-        order=order,
         timeout_secs=time_left(deadline),
         cache_dir=cache_dir,
         zero_labels=mf.zero_entries,

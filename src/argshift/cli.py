@@ -15,14 +15,13 @@ import argparse
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import bicone as bicone_mod
 from . import centralizer_lab as cl
 from . import invariants as invariants_mod
 from . import liealg, poisson, reports, shift
-from .groebner import MonomialOrder, deadline_after, regular_sequence_verdict, time_left
+from .groebner import deadline_after, regular_sequence_verdict, time_left
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -68,10 +67,6 @@ def _resolve_xi(L, spec: str, seed: int):
     if len(xi) != L.dim:
         raise UsageError(f"xi has {len(xi)} entries, algebra has dimension {L.dim}")
     return xi, {"kind": "explicit"}
-
-
-def _order(args) -> MonomialOrder:
-    return MonomialOrder(kind=args.order)
 
 
 def _emit(args, payload) -> None:
@@ -168,7 +163,6 @@ def cmd_regseq(args) -> int:
     rep = regular_sequence_verdict(
         family.polynomials(),
         L.dim,
-        order=_order(args),
         timeout_secs=time_left(args.deadline),
         zero_labels=family.zero_entries,
     )
@@ -190,14 +184,10 @@ def cmd_bicone(args) -> int:
     start = time.monotonic()
     if args.fiber:
         t = liealg.principal_sl2(L)
-        rep = bicone_mod.bicone_fiber_check(
-            L, fam, t.e, order=_order(args), timeout_secs=time_left(args.deadline)
-        )
+        rep = bicone_mod.bicone_fiber_check(L, fam, t.e, timeout_secs=time_left(args.deadline))
         kind = "fiber"
     else:
-        rep = bicone_mod.bicone_dimension_check(
-            L, fam, order=_order(args), timeout_secs=time_left(args.deadline)
-        )
+        rep = bicone_mod.bicone_dimension_check(L, fam, timeout_secs=time_left(args.deadline))
         kind = "full"
     payload = {
         "command": "bicone",
@@ -236,23 +226,6 @@ def cmd_star(args) -> int:
     return _verdict_exit(star.verdict)
 
 
-def _conjecture_row(kind, size, partition, seed, order_kind, deadline):
-    # deadline is a time.monotonic() value: the clock is system-wide, so a worker reads it too
-    L = liealg.build_classical(kind, size)
-    e = cl.nilpotent_from_partition(L, partition)
-    start = time.monotonic()
-    row = cl.conjecture_check(
-        L,
-        e,
-        seed=seed,
-        order=MonomialOrder(kind=order_kind),
-        timeout_secs=time_left(deadline),
-    )
-    data = row.to_json_dict()
-    data["gb_seconds"] = time.monotonic() - start
-    return data
-
-
 def cmd_conjecture(args) -> int:
     if args.type != "gl":
         raise UsageError("the slice pipeline supports gl only")
@@ -263,30 +236,19 @@ def cmd_conjecture(args) -> int:
         if args.all_partitions
         else [_parse_partition(args.partition, args.size)]
     )
-    jobs = []
-    if args.jobs > 1 and len(partitions) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(
-                    _conjecture_row, args.type, args.size, part, args.seed,
-                    args.order, args.deadline,
-                )
-                for part in partitions
-            ]
-            jobs = [f.result() for f in futures]
-    else:
-        jobs = [
-            _conjecture_row(
-                args.type, args.size, part, args.seed, args.order, args.deadline
-            )
-            for part in partitions
-        ]
-    verdicts = [row["report"]["verdict"] for row in jobs]
+    L = _build_algebra(args)
+    rows = []
+    for part in partitions:
+        e = cl.nilpotent_from_partition(L, part)
+        start = time.monotonic()
+        row = cl.conjecture_check(L, e, seed=args.seed, timeout_secs=time_left(args.deadline))
+        rows.append({**row.to_json_dict(), "gb_seconds": time.monotonic() - start})
+    verdicts = [row["report"]["verdict"] for row in rows]
     payload = {
         "command": "conjecture",
         "algebra": {"type": args.type, "size": args.size},
         "seed": args.seed,
-        "rows": jobs,
+        "rows": rows,
     }
     _emit(args, payload)
     if any(v is False for v in verdicts):
@@ -313,7 +275,6 @@ def _add_common(sub, xi: bool = False, gb: bool = False, partition: bool = False
             help="e | ef | h | zero | random-regular | comma-separated rationals",
         )
     if gb:
-        sub.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
         sub.add_argument("--timeout-secs", type=float, default=None)
     if partition:
         sub.add_argument("--partition", default=None, help="Jordan type, e.g. 2,1")
@@ -340,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         partition=True,
     )
     conj.add_argument("--all-partitions", action="store_true")
-    conj.add_argument("--jobs", type=int, default=1)
     return parser
 
 

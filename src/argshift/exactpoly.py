@@ -77,7 +77,7 @@ def decode(m: int, n: int) -> Monomial:
     return dec.unpack(m.to_bytes(width, "little"))
 
 
-def grevlex_key(mono: Monomial) -> tuple:
+def degrevlex_key(mono: Monomial) -> tuple:
     """Sort key for graded reverse lexicographic order (x0 > x1 > ...).
 
     Larger key = larger monomial.  Compare by total degree first, then by the
@@ -155,7 +155,7 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in descending grevlex order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Coeff]]:
         return iter(self.terms.items())

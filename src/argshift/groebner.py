@@ -22,40 +22,35 @@ vectors and all reductions are integer pseudo-reductions, so no rational
 arithmetic happens in the hot loop; the reduced basis is made monic and
 rational at the end.
 
+The engine has one monomial order, degrevlex with x0 > x1 > ...: the
+verdicts are dimensions, and dim R/I = dim R/in(I) under every order.
 Inside the engine a monomial is one Python int, written with the codec of
 exactpoly.  With W = FIELD_BITS (32) and R = 2^W, the exponent vector e of n
-variables packs as
-
-    degrevlex:  M = deg(e)*R^n + sum e_i*R^i
-    lex:        M = sum e_i*R^(n-1-i)
-
-so a product of monomials is one int addition and a quotient one
-subtraction.  The order key is ((M >> s) << (s+1)) - M, with s = W*n under
-degrevlex (that is deg*R^n - sum e_i*R^i: the degree first, then the smaller
-last exponents) and s = 0 under lex (M itself, x0 in the top field).  The
-negated key is an involution of the packed ints, so the reduction heap holds
-plain ints and the same formula turns a popped entry back into its monomial.
-Every field stays below EXPONENT_LIMIT = 2^(W-1), so its top bit is a guard:
-with G the mask of the guard bits, a divides b iff ((b | G) - a) & G == G.
-The subtraction keeps the guard of exactly the fields where b_i >= a_i, and
+variables packs as M = deg(e)*R^n + sum e_i*R^i, so a product of monomials
+is one int addition and a quotient one subtraction.  The order key is
+((M >> s) << (s+1)) - M with s = W*n, that is deg*R^n - sum e_i*R^i: the
+degree first, then the smaller last exponents.  The negated key is an
+involution of the packed ints, so the reduction heap holds plain ints and
+the same formula turns a popped entry back into its monomial.  Every field
+stays below EXPONENT_LIMIT = 2^(W-1), so its top bit is a guard: with G the
+mask of the guard bits, a divides b iff ((b | G) - a) & G == G.  The
+subtraction keeps the guard of exactly the fields where b_i >= a_i, and
 since each field of b | G is at least as large as the field of a, no field
 borrows from its neighbour.  A monomial whose degree would reach the limit
-raises InternalError and the computation yields no basis.  Under degrevlex a
-reduction never raises the degree, so the inputs, the S-polynomials and the
-signatures of the pairs are checked; under lex each reduction step is checked
-as well.  Tuples are built once on input and once on output: Poly terms,
-GroebnerBasis.basis, leading_monomials() and normal_form's result keep tuple
-monomials.
+raises InternalError and the computation yields no basis.  A reduction never
+raises the degree, so the inputs, the S-polynomials and the signatures of
+the pairs are checked.  Tuples are built once on input and once on output:
+Poly terms, GroebnerBasis.basis, leading_monomials() and normal_form's
+result keep tuple monomials.
 
 Each basis element is one record, built when it enters the basis: the order
 key of its leading monomial, the leading monomial, the leading coefficient
-(made positive there, once), the terms as a tuple, how far its terms' degree
-exceeds the lead's (0 under degrevlex) and its signature.  The reducers are
-those records in a list kept sorted by key with ``bisect.insort``; the
-divisor scan stops at the first lead above the monomial, which no divisor
-is.  Output is deterministic for a fixed input sequence and order, which is
-what makes the golden reports sound, and so are the engine counters in
-GroebnerBasis.stats.
+(made positive there, once), the terms as a tuple and its signature.  The
+reducers are those records in a list kept sorted by key with
+``bisect.insort``; the divisor scan stops at the first lead above the
+monomial, which no divisor is.  Output is deterministic for a fixed input
+sequence, which is what makes the golden reports sound, and so are the
+engine counters in GroebnerBasis.stats.
 
 The Krull dimension of the quotient is read off the leading-term ideal: it is
 the largest number of variables that avoid the support of every leading
@@ -120,7 +115,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .exactpoly import (
-    FIELD_BITS, InternalError, Monomial, Poly, _poly, decode, encode, format_poly, grevlex_key,
+    FIELD_BITS, InternalError, Monomial, Poly, _poly, decode, degrevlex_key, encode, format_poly,
     guard_mask,
 )
 
@@ -154,35 +149,27 @@ def time_left(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative monomial order with x0 > x1 > ...: degrevlex
-    (default) or lex.  The engine orders packed monomials by _Packing.key.
+    """The engine's one monomial order, degrevlex with x0 > x1 > ... (see the
+    module docstring); the engine orders packed monomials by _Packing.key.
+    Only bench/workloads.py builds one, to pass as an unread order=.
     """
 
-    kind: str = "degrevlex"
-
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex"):
-            raise ValueError(f"unsupported order {self.kind!r}")
-
-    def to_json(self) -> dict:
-        # "permutation" is kept so that input digests and golden reports stay byte-identical
-        return {"kind": self.kind, "permutation": None}
+    @staticmethod
+    def to_json() -> dict:
+        # the form that input digests and golden reports have always carried
+        return {"kind": "degrevlex", "permutation": None}
 
 
 @dataclass
 class GroebnerBasis:
-    order: MonomialOrder
     arity: int
     basis: list[Poly]  # reduced (over F_p minimal): monic, non-divisible leads, sorted by lead
     input_hash: str | None  # None over F_p, where the digest, which names no field, would mislead
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
 
     def leading_monomials(self) -> list[Monomial]:
-        # tuples compare lexicographically, so lex needs no key
-        key = grevlex_key if self.order.kind == "degrevlex" else None
-        return [max(p.terms, key=key) for p in self.basis]
+        return [max(p.terms, key=degrevlex_key) for p in self.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +178,7 @@ class GroebnerBasis:
 
 
 class _Packing:
-    """The packed-int monomials of one ring and order (see the module docstring).
+    """The packed-int monomials of one ring (see the module docstring).
 
     degree() sums the n exponent fields with one multiplication; it is exact
     while the sum is below 2^W, which holds for every monomial of the engine
@@ -199,13 +186,12 @@ class _Packing:
     exactpoly.encode and exactpoly.decode, and the guard bits are exactpoly's.
     """
 
-    __slots__ = ("n", "lex", "w", "s", "guard", "limit", "low", "ones", "big")
+    __slots__ = ("n", "w", "s", "guard", "limit", "low", "ones", "big")
 
-    def __init__(self, n: int, order: MonomialOrder):
+    def __init__(self, n: int):
         w = self.w = FIELD_BITS
-        self.n, self.lex = n, order.kind == "lex"
-        self.s = 0 if self.lex else w * n
-        self.guard = guard_mask(n if self.lex else n + 1)
+        self.n, self.s = n, w * n
+        self.guard = guard_mask(n + 1)
         self.limit = EXPONENT_LIMIT
         self.low = (1 << (w * n)) - 1  # the n exponent fields
         self.ones = sum(1 << (w * i) for i in range(n))
@@ -214,13 +200,9 @@ class _Packing:
     def encode(self, mono: Monomial) -> int:
         d = sum(mono)
         self.check(d)
-        if self.lex:
-            return encode(mono[::-1])
         return encode(mono) + (d << self.s)
 
     def decode(self, m: int) -> Monomial:
-        if self.lex:
-            return decode(m, self.n)[::-1]
         return decode(m & self.low, self.n)
 
     def key(self, m: int) -> int:
@@ -240,7 +222,7 @@ class _Packing:
         t = ((a | g) - b) & g  # the guard bits of the fields where a_i >= b_i
         t |= t - (t >> (self.w - 1))  # ... widened to the whole field
         m = (a & t) | (b & ~t)
-        return m if self.lex else (m & self.low) + (self.degree(m) << self.s)
+        return (m & self.low) + (self.degree(m) << self.s)
 
     def check(self, degree: int) -> None:
         if degree >= self.limit:
@@ -264,7 +246,6 @@ class _Record(NamedTuple):
     lm: int
     lc: int  # positive
     terms: tuple  # ((monomial, int), ...), content 1
-    grow: int  # highest term degree minus deg lm: 0 under degrevlex
     sig: int  # the monomial t of the signature (t, i), 0 outside _basis
     skey: int  # the signature's key, i*P.big + key(t)
 
@@ -277,10 +258,9 @@ def _record(d: IntPoly, P: _Packing, budget: _Budget, mod=0, sig=0, skey=0) -> _
             d = {m: c * inv % mod for m, c in d.items()}
     elif d[lm] < 0:
         d = {m: -c for m, c in d.items()}
-    top = max(map(P.degree, d))
-    budget.degree = max(budget.degree, top)
+    budget.degree = max(budget.degree, P.degree(lm))  # a graded order: the lead has the top degree
     budget.bits = max(budget.bits, max(abs(c) for c in d.values()).bit_length())
-    return _Record(P.key(lm), lm, d[lm], tuple(d.items()), top - P.degree(lm), sig, skey)
+    return _Record(P.key(lm), lm, d[lm], tuple(d.items()), sig, skey)
 
 
 def _by_key(rec: _Record):
@@ -373,12 +353,12 @@ def _reduce_full(
                 continue
         mkey, mg = -v, m | guard
         hit, singular = None, False
-        for key, lm, lc, terms, grow, _, skey in reducers:
+        for key, lm, lc, terms, _, skey in reducers:
             if key > mkey:
                 break  # a divisor of m is not above m
             if (mg - lm) & guard == guard:  # P.divides(lm, m), inlined
                 if bound is None or mkey - key + skey < bound:
-                    hit = (lm, lc, terms, grow)
+                    hit = (lm, lc, terms)
                     break
                 singular = singular or mkey - key + skey == bound
         if hit is None:
@@ -387,9 +367,7 @@ def _reduce_full(
             out[m] = c
             del work[m]
             continue
-        lm, lc, terms, grow = hit
-        if grow:  # lex only: the step may raise the degree
-            P.check(P.degree(m) + grow)
+        lm, lc, terms = hit
         q = m - lm
         g = gcd(c, lc)
         a, b = lc // g, c // g  # a > 0: record leading coefficients are positive
@@ -436,7 +414,7 @@ def _reduce_full(
 
 
 def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing, mod: int = 0) -> IntPoly:
-    P.check(P.degree(lcm) + max(f.grow, g.grow))  # grow > 0 under lex only
+    P.check(P.degree(lcm))
     d = gcd(f.lc, g.lc)
     mf, mg = lcm - f.lm, lcm - g.lm
     af, ag = g.lc // d, f.lc // d
@@ -461,21 +439,21 @@ def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing, mod: int = 0) -> IntPo
 # ---------------------------------------------------------------------------
 
 
-def input_digest(gens: list[Poly], order: MonomialOrder, arity: int) -> str:
-    payload = {"order": order.to_json(), "arity": arity, "generators": [format_poly(p) for p in gens]}
+def input_digest(gens: list[Poly], arity: int) -> str:
+    payload = {"order": MonomialOrder.to_json(), "arity": arity,
+               "generators": [format_poly(p) for p in gens]}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def buchberger(
     gens: list[Poly],
-    order: MonomialOrder | None = None,
     timeout_secs: float | None = None,
     arity: int | None = None,
     mod: int = 0,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens, under degrevlex.
 
-    Deterministic for a fixed input sequence and order.  Zero generators are
+    Deterministic for a fixed input sequence.  Zero generators are
     ignored; an empty input yields the empty basis (pass arity in that
     case).  Raises GBTimeout when the time budget runs out.  The loop is the
     signature-based one of the module docstring: an S-pair is skipped when
@@ -490,13 +468,12 @@ def buchberger(
 
     With a prime mod, the primitive integer multiple of each gen is read mod
     p, and the run is over F_p.  That path serves only the F_p linear section
-    of regular_sequence_verdict (k forms in k variables, under degrevlex),
-    which reads only the leading monomials.  It stops at the first zero
-    reduction, which by F5's theorem proves that the forms are not a regular
-    sequence, and at degree s + 1 (see _basis): its result is a minimal monic
-    basis only up to that degree, not inter-reduced.
+    of regular_sequence_verdict (k forms in k variables), which reads only
+    the leading monomials.  It stops at the first zero reduction, which by
+    F5's theorem proves that the forms are not a regular sequence, and at
+    degree s + 1 (see _basis): its result is a minimal monic basis only up to
+    that degree, not inter-reduced.
     """
-    order = order or MonomialOrder()
     if gens:
         arity = gens[0].arity
     elif arity is None:
@@ -504,7 +481,7 @@ def buchberger(
     for p in gens:
         if p.arity != arity:
             raise ValueError("generators live in different rings")
-    P = _Packing(arity, order)
+    P = _Packing(arity)
     budget = _Budget(timeout_secs)
     polys = [_to_int_poly(p, P) for p in gens]
     if mod:
@@ -512,8 +489,8 @@ def buchberger(
     stats = _basis(polys, P, budget, mod)
     basis = _reduce_and_normalize(budget.records, P, budget, mod)
     stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
-    return GroebnerBasis(order=order, arity=arity, basis=basis, stats=stats,
-                         input_hash=None if mod else input_digest(gens, order, arity))
+    return GroebnerBasis(arity=arity, basis=basis, stats=stats,
+                         input_hash=None if mod else input_digest(gens, arity))
 
 
 def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> dict:
@@ -623,14 +600,14 @@ def _reduce_and_normalize(minimal: list[_Record], P: _Packing, budget: _Budget, 
 _SCALE = None  # key of normal_form's factor entry in out; no monomial equals it
 
 
-def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder | None = None) -> Poly:
+def normal_form(f: Poly, basis: list[Poly]) -> Poly:
     """Multivariate division remainder of f by the basis (exact, rational).
 
     No term of the result is divisible by any basis leading term.  Against a
     reduced Groebner basis this is the unique normal form, so membership in
-    the ideal is the test `normal_form(f, gb.basis, gb.order).is_zero()`.
+    the ideal is the test `normal_form(f, gb.basis).is_zero()`.
     """
-    P = _Packing(f.arity, order or MonomialOrder())
+    P = _Packing(f.arity)
     g = _to_int_poly(f, P)
     if not g:
         return Poly(f.arity)
@@ -705,17 +682,19 @@ def _section_certificate(
     Bezout number bezout; the proof that a zero-dimensional section makes
     them a regular sequence is in the module docstring.
     """
+    deadline = deadline_after(timeout_secs)  # building the section spends the budget too
     k, p = len(gens), SECTION_PRIME
     rng = random.Random(SECTION_SEED)
     # the image of x_j under A = [I; R]: t_j, then seeded linear forms in t
     images = [Poly.variable(k, j) if j < k
               else Poly.linear_form(rng.randrange(p) for _ in range(k)) for j in range(n)]
-    gb = buchberger([f.substitute(images) for f in gens], timeout_secs=timeout_secs, mod=p)
+    section = [f.substitute(images) for f in gens]
+    gb = buchberger(section, timeout_secs=time_left(deadline), mod=p)
     # a zero reduction proves the section is no regular sequence; otherwise some t_j
     # may have no pure power among the leads
     if gb.stats["zero_reductions"] or ideal_dimension(gb) != 0:
         return None
-    P = _Packing(k, MonomialOrder())
+    P = _Packing(k)
     t = [P.encode(tuple(int(i == j) for i in range(k))) for j in range(k)]
     count = _standard_monomial_count([P.encode(m) for m in gb.leading_monomials()], t, P, bezout)
     if count != bezout:
@@ -753,7 +732,6 @@ class DimensionReport:
     verdict: bool | None
     status: str = "ok"  # ok | degenerate | inconclusive
     zero_generators: list = field(default_factory=list)
-    order: MonomialOrder = field(default_factory=MonomialOrder)
     input_hash: str | None = None
     extra: dict = field(default_factory=dict)
     # the certificate and its engine counters (the partial ones when inconclusive);
@@ -764,7 +742,7 @@ class DimensionReport:
         out = {name: getattr(self, name) for name in (
             "arity", "generator_count", "ideal_dimension", "expected_dimension", "verdict", "status")}
         out.update(zero_generators=[list(z) for z in self.zero_generators],
-                   order=self.order.to_json(), input_hash=self.input_hash, stats=self.stats)
+                   order=MonomialOrder.to_json(), input_hash=self.input_hash, stats=self.stats)
         out.update(self.extra)
         return out
 
@@ -772,7 +750,7 @@ class DimensionReport:
 def regular_sequence_verdict(
     gens: list[Poly],
     n: int,
-    order: MonomialOrder | None = None,
+    order: MonomialOrder | None = None,  # unread: bench/workloads.py passes it; remove with it
     timeout_secs: float | None = None,
     cache_dir: None = None,  # None only: bench/workloads.py passes cache_dir=None; remove with it
     zero_labels: list | None = None,
@@ -790,7 +768,6 @@ def regular_sequence_verdict(
     if cache_dir is not None:
         raise ValueError("there is no Groebner cache; cache_dir must be None")
     budget = _Budget(timeout_secs)
-    order = order or MonomialOrder()
     k = len(gens)
     if k > n:
         raise ValueError(f"more generators ({k}) than variables ({n})")
@@ -799,7 +776,7 @@ def regular_sequence_verdict(
             raise ValueError("regular-sequence verdict requires homogeneous generators")
         if not p.is_zero() and p.arity != n:
             raise ValueError("generator arity does not match n")
-    report = dict(arity=n, generator_count=k, expected_dimension=n - k, order=order)
+    report = dict(arity=n, generator_count=k, expected_dimension=n - k)
     zeros = [i for i, p in enumerate(gens) if p.is_zero()]
     if zeros:
         labels = zero_labels if zero_labels is not None else zeros
@@ -819,11 +796,11 @@ def regular_sequence_verdict(
             if stats is not None:
                 return DimensionReport(
                     ideal_dimension=n - k, verdict=True, status="ok",
-                    input_hash=input_digest(gens, order, n),
+                    input_hash=input_digest(gens, n),
                     stats={**stats, "certificate": certificate}, **report,
                 )
             certificate = {"kind": "exact"}
-        gb = buchberger(gens, order=order, timeout_secs=time_left(budget.deadline), arity=n)
+        gb = buchberger(gens, timeout_secs=time_left(budget.deadline), arity=n)
         dim = ideal_dimension(gb)
     except GBTimeout as err:
         return DimensionReport(

@@ -502,37 +502,40 @@ def draw_regular_dual_point(L: LieAlgebraData, seed: int) -> tuple[Vector, int]:
 # ---------------------------------------------------------------------------
 
 
-def _principal_gl_sl(L: LieAlgebraData) -> SL2Triple:
-    n = L.meta["size"]
-    kind = L.meta["type"]
-    labels = {lab: i for i, lab in enumerate(L.basis_labels)}
-    e = linalg.zeros_vector(L.dim)
-    f = linalg.zeros_vector(L.dim)
-    h = linalg.zeros_vector(L.dim)
-    for i in range(1, n):
-        e[labels[f"E{i}{i + 1}"]] = Fraction(1)
-        f[labels[f"E{i + 1}{i}"]] = Fraction(i * (n - i))
-    diag = [Fraction(n - 1 - 2 * (i - 1)) for i in range(1, n + 1)]
-    if kind == "gl":
-        for i in range(1, n + 1):
-            h[labels[f"E{i}{i}"]] = diag[i - 1]
-    else:
-        partial = Fraction(0)
-        for i in range(1, n):
-            partial += diag[i - 1]
-            h[labels[f"H{i}"]] = partial
-    return SL2Triple(e=e, h=h, f=f)
+def jordan_triple(L: LieAlgebraData, partition) -> SL2Triple:
+    """The blockwise triple of gl_n or sl_n through the Jordan nilpotent of
+    the partition (parts summing to n), not verified.
+
+    Per block of size p: e = sum E_{i,i+1}, h = diag(p-1, p-3, ..., 1-p),
+    f = sum i(p-i) E_{i+1,i}; blocks are assembled along the diagonal.
+    """
+    m = L.meta["size"]
+    e, h, f = _mat_zero(m), _mat_zero(m), _mat_zero(m)
+    offset = 0
+    for part in partition:
+        for i in range(part):
+            h[offset + i][offset + i] = Fraction(part - 1 - 2 * i)
+            if i + 1 < part:
+                e[offset + i][offset + i + 1] = Fraction(1)
+                f[offset + i + 1][offset + i] = Fraction((i + 1) * (part - 1 - i))
+        offset += part
+    return SL2Triple(*_coords_of_matrices(L, [e, h, f]))
 
 
 def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
     """Coordinates of a defining-representation matrix in the chosen basis."""
+    return _coords_of_matrices(L, [mat])[0]
+
+
+def _coords_of_matrices(L: LieAlgebraData, mats) -> list[Vector]:
+    """coords_of_matrix of each matrix, from one elimination."""
     if L.defining is None:
         raise LieAlgebraError("algebra lacks defining matrices")
     rows = [list(r) for r in zip(*(_flatten(m) for m in L.defining))]
-    sols = linalg.solve_many(rows, [_flatten(mat)])
+    sols = linalg.solve_many(rows, [_flatten(mat) for mat in mats])
     if sols is None:
         raise LieAlgebraError("matrix does not lie in the algebra")
-    return sols[0]
+    return sols
 
 
 def matrix_of_coords(L: LieAlgebraData, v: Vector):
@@ -596,7 +599,7 @@ def principal_sl2(L: LieAlgebraData) -> SL2Triple:
     """Principal sl2-triple (e regular nilpotent), verified exactly."""
     kind = L.meta.get("type")
     if kind in ("gl", "sl"):
-        t = _principal_gl_sl(L)
+        t = jordan_triple(L, (L.meta["size"],))
     elif kind in ("so", "sp"):
         t = _principal_so_sp(L)
     else:

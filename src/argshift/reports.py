@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-VOLATILE_KEYS = frozenset({"seconds", "gb_seconds", "timing", "stats"})
+VOLATILE_KEYS = frozenset({"gb_seconds", "stats"})
 
 
 def fractions_json(values) -> list[str]:

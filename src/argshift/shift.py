@@ -16,7 +16,6 @@ ties them together and is asserted by the acceptance suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -125,14 +124,3 @@ def mf_generators(L: LieAlgebraData, fam: InvariantFamily, xi) -> MFGeneratorSet
         zero_entries=zero_entries,
     )
 
-
-def shift_matches_bigraded(p: Poly, xi, j: int) -> bool:
-    """Exact cross-identity between the two shift routes."""
-    n = p.arity
-    comp = bigraded_components(p)[j]
-    # evaluate the y-block at xi, keep the x-block symbolic
-    images = [Poly.variable(n, k) for k in range(n)] + [
-        Poly.constant(n, v) for v in xi
-    ]
-    specialized = comp.substitute(images)
-    return shift_derivative(p, xi, j) == math.factorial(j) * specialized

@@ -23,7 +23,7 @@ from argshift.groebner import regular_sequence_verdict
 from argshift.liealg import build_classical, centralizer, dual_of, index_of
 from argshift.poisson import commutativity_report
 from argshift.reports import report_digest
-from argshift.shift import mf_generators, shift_matches_bigraded
+from argshift.shift import mf_generators
 
 ALGEBRAS = [("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("so", 3), ("sp", 4)]
 MAIN_TRIO = [("sl", 2), ("sl", 3), ("gl", 3)]
@@ -226,7 +226,7 @@ def test_c11_centralizer_pipeline(algebras):
           f"experiment hold for gl3 partitions (1,1,1), (2,1), (3) ({dt:.2f}s)")
 
 
-def test_c12_shift_bigraded_consistency(algebras, families, triples):
+def test_c12_shift_bigraded_consistency(algebras, families, triples, shift_matches_bigraded):
     t0 = time.monotonic()
     for spec, fam in families.items():
         L = algebras[spec]

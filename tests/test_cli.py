@@ -108,13 +108,6 @@ def test_conjecture_all_partitions(capsys):
     assert all(row["report"]["verdict"] for row in payload["rows"])
 
 
-def test_conjecture_parallel_jobs_match_serial(capsys):
-    base = ["conjecture", "--type", "gl", "--size", "3", "--all-partitions", "--seed", "42"]
-    _, serial = run_cli(capsys, *base, "--jobs", "1")
-    _, parallel = run_cli(capsys, *base, "--jobs", "3")
-    assert report_digest(serial) == report_digest(parallel)
-
-
 def test_usage_errors(capsys):
     assert main(["regseq", "--type", "xx", "--size", "2"]) == 3
     capsys.readouterr()
@@ -125,6 +118,13 @@ def test_usage_errors(capsys):
     assert main(["regseq", "--type", "sl", "--size", "2", "--xi", "1,2"]) == 3
     capsys.readouterr()
     assert main(["nonsense"]) == 3
+    capsys.readouterr()
+    # one monomial order and one conjecture loop: neither option exists
+    for sub in ("regseq", "bicone", "conjecture"):
+        assert main([sub, "--type", "gl", "--size", "2", "--order", "degrevlex"]) == 3
+        capsys.readouterr()
+    conjecture = ["conjecture", "--type", "gl", "--size", "2", "--all-partitions"]
+    assert main([*conjecture, "--jobs", "2"]) == 3
     capsys.readouterr()
 
 

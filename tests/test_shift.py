@@ -7,12 +7,7 @@ import pytest
 from argshift.exactpoly import Poly
 from argshift.invariants import invariant_generators
 from argshift.liealg import build_classical, draw_regular_dual_point, dual_of, principal_sl2
-from argshift.shift import (
-    bigraded_components,
-    mf_generators,
-    shift_derivative,
-    shift_matches_bigraded,
-)
+from argshift.shift import bigraded_components, mf_generators, shift_derivative
 
 
 def test_bigraded_square():
@@ -183,7 +178,7 @@ def test_mf_family_at_zero_is_degenerate(algebras, families):
 
 
 @pytest.mark.parametrize("spec", [("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("so", 3), ("sp", 4)])
-def test_cross_identity_all_generators(spec, algebras, families, triples):
+def test_cross_identity_all_generators(spec, algebras, families, triples, shift_matches_bigraded):
     # shift_derivative(p, xi, j) == j! * p_component_j(x, xi) exactly
     L = algebras[spec]
     fam = families[spec]

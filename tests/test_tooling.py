@@ -1,13 +1,19 @@
 """The runtime stays stdlib-only (pyproject.toml: dependencies = []) and has
 no hidden knobs: nothing in it reads the environment, and every random draw
 comes from a generator built from a seed.  The algebra layers below the
-Groebner engine do not import it."""
+Groebner engine do not import it.  The README shows only commands that the
+command line accepts."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "argshift"
+import pytest
+
+from argshift import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "argshift"
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 # the modules that the Groebner engine's callers build on; none of them imports it
 BELOW_GROEBNER = ["linalg", "liealg", "invariants", "poisson", "shift"]
@@ -116,3 +122,16 @@ def test_algebra_layers_do_not_import_groebner():
         if module == "groebner"
     ]
     assert imports == []
+
+
+def test_readme_command_lines_parse(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("argshift ")]
+    assert len(lines) > 5
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(line.split()[1:])
+        except SystemExit:
+            pytest.fail(f"the parser rejects a README command: {line}\n{capsys.readouterr().err}")
