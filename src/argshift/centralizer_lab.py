@@ -3,7 +3,9 @@
 Pipeline: complete a Jordan-form nilpotent e of gl_n to an sl2-triple
 (blockwise), restrict each invariant generator to the slice e + g^f, take the
 initial homogeneous component, carry it over to the dual of the centralizer
-g^e through the pairing Gram matrix, and run the shift machinery over g^e.
+g^e, and run the shift machinery over g^e.  liealg.kostant_slice builds the
+chart once per nilpotent; restriction and transport are each one substitution
+by a map the chart holds.
 The degree bookkeeping (sum of initial degrees against b(g^e)) is the
 stated precondition for the regular-sequence experiment, the transported
 components certify the index of g^e, and the e = 0 case reproduces the
@@ -28,7 +30,6 @@ from .invariants import InvariantFamily, invariant_generators, power_sums_to_ele
 from .liealg import (
     InternalError,
     LieAlgebraData,
-    SL2Triple,
     SliceChart,
     _mat_mul,
     centralizer,
@@ -38,7 +39,6 @@ from .liealg import (
     jordan_triple,
     kostant_slice,
     matrix_of_coords,
-    verify_sl2,
 )
 from .reports import fractions_json
 from .shift import mf_generators
@@ -114,33 +114,19 @@ def jordan_partition(L: LieAlgebraData, e) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def sl2_from_partition(L: LieAlgebraData, partition) -> SL2Triple:
-    """liealg.jordan_triple of the partition, verified unless it is zero."""
-    triple = jordan_triple(L, tuple(int(p) for p in partition))
-    if any(triple.e):
-        verify_sl2(L, triple)
-    return triple
-
-
 # ---------------------------------------------------------------------------
 # slice restrictions and transport
 # ---------------------------------------------------------------------------
 
 
-def restrict_to_slice(
-    p: Poly, chart: SliceChart, L: LieAlgebraData, source_index: int = -1
-) -> SliceRestriction:
-    """Substitute x := dual(e + sum t_k v_k) and split off the initial part.
+def restrict_to_slice(p: Poly, chart: SliceChart, source_index: int = -1) -> SliceRestriction:
+    """Substitute x := dual(e + sum t_k v_k) (chart.images) and split off the
+    initial part.
 
     The initial component is taken with respect to the standard total degree
     in the slice coordinates.
     """
-    m = len(chart.directions)
-    base = dual_of(L, chart.base_point)
-    dual_dirs = [dual_of(L, v) for v in chart.directions]
-    images = [Poly.linear_form(dual_dirs[k][jj] for k in range(m)) + base[jj]
-              for jj in range(L.dim)]
-    restricted = p.substitute(images)
+    restricted = p.substitute(chart.images)
     if restricted.is_zero():
         raise InternalError("restriction of a nonzero invariant to the slice vanished (bug)")
     comps = restricted.homogeneous_components()
@@ -159,16 +145,14 @@ def transport_to_centralizer(
     """Re-express the initial component as a polynomial on the centralizer dual.
 
     The slice coordinate vector t and the dual coordinates u on g^e are
-    related by u = Gram . t, so the transport substitutes t = Gram^{-1} u.
-    The result must be invariant over g^e; index_of verifies that when
-    _slice_pipeline certifies the centralizer's index with it.
+    related by u = Gram . t, so the transport substitutes t = Gram^{-1} u
+    (chart.transport).  The result must be invariant over g^e; index_of
+    verifies that when _slice_pipeline certifies the centralizer's index
+    with it.
     """
-    m = len(chart.directions)
-    if Lc.dim != m:
+    if Lc.dim != len(chart.directions):
         raise ValueError("centralizer dimension does not match the slice chart")
-    gram_inv = linalg.invert(chart.pairing_gram)
-    images = [Poly.linear_form(gram_inv[bb]) for bb in range(m)]
-    return sr.initial.substitute(images)
+    return sr.initial.substitute(chart.transport)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +180,13 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     if any(values):
         raise ValueError("element is not nilpotent (an invariant does not vanish)")
     partition = jordan_partition(L, e)
-    triple = sl2_from_partition(L, partition)
+    triple = jordan_triple(L, partition)
     if triple.e != e:
         raise ValueError(
             f"element is nilpotent of type {partition} but is not in Jordan form; "
             "pass the block nilpotent from nilpotent_from_partition"
         )
-    chart = kostant_slice(L, triple) if any(e) else _full_chart(L)
+    chart = kostant_slice(L, triple)
     Lc, _ = centralizer(L, e)
     # the sampled index fixes b(g^e) and the family; the chosen family certifies it below
     ind_c = index_of(Lc).index
@@ -214,12 +198,12 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     # it (first seen at partition (2,1,1) of gl_4), so try both
     family_name = "power-traces"
     restrictions = [
-        restrict_to_slice(p, chart, L, source_index=i) for i, p in enumerate(fam.generators)
+        restrict_to_slice(p, chart, source_index=i) for i, p in enumerate(fam.generators)
     ]
     if sum(sr.initial_degree for sr in restrictions) != b_c:
         alt = power_sums_to_elementary(fam.generators)
         alt_restrictions = [
-            restrict_to_slice(p, chart, L, source_index=i) for i, p in enumerate(alt)
+            restrict_to_slice(p, chart, source_index=i) for i, p in enumerate(alt)
         ]
         if sum(sr.initial_degree for sr in alt_restrictions) == b_c:
             family_name = "char-coefficients"
@@ -248,19 +232,6 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
         restrictions=restrictions,
         transported=transported,
         star=star,
-    )
-
-
-def _full_chart(L: LieAlgebraData) -> SliceChart:
-    """Chart for e = 0: the slice is all of g and the Gram matrix is the form."""
-    basis = [
-        [Fraction(int(i == j)) for i in range(L.dim)] for j in range(L.dim)
-    ]
-    return SliceChart(
-        base_point=[Fraction(0)] * L.dim,
-        directions=basis,
-        ge_basis=basis,
-        pairing_gram=[row[:] for row in L.form],
     )
 
 

@@ -52,7 +52,7 @@ class LieAlgebraData:
     defining: list[list[list[Fraction]]] | None = None
 
     # per-algebra memos: "index", "form_inverse", "structure_matrix", "structure_rows"
-    # (its rows packed, see poisson), "invariants"
+    # (its rows packed, see poisson), "invariants", "coords" (see coords_of_matrix)
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -78,12 +78,16 @@ class SL2Triple:
 
 @dataclass
 class SliceChart:
-    """Affine chart of the slice e + g^f, with the g^e/g^f pairing data."""
+    """Affine chart of the slice e + g^f: the g^e/g^f pairing data and the
+    substitutions images (x = dual(e + sum t_k v_k), v_k the directions) and
+    transport (t = Gram^-1 u, u the dual coordinates of g^e, as u = Gram . t).
+    """
 
-    base_point: Vector
     directions: list[Vector]  # basis of g^f
     ge_basis: list[Vector]  # basis of g^e, rows of the pairing Gram matrix
     pairing_gram: list[list[Fraction]]  # gram[a][b] = (ge_basis[a] | directions[b])
+    images: list[Poly]  # one per dual coordinate x_j, in t_0..t_{m-1}
+    transport: list[Poly]  # one per slice coordinate t_b, in u_0..u_{m-1}
 
 
 @dataclass
@@ -126,6 +130,8 @@ def adjoint_matrix(L: LieAlgebraData, x: Vector) -> list[list[Fraction]]:
 
 def dual_of(L: LieAlgebraData, v: Vector) -> Vector:
     """Coordinates of the linear form (v | .) on the dual space: form . v."""
+    if len(v) != L.dim:
+        raise LieAlgebraError("vector length mismatch")
     return linalg.mat_vec(L.form, v)
 
 
@@ -348,9 +354,8 @@ def _basis_vector(n: int, i: int) -> Vector:
     return v
 
 
-def _pairing(L: LieAlgebraData, left: list[Vector], right: list[Vector]) -> list[list[Fraction]]:
-    """Gram matrix [(u | v)] of the invariant form, u in left, v in right."""
-    duals = [dual_of(L, v) for v in right]
+def _pairing(left: list[Vector], duals: list[Vector]) -> list[list[Fraction]]:
+    """Gram matrix [(u | v)] of the invariant form, u in left, dual_of v in duals."""
     return [[sum((a * b for a, b in zip(u, w)), Fraction(0)) for w in duals] for u in left]
 
 
@@ -377,7 +382,7 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
         lambda a, b: bracket(L, kernel[a], kernel[b]),
         InternalError("centralizer is not closed under bracket (bug)"),
     )
-    form = _pairing(L, kernel, kernel)
+    form = _pairing(kernel, [dual_of(L, v) for v in kernel])
     meta = {
         "type": "centralizer",
         "parent_type": L.meta.get("type"),
@@ -519,23 +524,31 @@ def jordan_triple(L: LieAlgebraData, partition) -> SL2Triple:
                 e[offset + i][offset + i + 1] = Fraction(1)
                 f[offset + i + 1][offset + i] = Fraction((i + 1) * (part - 1 - i))
         offset += part
-    return SL2Triple(*_coords_of_matrices(L, [e, h, f]))
+    return SL2Triple(*(coords_of_matrix(L, mat) for mat in (e, h, f)))
 
 
 def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
-    """Coordinates of a defining-representation matrix in the chosen basis."""
-    return _coords_of_matrices(L, [mat])[0]
+    """Coordinates of a defining-representation matrix in the chosen basis.
 
-
-def _coords_of_matrices(L: LieAlgebraData, mats) -> list[Vector]:
-    """coords_of_matrix of each matrix, from one elimination."""
+    The defining matrices are independent, so dim of their entries (the
+    pivots of one elimination) fix the coordinates through the inverse of
+    that block, memoized per algebra; rebuilding the matrix checks that it
+    lies in the algebra.
+    """
     if L.defining is None:
         raise LieAlgebraError("algebra lacks defining matrices")
-    rows = [list(r) for r in zip(*(_flatten(m) for m in L.defining))]
-    sols = linalg.solve_many(rows, [_flatten(mat) for mat in mats])
-    if sols is None:
+    solver = L._caches.get("coords")
+    if solver is None:
+        flat = [_flatten(m) for m in L.defining]
+        pivots = linalg.rref(flat)[1]
+        block_inv = linalg.invert([[row[p] for row in flat] for p in pivots])
+        solver = L._caches["coords"] = [[(p, c) for p, c in zip(pivots, row) if c]
+                                        for row in block_inv]
+    entries = _flatten(mat)
+    v = [sum((c * entries[p] for p, c in row), Fraction(0)) for row in solver]
+    if matrix_of_coords(L, v) != mat:
         raise LieAlgebraError("matrix does not lie in the algebra")
-    return sols
+    return v
 
 
 def matrix_of_coords(L: LieAlgebraData, v: Vector):
@@ -611,20 +624,28 @@ def principal_sl2(L: LieAlgebraData) -> SL2Triple:
 
 
 def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
-    """Chart of e + g^f attached to the triple t.
+    """Chart of e + g^f attached to the triple t (verified here).
 
     The pairing Gram matrix between g^e and g^f must be invertible; this is
-    the nondegeneracy that makes the slice transversal.
+    the nondegeneracy that makes the slice transversal.  For the zero triple
+    the slice is all of g: the directions are the standard basis and the
+    Gram matrix is the form.
     """
     verify_sl2(L, t)
     directions = linalg.nullspace(adjoint_matrix(L, t.f))
     ge_basis = linalg.nullspace(adjoint_matrix(L, t.e))
     if len(directions) != len(ge_basis):
         raise InternalError("dim g^f != dim g^e (bug)")
-    gram = _pairing(L, ge_basis, directions)
-    if linalg.rank(gram) != len(directions):
-        raise LieAlgebraError("degenerate g^e x g^f pairing: form is not invariant")
-    return SliceChart(base_point=t.e, directions=directions, ge_basis=ge_basis, pairing_gram=gram)
+    dual_dirs = [dual_of(L, v) for v in directions]
+    gram = _pairing(ge_basis, dual_dirs)
+    try:
+        gram_inv = linalg.invert(gram)
+    except ValueError:
+        raise LieAlgebraError("degenerate g^e x g^f pairing: form is not invariant") from None
+    base = dual_of(L, t.e)
+    images = [Poly.linear_form(column) + x for column, x in zip(zip(*dual_dirs), base)]
+    transport = [Poly.linear_form(row) for row in gram_inv]
+    return SliceChart(directions, ge_basis, gram, images, transport)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from argshift.bicone import (
     smoothness_crosscheck,
 )
 from argshift.groebner import DimensionReport
-from argshift.liealg import coords_of_matrix, matrix_of_coords
+from argshift.liealg import LieAlgebraError, coords_of_matrix, matrix_of_coords
 
 
 def elem(L, label, value=1):
@@ -230,6 +230,15 @@ def test_fiber_rejects_bad_base(algebras, families, triples):
     semisimple = combine((1, t.e), (1, t.f))
     with pytest.raises(ValueError):
         bicone_fiber_check(L, fam, semisimple)  # regular but not nilpotent
+
+
+def test_membership_and_fiber_reject_wrong_length(algebras, families):
+    L = algebras[("sl", 2)]
+    fam = families[("sl", 2)]
+    with pytest.raises(LieAlgebraError, match="vector length mismatch"):
+        bicone_membership(L, fam, [1], [1])
+    with pytest.raises(LieAlgebraError, match="vector length mismatch"):
+        bicone_fiber_check(L, fam, [1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,19 @@ from argshift.centralizer_lab import (
     jordan_partition,
     nilpotent_from_partition,
     restrict_to_slice,
-    sl2_from_partition,
     transport_to_centralizer,
 )
+from argshift import centralizer_lab, liealg, linalg
 from argshift.groebner import regular_sequence_verdict
-from argshift.invariants import invariant_generators, verify_invariance
+from argshift.invariants import invariant_generators, power_sums_to_elementary, verify_invariance
 from argshift.liealg import (
     build_classical,
     centralizer,
     draw_regular_dual_point,
     index_of,
+    jordan_triple,
     kostant_slice,
+    verify_sl2,
 )
 from argshift.shift import mf_generators
 
@@ -68,7 +70,8 @@ def test_jordan_partition_rejects_non_nilpotent(algebras):
 def test_blockwise_triples(algebras):
     L = algebras[("gl", 3)]
     for part in PARTITIONS3:
-        t = sl2_from_partition(L, part)  # verifies the relations internally
+        t = jordan_triple(L, part)
+        verify_sl2(L, t)
         assert t.e == nilpotent_from_partition(L, part)
 
 
@@ -89,12 +92,13 @@ def test_condition_star_rejects_non_nilpotent(algebras):
 
 
 def test_restriction_for_zero_element_is_identity(algebras, families):
-    from argshift.centralizer_lab import _full_chart
-
     L = algebras[("gl", 3)]
-    chart = _full_chart(L)
+    chart = kostant_slice(L, jordan_triple(L, (1, 1, 1)))
+    standard = [[Fraction(int(i == j)) for i in range(L.dim)] for j in range(L.dim)]
+    assert chart.directions == chart.ge_basis == standard
+    assert chart.pairing_gram == L.form
     for p in families[("gl", 3)].generators:
-        sr = restrict_to_slice(p, chart, L)
+        sr = restrict_to_slice(p, chart)
         # with e = 0 the substitution is x = form . t, a linear change only
         assert sr.initial_degree == p.total_degree()
         assert sr.restricted == sr.initial
@@ -103,7 +107,7 @@ def test_restriction_for_zero_element_is_identity(algebras, families):
 def test_sl2_casimir_restriction_is_linear(algebras, families, triples):
     L = algebras[("sl", 2)]
     chart = kostant_slice(L, triples[("sl", 2)])
-    sr = restrict_to_slice(families[("sl", 2)].generators[0], chart, L)
+    sr = restrict_to_slice(families[("sl", 2)].generators[0], chart)
     assert sr.initial_degree == 1
     assert sr.restricted == sr.initial  # tr((e + t f)^2) = 2t(e|f): purely linear
 
@@ -133,14 +137,35 @@ def test_transport_is_invariant(algebras):
 
 
 def test_transport_identity_for_zero(algebras, families):
-    from argshift.centralizer_lab import _full_chart, restrict_to_slice
-
     L = algebras[("gl", 3)]
-    chart = _full_chart(L)
+    chart = kostant_slice(L, jordan_triple(L, (1, 1, 1)))
     Lc, _ = centralizer(L, [Fraction(0)] * 9)
     for p in families[("gl", 3)].generators:
-        sr = restrict_to_slice(p, chart, L, source_index=0)
+        sr = restrict_to_slice(p, chart, source_index=0)
         assert transport_to_centralizer(sr, chart, Lc) == p
+
+
+def test_chart_maps_need_no_dual_or_inverse_after_kostant_slice(monkeypatch):
+    # kostant_slice computes the duals and the Gram inverse once; restriction
+    # and transport only substitute the chart's maps
+    L = build_classical("gl", 4)
+    e = nilpotent_from_partition(L, (2, 1, 1))
+    pipe = _slice_pipeline(L, e)
+    fam = invariant_generators(L).generators
+
+    def refuse(*args):
+        raise AssertionError("recomputed after kostant_slice")
+
+    for module, name in [(liealg, "dual_of"), (centralizer_lab, "dual_of"), (linalg, "invert")]:
+        monkeypatch.setattr(module, name, refuse)
+
+    def moved(family):
+        return [transport_to_centralizer(restrict_to_slice(p, pipe.chart, i), pipe.chart,
+                                         pipe.centralizer) for i, p in enumerate(family)]
+
+    assert len(moved(fam)) == 4
+    # (2,1,1) takes the char-poly coefficients (test_gl4_2_1_1_needs_char_coefficients)
+    assert moved(power_sums_to_elementary(fam)) == pipe.transported
 
 
 def test_conjecture_rows_gl3(algebras):
@@ -222,10 +247,10 @@ def test_dependent_transported_family_leaves_index_sampled():
     # have Jacobian rank 3, one short of the index 4, so they certify nothing
     L = build_classical("gl", 4)
     part = (2, 1, 1)
-    chart = kostant_slice(L, sl2_from_partition(L, part))
+    chart = kostant_slice(L, jordan_triple(L, part))
     Lc, _ = centralizer(L, nilpotent_from_partition(L, part))
     traces = [
-        transport_to_centralizer(restrict_to_slice(p, chart, L), chart, Lc)
+        transport_to_centralizer(restrict_to_slice(p, chart), chart, Lc)
         for p in invariant_generators(L).generators
     ]
     rep = index_of(Lc, traces)
@@ -235,9 +260,6 @@ def test_dependent_transported_family_leaves_index_sampled():
 def test_centralizer_dims_match_slice(algebras):
     L = algebras[("gl", 3)]
     for part in PARTITIONS3:
-        e = nilpotent_from_partition(L, part)
-        t = sl2_from_partition(L, part)
-        Lc, _ = centralizer(L, e)
-        if any(e):
-            chart = kostant_slice(L, t)
-            assert len(chart.directions) == Lc.dim
+        Lc, _ = centralizer(L, nilpotent_from_partition(L, part))
+        chart = kostant_slice(L, jordan_triple(L, part))
+        assert len(chart.directions) == Lc.dim

@@ -321,6 +321,14 @@ def test_kostant_slice_dimensions(algebras, triples):
         assert linalg.rank(chart.pairing_gram) == expected
 
 
+def test_kostant_slice_rejects_degenerate_pairing(algebras, triples):
+    L = algebras[("sl", 2)]
+    zero_form = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+    flat = LieAlgebraData(L.dim, L.basis_labels, L.structure, zero_form, dict(L.meta))
+    with pytest.raises(LieAlgebraError, match="degenerate g\\^e x g\\^f pairing"):
+        kostant_slice(flat, triples[("sl", 2)])
+
+
 def test_sl2_slice_direction_is_f(algebras, triples):
     chart = kostant_slice(algebras[("sl", 2)], triples[("sl", 2)])
     assert chart.directions == [[Fraction(0), Fraction(0), Fraction(1)]]
@@ -331,6 +339,23 @@ def test_coords_matrix_round_trip(algebras):
     rng = random.Random(2)
     v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(L.dim)]
     assert coords_of_matrix(L, liealg.matrix_of_coords(L, v)) == v
+
+
+def test_coords_of_matrix_rejects_matrix_outside_algebra(algebras):
+    L = algebras[("sl", 3)]
+    identity = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
+    with pytest.raises(LieAlgebraError, match="does not lie in the algebra"):
+        coords_of_matrix(L, identity)  # trace 3: in gl_3, not in sl_3
+    assert coords_of_matrix(algebras[("gl", 3)], identity) == [
+        Fraction(int(i % 4 == 0)) for i in range(9)
+    ]
+
+
+def test_dual_of_rejects_wrong_length(algebras):
+    L = algebras[("sl", 2)]
+    for v in ([Fraction(1)], [Fraction(0)] * 4):
+        with pytest.raises(LieAlgebraError, match="vector length mismatch"):
+            dual_of(L, v)
 
 
 def test_draw_regular_is_deterministic(algebras):

@@ -2,15 +2,18 @@
 no hidden knobs: nothing in it reads the environment, and every random draw
 comes from a generator built from a seed.  The algebra layers below the
 Groebner engine do not import it.  The README shows only commands that the
-command line accepts."""
+command line accepts, and the benchmark's workloads find every library name
+they call."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
 from argshift import cli
+from argshift.centralizer_lab import nilpotent_from_partition
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "argshift"
@@ -135,3 +138,19 @@ def test_readme_command_lines_parse(capsys):
             parser.parse_args(line.split()[1:])
         except SystemExit:
             pytest.fail(f"the parser rejects a README command: {line}\n{capsys.readouterr().err}")
+
+
+def test_bench_workloads_call_the_library(algebras, monkeypatch):
+    # set-up of bench/workloads.py's bicone-slice workload, its gl_3 conjecture
+    # rows and the shift family its check rebuilds (without the sympy check)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    rows = [v for v in workloads.setup_bicone(1) if v.name.startswith("gl3 conjecture")]
+    assert len(rows) == 3
+    L = algebras[("gl", 3)]
+    for verdict in rows:
+        row, _ = verdict.run()
+        e = nilpotent_from_partition(L, row.partition)
+        dim_c, polys = workloads.conjecture_family(L, e, row.xi)
+        assert dim_c == row.star.centralizer_dim
+        assert len(polys) == row.report.generator_count
