@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .exactpoly import Poly
 from .groebner import (
     DimensionReport,
@@ -31,11 +30,11 @@ from .liealg import (
     InternalError,
     LieAlgebraData,
     SliceChart,
-    _mat_mul,
     centralizer,
     draw_regular_dual_point,
     dual_of,
     index_of,
+    jordan_blocks,
     jordan_triple,
     kostant_slice,
     matrix_of_coords,
@@ -92,26 +91,6 @@ def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
     if list(partition) != sorted(partition, reverse=True):
         raise ValueError("partition parts must be non-increasing")
     return jordan_triple(L, partition).e
-
-
-def jordan_partition(L: LieAlgebraData, e) -> tuple[int, ...]:
-    """Jordan type of a nilpotent element from the ranks of its powers."""
-    mat = power = matrix_of_coords(L, e)
-    m = len(mat)
-    kernels = [0, m - linalg.rank(mat)]
-    for _ in range(m - 1):
-        power = _mat_mul(power, mat)
-        kernels.append(m - linalg.rank(power))
-    if kernels[-1] != m:
-        raise ValueError("element is not nilpotent")
-    # kernel jumps form the conjugate partition; transpose it
-    conjugate = [kernels[k] - kernels[k - 1] for k in range(1, m + 1) if kernels[k] > kernels[k - 1]]
-    parts = []
-    for k in range(1, m + 1):
-        size = sum(1 for c in conjugate if c >= k)
-        if size:
-            parts.append(size)
-    return tuple(sorted(parts, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +158,13 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     values = [p.evaluate(xi) for p in fam.generators]
     if any(values):
         raise ValueError("element is not nilpotent (an invariant does not vanish)")
-    partition = jordan_partition(L, e)
-    triple = jordan_triple(L, partition)
-    if triple.e != e:
+    partition = jordan_blocks(matrix_of_coords(L, e))
+    if nilpotent_from_partition(L, partition) != e:
         raise ValueError(
-            f"element is nilpotent of type {partition} but is not in Jordan form; "
+            "element is nilpotent but is not in Jordan form; "
             "pass the block nilpotent from nilpotent_from_partition"
         )
+    triple = jordan_triple(L, partition)
     chart = kostant_slice(L, triple)
     Lc, _ = centralizer(L, e)
     # the sampled index fixes b(g^e) and the family; the chosen family certifies it below
@@ -275,6 +254,11 @@ def conjecture_check(
     dual, builds the shift family from the transported initial components,
     and runs the dimension verdict with n = dim g^e and k = b(g^e).
     timeout_secs bounds the whole call.
+
+    A false row is a verdict at that one seeded regular point, not a
+    counterexample at generic points: a draw with zero coordinates can be a
+    special regular point where the family is not a regular sequence (gl_4,
+    partition (3, 1), seed 1966748487).
     """
     deadline = deadline_after(timeout_secs)
     pipe = _slice_pipeline(L, e)

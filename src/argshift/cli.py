@@ -263,6 +263,18 @@ def cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seconds(text: str) -> float:
+    """A --timeout-secs value: a non-negative number (nan and negatives are
+    usage errors, not an already-spent budget)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, not {text!r}")
+    return value
+
+
 def _add_common(sub, xi: bool = False, gb: bool = False, partition: bool = False):
     sub.add_argument("--type", required=True, choices=["gl", "sl", "so", "sp"])
     sub.add_argument("--size", required=True, type=int)
@@ -275,7 +287,7 @@ def _add_common(sub, xi: bool = False, gb: bool = False, partition: bool = False
             help="e | ef | h | zero | random-regular | comma-separated rationals",
         )
     if gb:
-        sub.add_argument("--timeout-secs", type=float, default=None)
+        sub.add_argument("--timeout-secs", type=_seconds, default=None)
     if partition:
         sub.add_argument("--partition", default=None, help="Jordan type, e.g. 2,1")
     return sub

@@ -51,8 +51,8 @@ class LieAlgebraData:
     meta: dict = field(default_factory=dict)
     defining: list[list[list[Fraction]]] | None = None
 
-    # per-algebra memos: "index", "form_inverse", "structure_matrix", "structure_rows"
-    # (its rows packed, see poisson), "invariants", "coords" (see coords_of_matrix)
+    # per-algebra memos: "index", "form_inverse", "structure_rows" (B(x) packed, see
+    # poisson), "invariants", "coords" (see coords_of_matrix)
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -151,15 +151,6 @@ def _E(m: int, a: int, b: int) -> list[list[Fraction]]:
     return out
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, c):
-    c = Fraction(c)
-    return [[x * c for x in row] for row in a]
-
-
 def _mat_mul(a, b):
     """Matrix product that skips the zero entries of both factors."""
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
@@ -242,7 +233,8 @@ def _sl_basis(n: int):
             mats.append(_E(n, a, b))
             labels.append(f"E{a}{b}")
     for i in range(1, n):
-        h = _mat_add(_E(n, i, i), _mat_scale(_E(n, i + 1, i + 1), -1))
+        h = _E(n, i, i)
+        h[i][i] = Fraction(-1)
         mats.append(h)
         labels.append(f"H{i}")
     for b in range(1, n + 1):
@@ -404,21 +396,6 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
 # ---------------------------------------------------------------------------
 
 
-def structure_matrix_poly(L: LieAlgebraData) -> list[list[Poly]]:
-    """B(x) with B_ij = {x_i, x_j} = sum_k c_ij^k x_k, entries linear
-    polynomials, memoized per algebra (callers must not mutate it)."""
-    mat = L._caches.get("structure_matrix")
-    if mat is None:
-        n = L.dim
-        mat = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
-        for (i, j), comps in L.structure.items():
-            p = Poly.linear_form([comps.get(k, 0) for k in range(n)])
-            mat[i][j] = p
-            mat[j][i] = -p
-        L._caches["structure_matrix"] = mat
-    return mat
-
-
 def structure_matrix_at(L: LieAlgebraData, xi: Vector) -> list[list[Fraction]]:
     n = L.dim
     mat = [[Fraction(0)] * n for _ in range(n)]
@@ -507,24 +484,50 @@ def draw_regular_dual_point(L: LieAlgebraData, seed: int) -> tuple[Vector, int]:
 # ---------------------------------------------------------------------------
 
 
-def jordan_triple(L: LieAlgebraData, partition) -> SL2Triple:
-    """The blockwise triple of gl_n or sl_n through the Jordan nilpotent of
-    the partition (parts summing to n), not verified.
+def jordan_blocks(mat) -> tuple[int, ...]:
+    """Block sizes of a matrix read along its superdiagonal: each run of
+    nonzero superdiagonal entries joins one block, every other entry is
+    ignored."""
+    blocks = [1]
+    for i in range(len(mat) - 1):
+        if mat[i][i + 1]:
+            blocks[-1] += 1
+        else:
+            blocks.append(1)
+    return tuple(blocks)
 
-    Per block of size p: e = sum E_{i,i+1}, h = diag(p-1, p-3, ..., 1-p),
-    f = sum i(p-i) E_{i+1,i}; blocks are assembled along the diagonal.
+
+def _superdiagonal_triple(L: LieAlgebraData, e) -> SL2Triple:
+    """The sl2-triple through e, a defining-representation matrix whose only
+    nonzero entries are +-1 on the superdiagonal, not verified.
+
+    Per block of size p (see jordan_blocks): h = diag(p-1, p-3, ..., 1-p) and
+    f_{i+1,i} = e_{i,i+1} * i(p-i), i = 1..p-1 (Kostant's principal triple of
+    one Jordan block).  coords_of_matrix checks that e, h, f lie in L.
     """
-    m = L.meta["size"]
-    e, h, f = _mat_zero(m), _mat_zero(m), _mat_zero(m)
+    h, f = _mat_zero(len(e)), _mat_zero(len(e))
     offset = 0
-    for part in partition:
+    for part in jordan_blocks(e):
         for i in range(part):
-            h[offset + i][offset + i] = Fraction(part - 1 - 2 * i)
+            a = offset + i
+            h[a][a] = Fraction(part - 1 - 2 * i)
             if i + 1 < part:
-                e[offset + i][offset + i + 1] = Fraction(1)
-                f[offset + i + 1][offset + i] = Fraction((i + 1) * (part - 1 - i))
+                f[a + 1][a] = e[a][a + 1] * (i + 1) * (part - 1 - i)
         offset += part
     return SL2Triple(*(coords_of_matrix(L, mat) for mat in (e, h, f)))
+
+
+def jordan_triple(L: LieAlgebraData, partition) -> SL2Triple:
+    """The blockwise triple of gl_n or sl_n through the Jordan nilpotent of
+    the partition (parts summing to n, one all-ones block per part), not
+    verified."""
+    e = _mat_zero(L.meta["size"])
+    offset = 0
+    for part in partition:
+        for i in range(offset, offset + part - 1):
+            e[i][i + 1] = Fraction(1)
+        offset += part
+    return _superdiagonal_triple(L, e)
 
 
 def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
@@ -565,40 +568,6 @@ def matrix_of_coords(L: LieAlgebraData, v: Vector):
     return out
 
 
-def _principal_so_sp(L: LieAlgebraData) -> SL2Triple:
-    kind = L.meta["type"]
-    n = L.meta["size"]
-    m = n // 2
-    if kind == "so" and n % 2 == 0:
-        raise LieAlgebraError("principal triple for even so is not supported")
-    e_mat = _mat_zero(n)
-    top = m if kind == "so" else m - 1
-    for i in range(1, top + 1):
-        e_mat[i - 1][i] += Fraction(1)
-        e_mat[n - i - 1][n - i] -= Fraction(1)
-    if kind == "sp":
-        e_mat[m - 1][m] += Fraction(1)
-    e = coords_of_matrix(L, e_mat)
-    # h = [e, z] with [[e, z], e] = 2e, i.e. -ad(e)^2 z = 2e
-    ad_e = adjoint_matrix(L, e)
-    ad_e2 = _mat_mul(ad_e, ad_e)
-    z = linalg.solve_many([[-x for x in row] for row in ad_e2], [[2 * x for x in e]])
-    if z is None:
-        raise LieAlgebraError("cannot complete nilpotent to a triple (h step)")
-    h = bracket(L, e, z[0])
-    # f solves [e, f] = h and [h, f] = -2f simultaneously
-    ad_h = adjoint_matrix(L, h)
-    stacked = [row[:] for row in ad_e]
-    for i in range(L.dim):
-        row = ad_h[i][:]
-        row[i] += Fraction(2)
-        stacked.append(row)
-    f = linalg.solve_many(stacked, [h + linalg.zeros_vector(L.dim)])
-    if f is None:
-        raise LieAlgebraError("cannot complete nilpotent to a triple (f step)")
-    return SL2Triple(e=e, h=h, f=f[0])
-
-
 def verify_sl2(L: LieAlgebraData, t: SL2Triple) -> None:
     if bracket(L, t.h, t.e) != [2 * x for x in t.e]:
         raise LieAlgebraError("[h,e] != 2e")
@@ -609,14 +578,22 @@ def verify_sl2(L: LieAlgebraData, t: SL2Triple) -> None:
 
 
 def principal_sl2(L: LieAlgebraData) -> SL2Triple:
-    """Principal sl2-triple (e regular nilpotent), verified exactly."""
-    kind = L.meta.get("type")
-    if kind in ("gl", "sl"):
-        t = jordan_triple(L, (L.meta["size"],))
-    elif kind in ("so", "sp"):
-        t = _principal_so_sp(L)
-    else:
+    """Principal sl2-triple (e regular nilpotent), verified exactly.
+
+    e is one Jordan block: +1 along the superdiagonal for gl and sl; for so
+    (odd size) and sp, +1 on its first size // 2 entries and -1 after, so that
+    e preserves the form (_gram_so, _gram_sp).
+    """
+    kind, n = L.meta.get("type"), L.meta.get("size")
+    if kind not in ("gl", "sl", "so", "sp"):
         raise LieAlgebraError(f"no principal triple for type {kind!r}")
+    if kind == "so" and n % 2 == 0:
+        raise LieAlgebraError("principal triple for even so is not supported")
+    plus = n - 1 if kind in ("gl", "sl") else n // 2
+    e = _mat_zero(n)
+    for i in range(n - 1):
+        e[i][i + 1] = Fraction(1 if i < plus else -1)
+    t = _superdiagonal_triple(L, e)
     verify_sl2(L, t)
     if not is_regular_point(L, dual_of(L, t.e)):
         raise InternalError("principal nilpotent is not regular (bug)")

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactpoly import Packed, Poly, pack, pack_gradient, packed_dot, unpack
-from .liealg import LieAlgebraData, structure_matrix_poly
+from .exactpoly import ZERO, Packed, Poly, pack, pack_gradient, packed_dot, unpack
+from .liealg import LieAlgebraData
 
 
 def _check_arity(L: LieAlgebraData, p: Poly) -> None:
@@ -29,10 +29,12 @@ def _check_arity(L: LieAlgebraData, p: Poly) -> None:
 
 def _field(L: LieAlgebraData, grad: list[Packed]) -> list[Packed]:
     rows = L._caches.get("structure_rows")
-    if rows is None:
-        rows = L._caches["structure_rows"] = [
-            [pack(p) for p in row] for row in structure_matrix_poly(L)
-        ]
+    if rows is None:  # B(x) packed, B_ij = {x_i, x_j} = sum_k c_ij^k x_k
+        n = L.dim
+        rows = L._caches["structure_rows"] = [[ZERO] * n for _ in range(n)]
+        for (i, j), comps in L.structure.items():
+            p = pack(Poly.linear_form(comps.get(k, 0) for k in range(n)))
+            rows[i][j], rows[j][i] = p, (p[0], p[1], [-c for c in p[2]])
     return [packed_dot(row, grad, L.dim) for row in rows]
 
 

@@ -7,7 +7,6 @@ from argshift.centralizer_lab import (
     all_partitions,
     condition_star,
     conjecture_check,
-    jordan_partition,
     nilpotent_from_partition,
     restrict_to_slice,
     transport_to_centralizer,
@@ -20,8 +19,10 @@ from argshift.liealg import (
     centralizer,
     draw_regular_dual_point,
     index_of,
+    jordan_blocks,
     jordan_triple,
     kostant_slice,
+    matrix_of_coords,
     verify_sl2,
 )
 from argshift.shift import mf_generators
@@ -47,24 +48,33 @@ def test_nilpotent_from_partition_validates(algebras):
         nilpotent_from_partition(L, (1, 2))
 
 
-def test_jordan_partition_round_trip(algebras):
+def test_jordan_blocks_round_trip(algebras):
     L = algebras[("gl", 3)]
     for part in PARTITIONS3:
         e = nilpotent_from_partition(L, part)
-        assert jordan_partition(L, e) == part
-    L4 = build_classical("gl", 4)
-    for part in all_partitions(4):
-        e = nilpotent_from_partition(L4, part)
-        assert jordan_partition(L4, e) == part
+        assert jordan_blocks(matrix_of_coords(L, e)) == part
+    for n in (4, 5):
+        Ln = build_classical("gl", n)
+        for part in all_partitions(n):
+            e = nilpotent_from_partition(Ln, part)
+            assert jordan_blocks(matrix_of_coords(Ln, e)) == part
 
 
-def test_jordan_partition_rejects_non_nilpotent(algebras):
+def test_condition_star_rejects_identity(algebras):
     L = algebras[("gl", 3)]
     identity = [Fraction(0)] * 9
     for a in (1, 2, 3):
         identity[L.basis_labels.index(f"E{a}{a}")] = Fraction(1)
     with pytest.raises(ValueError):
-        jordan_partition(L, identity)
+        condition_star(L, identity)
+
+
+def test_condition_star_rejects_increasing_blocks(algebras):
+    L = algebras[("gl", 3)]
+    e23 = [Fraction(0)] * 9
+    e23[L.basis_labels.index("E23")] = Fraction(1)  # Jordan form with blocks (1, 2)
+    with pytest.raises(ValueError, match="non-increasing"):
+        condition_star(L, e23)
 
 
 def test_blockwise_triples(algebras):
@@ -178,6 +188,18 @@ def test_conjecture_rows_gl3(algebras):
         assert row.report.verdict is True
         assert row.report.ideal_dimension == expected_dims[part]
         assert row.report.generator_count == row.star.b_centralizer
+
+
+def test_conjecture_false_row_at_a_special_regular_point():
+    # a false row is a verdict at the one seeded regular point it draws: this
+    # draw has zero coordinates, and there the ideal has dimension 2, not 1
+    L = build_classical("gl", 4)
+    row = conjecture_check(L, nilpotent_from_partition(L, (3, 1)), seed=1966748487)
+    assert row.xi == [Fraction(0), Fraction(0), Fraction(0), Fraction(1, 9), Fraction(-10),
+                      Fraction(3)]
+    assert row.report.verdict is False
+    assert row.report.ideal_dimension == 2
+    assert row.report.to_json_dict()["stats"]["certificate"] == {"kind": "exact"}
 
 
 def test_conjecture_zero_partition_reproduces_ambient_run(algebras):

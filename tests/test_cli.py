@@ -128,6 +128,14 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_timeout_must_be_non_negative(capsys):
+    # nan and negative budgets are usage errors, not inconclusive runs
+    for argv in (["regseq", "--type", "sl", "--size", "3", "--xi", "e", "--timeout-secs", "nan"],
+                 ["bicone", "--type", "sl", "--size", "2", "--timeout-secs", "-5"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

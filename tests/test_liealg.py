@@ -292,6 +292,41 @@ def test_principal_triples(algebras, triples):
         liealg.verify_sl2(algebras[spec], tt)
 
 
+@pytest.mark.parametrize("spec", [("so", 3), ("so", 5), ("so", 7), ("sp", 2), ("sp", 4), ("sp", 6)])
+def test_principal_triples_so_sp_closed_form(spec):
+    # one Jordan block, +1 on the first n // 2 superdiagonal entries and -1
+    # after; h = diag(n-1, ..., 1-n), f_{i+1,i} = e_{i,i+1} * i(n-i)
+    L = build_classical(*spec)
+    n = spec[1]
+    t = principal_sl2(L)
+    e, h, f = (liealg.matrix_of_coords(L, v) for v in (t.e, t.h, t.f))
+    zero = [[Fraction(0)] * n for _ in range(n)]
+    e_expected, h_expected, f_expected = ([row[:] for row in zero] for _ in range(3))
+    for i in range(1, n + 1):
+        h_expected[i - 1][i - 1] = Fraction(n + 1 - 2 * i)
+        if i < n:
+            sign = 1 if i <= n // 2 else -1
+            e_expected[i - 1][i] = Fraction(sign)
+            f_expected[i][i - 1] = Fraction(sign * i * (n - i))
+    assert (e, h, f) == (e_expected, h_expected, f_expected)
+
+
+def test_principal_triple_needs_no_linear_solve(monkeypatch):
+    algebras = [build_classical("so", 5), build_classical("sp", 4)]
+
+    def refuse(*args):
+        raise AssertionError("linear solve while building a triple")
+
+    monkeypatch.setattr(linalg, "solve_many", refuse)
+    for L in algebras:
+        liealg.verify_sl2(L, principal_sl2(L))
+
+
+def test_principal_triple_rejects_even_so():
+    with pytest.raises(LieAlgebraError, match="even so"):
+        principal_sl2(build_classical("so", 4))
+
+
 def test_principal_e_has_minimal_centralizer(algebras, triples):
     L = algebras[("gl", 3)]
     Lc, _ = centralizer(L, triples[("gl", 3)].e)
