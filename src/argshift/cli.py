@@ -62,7 +62,7 @@ def _resolve_xi(L, spec: str, seed: int):
         return xi, {"kind": "random-regular", "seed": seed, "attempts": attempts}
     try:
         xi = [Fraction(part) for part in spec.split(",")]
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         raise UsageError(f"cannot parse xi {spec!r}") from err
     if len(xi) != L.dim:
         raise UsageError(f"xi has {len(xi)} entries, algebra has dimension {L.dim}")
@@ -200,7 +200,9 @@ def cmd_bicone(args) -> int:
     return _verdict_exit(rep.verdict)
 
 
-def _parse_partition(text: str, size: int):
+def _parse_partition(text: str | None, size: int):
+    if text is None:
+        raise UsageError("need --partition")
     try:
         part = tuple(int(p) for p in text.split(","))
     except ValueError as err:
@@ -210,11 +212,16 @@ def _parse_partition(text: str, size: int):
     return part
 
 
-def cmd_star(args) -> int:
-    L = _build_algebra(args)
+def _require_gl(args) -> None:
+    """The slice pipeline's type check, made before any algebra is built."""
     if args.type != "gl":
         raise UsageError("the slice pipeline supports gl only")
+
+
+def cmd_star(args) -> int:
+    _require_gl(args)
     part = _parse_partition(args.partition, args.size)
+    L = _build_algebra(args)
     e = cl.nilpotent_from_partition(L, part)
     star = cl.condition_star(L, e)
     payload = {
@@ -227,8 +234,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.type != "gl":
-        raise UsageError("the slice pipeline supports gl only")
+    _require_gl(args)
     if not args.all_partitions and not args.partition:
         raise UsageError("need --partition or --all-partitions")
     partitions = (

@@ -40,8 +40,10 @@ class LieAlgebraData:
     """Structure-constant presentation of a Lie algebra with invariant form.
 
     structure maps (i, j) with i < j to the sparse bracket {k: c} meaning
-    [b_i, b_j] = sum c * b_k; antisymmetry is implicit.  The form may be
-    degenerate only for type "centralizer".
+    [b_i, b_j] = sum c * b_k; antisymmetry is implicit.  defining holds the
+    basis matrices (see _from_matrices), for a centralizer the parent's
+    matrices of its basis vectors.  The form may be degenerate only for type
+    "centralizer".
     """
 
     dim: int
@@ -170,42 +172,34 @@ def _mat_commutator(a, b):
 
 
 def _mat_trace_pairing(a, b) -> Fraction:
-    m = len(a)
-    return sum((a[i][j] * b[j][i] for i in range(m) for j in range(m)), Fraction(0))
+    """tr(ab), skipping the zero entries of both factors."""
+    return sum((x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row)
+                if x and b[j][i]), Fraction(0))
 
 
 def _flatten(mat) -> Vector:
     return [x for row in mat for x in row]
 
 
-def _structure_constants(columns: list[Vector], bracket_of, error: Exception) -> dict:
-    """Structure constants of the span of columns: each bracket_of(i, j),
-    i < j, solved in the basis columns (one elimination for all pairs).
-    Raises error if some bracket leaves the span."""
-    d = len(columns)
-    rows = [list(r) for r in zip(*columns)]
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    sols = linalg.solve_many(rows, [bracket_of(i, j) for i, j in pairs]) if pairs else []
+def _from_matrices(
+    mats: list[list[list[Fraction]]], labels: list[str], meta: dict
+) -> LieAlgebraData:
+    """The span of independent basis matrices: structure constants from one
+    elimination that solves every commutator [b_i, b_j], i < j, in the
+    flattened basis, and the trace form.  Raises LieAlgebraError if some
+    commutator leaves the span."""
+    n = len(mats)
+    rows = [list(r) for r in zip(*(_flatten(m) for m in mats))]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    commutators = [_flatten(_mat_commutator(mats[i], mats[j])) for i, j in pairs]
+    sols = linalg.solve_many(rows, commutators) if pairs else []
     if sols is None:
-        raise error
+        raise LieAlgebraError("basis does not close under the bracket")
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pair, sol in zip(pairs, sols):
         comps = {k: c for k, c in enumerate(sol) if c != 0}
         if comps:
             structure[pair] = comps
-    return structure
-
-
-def _from_matrices(
-    mats: list[list[list[Fraction]]], labels: list[str], meta: dict
-) -> LieAlgebraData:
-    """Structure constants and trace form from a list of basis matrices."""
-    n = len(mats)
-    structure = _structure_constants(
-        [_flatten(m) for m in mats],
-        lambda i, j: _flatten(_mat_commutator(mats[i], mats[j])),
-        LieAlgebraError("basis does not close under the bracket"),
-    )
     form = [[_mat_trace_pairing(mats[i], mats[j]) for j in range(n)] for i in range(n)]
     return LieAlgebraData(
         dim=n,
@@ -340,24 +334,15 @@ def validate(L: LieAlgebraData) -> None:
         raise LieAlgebraError("form is degenerate")
 
 
-def _basis_vector(n: int, i: int) -> Vector:
-    v = linalg.zeros_vector(n)
-    v[i] = Fraction(1)
-    return v
-
-
-def _pairing(left: list[Vector], duals: list[Vector]) -> list[list[Fraction]]:
-    """Gram matrix [(u | v)] of the invariant form, u in left, dual_of v in duals."""
-    return [[sum((a * b for a, b in zip(u, w)), Fraction(0)) for w in duals] for u in left]
-
-
 # ---------------------------------------------------------------------------
 # centralizers
 # ---------------------------------------------------------------------------
 
 
 def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vector]]:
-    """The subalgebra ker(ad e) with induced structure constants.
+    """The subalgebra ker(ad e), built by _from_matrices from the defining
+    matrices of its basis vectors: L's form is the trace form of its faithful
+    defining representation, so the induced constants and form are L's.
 
     Returns (algebra, embedding) where embedding is the list of basis vectors
     of the centralizer inside L (reduced row-echelon kernel basis, ordered by
@@ -366,29 +351,15 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
     if len(e) != L.dim:
         raise LieAlgebraError("vector length mismatch")
     if not any(e):
-        return L, [_basis_vector(L.dim, i) for i in range(L.dim)]
+        return L, [[Fraction(int(i == j)) for j in range(L.dim)] for i in range(L.dim)]
     kernel = linalg.nullspace(adjoint_matrix(L, e))
-    d = len(kernel)
-    structure = _structure_constants(
-        kernel,
-        lambda a, b: bracket(L, kernel[a], kernel[b]),
-        InternalError("centralizer is not closed under bracket (bug)"),
-    )
-    form = _pairing(kernel, [dual_of(L, v) for v in kernel])
-    meta = {
-        "type": "centralizer",
-        "parent_type": L.meta.get("type"),
-        "parent_size": L.meta.get("size"),
-        "rank": None,
-    }
-    Lc = LieAlgebraData(
-        dim=d,
-        basis_labels=[f"z{i}" for i in range(d)],
-        structure=structure,
-        form=form,
-        meta=meta,
-    )
-    return Lc, kernel
+    mats = [matrix_of_coords(L, v) for v in kernel]
+    meta = {"type": "centralizer", "parent_type": L.meta.get("type"),
+            "parent_size": L.meta.get("size"), "rank": None}
+    try:
+        return _from_matrices(mats, [f"z{i}" for i in range(len(mats))], meta), kernel
+    except LieAlgebraError:
+        raise InternalError("centralizer is not closed under bracket (bug)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +585,7 @@ def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
     if len(directions) != len(ge_basis):
         raise InternalError("dim g^f != dim g^e (bug)")
     dual_dirs = [dual_of(L, v) for v in directions]
-    gram = _pairing(ge_basis, dual_dirs)
+    gram = [[sum((a * b for a, b in zip(u, w)), Fraction(0)) for w in dual_dirs] for u in ge_basis]
     try:
         gram_inv = linalg.invert(gram)
     except ValueError:

@@ -21,7 +21,9 @@ def zeros_vector(n: int) -> Vector:
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
+    """m . v, skipping the zero entries of v and of each row."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nonzero if row[j]), Fraction(0)) for row in m]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:

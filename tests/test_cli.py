@@ -117,6 +117,11 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["regseq", "--type", "sl", "--size", "2", "--xi", "1,2"]) == 3
     capsys.readouterr()
+    # Fraction("1/0") raises ZeroDivisionError, not ValueError
+    assert main(["regseq", "--type", "sl", "--size", "2", "--xi", "1/0,1,1"]) == 3
+    capsys.readouterr()
+    assert main(["star", "--type", "gl", "--size", "3"]) == 3
+    capsys.readouterr()
     assert main(["nonsense"]) == 3
     capsys.readouterr()
     # one monomial order and one conjecture loop: neither option exists
@@ -126,6 +131,15 @@ def test_usage_errors(capsys):
     conjecture = ["conjecture", "--type", "gl", "--size", "2", "--all-partitions"]
     assert main([*conjecture, "--jobs", "2"]) == 3
     capsys.readouterr()
+
+
+def test_slice_commands_reject_other_types_before_building(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(liealg, "build_classical", lambda *spec: built.append(spec))
+    assert main(["star", "--type", "so", "--size", "9", "--partition", "9"]) == 3
+    assert main(["conjecture", "--type", "so", "--size", "9", "--partition", "9"]) == 3
+    assert capsys.readouterr().out == ""
+    assert built == []
 
 
 def test_timeout_must_be_non_negative(capsys):

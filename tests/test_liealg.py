@@ -197,17 +197,47 @@ def test_centralizer_dimensions(algebras, triples):
     assert Lc2.dim + linalg.rank(adjoint_matrix(L, e12)) == L.dim
 
 
-def test_centralizer_closed_under_bracket(algebras):
+CENTRALIZER_CASES = [
+    *((("gl", 3), part) for part in [(3,), (2, 1), (1, 1, 1)]),
+    *((("gl", 4), part) for part in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]),
+    (("sl", 3), "principal"),
+    (("sp", 4), "principal"),
+    (("so", 5), "principal"),
+]
+
+
+def _centralizer_case_id(case):
+    (kind, n), part = case
+    return f"{kind}{n}-" + (part if part == "principal" else ",".join(map(str, part)))
+
+
+@pytest.mark.parametrize("case", CENTRALIZER_CASES, ids=_centralizer_case_id)
+def test_centralizer_closed_under_bracket(case):
+    from argshift.centralizer_lab import nilpotent_from_partition
+
+    spec, part = case
+    L = build_classical(*spec)
+    e = principal_sl2(L).e if part == "principal" else nilpotent_from_partition(L, part)
+    Lc, emb = centralizer(L, e)
+    assert Lc.dim == len(emb) and Lc.defining is not None
+    # the coordinate path is the reference: induced constants reproduce the
+    # ambient bracket of embedded vectors, and the form is L's form on them
+    for a in range(Lc.dim):
+        for b in range(Lc.dim):
+            rebuilt = [Fraction(0)] * L.dim
+            for k, c in Lc.bracket_basis(a, b).items():
+                rebuilt = [r + c * x for r, x in zip(rebuilt, emb[k])]
+            assert bracket(L, emb[a], emb[b]) == rebuilt
+            pairing = sum((x * y for x, y in zip(emb[a], dual_of(L, emb[b]))), Fraction(0))
+            assert Lc.form[a][b] == pairing
+
+
+def test_centralizer_closure_failure_is_internal_error(algebras, monkeypatch):
     L = algebras[("gl", 3)]
     e12 = basis_vec(9, L.basis_labels.index("E12"))
-    Lc, emb = centralizer(L, e12)
-    # induced constants reproduce the ambient bracket of embedded vectors
-    for (a, b), comps in Lc.structure.items():
-        ambient = bracket(L, emb[a], emb[b])
-        rebuilt = [Fraction(0)] * L.dim
-        for k, c in comps.items():
-            rebuilt = [r + c * x for r, x in zip(rebuilt, emb[k])]
-        assert ambient == rebuilt
+    monkeypatch.setattr(linalg, "solve_many", lambda rows, rhs: None)
+    with pytest.raises(liealg.InternalError, match="not closed under bracket"):
+        centralizer(L, e12)
 
 
 def test_index_values(algebras):
