@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import factorial
 
 from . import linalg
 from .exactpoly import Poly
@@ -27,6 +28,7 @@ from .groebner import (
 )
 from .invariants import InvariantFamily
 from .liealg import InternalError, LieAlgebraData, dual_of, index_of, is_regular_point
+from .reports import fractions_json
 from .shift import bigraded_components, mf_generators
 
 
@@ -127,39 +129,38 @@ def bicone_fiber_check(
 ) -> DimensionReport:
     """Fiber of the first projection over a regular nilpotent element e.
 
-    Substitutes the x-block at e and measures the resulting ideal in the
-    y-block; verdict true iff the dimension equals b - ell.  The report also
-    runs the plain shift-family verdict at xi = e and records whether the two
-    dimensions agree (they must: the fiber generators are scalar multiples of
-    the shift family).  timeout_secs bounds the whole call, both verdicts
-    together; the second is skipped when the fiber verdict is already
-    inconclusive.
+    Substitutes the x-block at xi = dual(e); verdict true iff the y-block
+    ideal has dimension b - ell.  By Taylor expansion of p(y + t*xi), each
+    generator p^(j)(xi, y), j >= 1, is exactly D^(d-j) p / (d-j)! of the
+    shift family at xi (checked; InternalError otherwise) and p^(0) is the
+    constant p(xi), zero iff e is nilpotent.  So the one verdict also gives
+    the family's dimension: None when inconclusive or when the family has a
+    zero member.  timeout_secs bounds the whole call.
     """
     deadline = deadline_after(timeout_secs)
-    e = [Fraction(v) for v in e]
-    xi = dual_of(L, e)
+    xi = dual_of(L, [Fraction(v) for v in e])
     if not is_regular_point(L, xi):
         raise ValueError("base point is not regular")
     n = L.dim
+    images = [Poly.constant(n, v) for v in xi] + [Poly.variable(n, k) for k in range(n)]
     ideal = bicone_generators(L, fam)
-    if not ideal.vanishes_at(xi + [Fraction(0)] * n):
+    substituted = [(i, j, p.substitute(images)) for i, j, p in ideal.generators]
+    if any(not p.is_zero() for _, j, p in substituted if j == 0):
         raise ValueError("base point is not nilpotent")
+    mf = mf_generators(L, fam, xi)
+    shifts = {(i, fam.degrees[i] - k): q * Fraction(1, factorial(k)) for i, k, q in mf.entries}
+    bad = [(i, j) for i, j, p in substituted if j and p != shifts[i, j]]
+    if bad:
+        raise InternalError(f"fiber generators {bad} are not D^(d-j) p / (d-j)! (bug)")
     identity = counting_identity(L, fam)
     b, ell = identity["b"], identity["index"]
-    images = [Poly.constant(n, v) for v in xi] + [Poly.variable(n, k) for k in range(n)]
-    substituted = [(i, j, p.substitute(images)) for i, j, p in ideal.generators]
     nonzero = [p for _, _, p in substituted if not p.is_zero()]
     dropped = [(i, j) for i, j, p in substituted if p.is_zero()]
     gb_report = regular_sequence_verdict(
         nonzero, n, timeout_secs=time_left(deadline), cache_dir=cache_dir
     )
     fiber_dim = gb_report.ideal_dimension
-    mf_dim = None
-    if gb_report.status != "inconclusive":
-        mf = mf_generators(L, fam, xi)
-        mf_dim = regular_sequence_verdict(
-            mf.polynomials(), n, timeout_secs=time_left(deadline), cache_dir=cache_dir
-        ).ideal_dimension
+    mf_dim = None if mf.degenerate else fiber_dim
     report = replace(
         gb_report,
         expected_dimension=b - ell,
@@ -282,8 +283,8 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
         rank = linalg.jacobian_rank(gens, point)
         smooth = rank == full_count
         entry = {
-            "x": [str(Fraction(v)) for v in x],
-            "y": [str(Fraction(v)) for v in y],
+            "x": fractions_json(map(Fraction, x)),
+            "y": fractions_json(map(Fraction, y)),
             "pencil_regular": omega,
             "jacobian_rank": rank,
             "jacobian_full": smooth,

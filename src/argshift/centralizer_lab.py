@@ -29,10 +29,10 @@ from .invariants import InvariantFamily, invariant_generators, power_sums_to_ele
 from .liealg import (
     InternalError,
     LieAlgebraData,
+    SL2Triple,
     SliceChart,
     centralizer,
     draw_regular_dual_point,
-    dual_of,
     index_of,
     jordan_blocks,
     jordan_triple,
@@ -80,8 +80,8 @@ class StarReport:
 # ---------------------------------------------------------------------------
 
 
-def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
-    """Block Jordan nilpotent for gl_n: one J_lambda block per part."""
+def _partition_triple(L: LieAlgebraData, partition) -> SL2Triple:
+    """The blockwise triple through the Jordan nilpotent of a gl_n partition."""
     if L.meta.get("type") != "gl":
         raise ValueError("Jordan partitions are supported for gl only")
     n = L.meta["size"]
@@ -90,7 +90,12 @@ def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
         raise ValueError(f"{partition} is not a partition of {n}")
     if list(partition) != sorted(partition, reverse=True):
         raise ValueError("partition parts must be non-increasing")
-    return jordan_triple(L, partition).e
+    return jordan_triple(L, partition)
+
+
+def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
+    """Block Jordan nilpotent for gl_n: one J_lambda block per part."""
+    return _partition_triple(L, partition).e
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +158,16 @@ class SlicePipeline:
 
 def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     e = [Fraction(v) for v in e]
-    fam = invariant_generators(L)
-    xi = dual_of(L, e)
-    values = [p.evaluate(xi) for p in fam.generators]
-    if any(values):
-        raise ValueError("element is not nilpotent (an invariant does not vanish)")
     partition = jordan_blocks(matrix_of_coords(L, e))
-    if nilpotent_from_partition(L, partition) != e:
+    triple = _partition_triple(L, partition)
+    # the Jordan nilpotent of e's superdiagonal runs is strictly upper
+    # triangular, so e equal to it is nilpotent: no invariant is evaluated
+    if triple.e != e:
         raise ValueError(
-            "element is nilpotent but is not in Jordan form; "
+            "element is not the Jordan nilpotent of its superdiagonal blocks; "
             "pass the block nilpotent from nilpotent_from_partition"
         )
-    triple = jordan_triple(L, partition)
+    fam = invariant_generators(L)
     chart = kostant_slice(L, triple)
     Lc, _ = centralizer(L, e)
     # the sampled index fixes b(g^e) and the family; the chosen family certifies it below

@@ -339,7 +339,6 @@ def _reduce_full(
     out = {} if out is None else out
     heap = [m - ((m >> s) << s1) for m in work]  # -key(m): the largest monomial pops first
     heapify(heap)
-    steps = 0
     while heap:
         v = heappop(heap)
         m = v - ((v >> s) << s1)  # the same map takes -key(m) back to m
@@ -391,23 +390,6 @@ def _reduce_full(
                 del work[k]
         budget.steps += 1  # before the tick, so that an interrupted reduction counts too
         budget.tick()
-        steps += 1
-        if steps % 64 == 0 and not mod:
-            merged_gcd = 0
-            for v in work.values():
-                merged_gcd = gcd(merged_gcd, v)
-                if merged_gcd == 1:
-                    break
-            if merged_gcd != 1:
-                for v in out.values():
-                    merged_gcd = gcd(merged_gcd, v)
-                    if merged_gcd == 1:
-                        break
-            if merged_gcd > 1:
-                for k in work:
-                    work[k] //= merged_gcd
-                for k in out:
-                    out[k] //= merged_gcd
     if not mod:
         _content_normalize(out)
     return out

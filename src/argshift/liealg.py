@@ -585,7 +585,8 @@ def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
     if len(directions) != len(ge_basis):
         raise InternalError("dim g^f != dim g^e (bug)")
     dual_dirs = [dual_of(L, v) for v in directions]
-    gram = [[sum((a * b for a, b in zip(u, w)), Fraction(0)) for w in dual_dirs] for u in ge_basis]
+    gram = [[sum((a * b for a, b in zip(u, w) if a and b), Fraction(0)) for w in dual_dirs]
+            for u in ge_basis]
     try:
         gram_inv = linalg.invert(gram)
     except ValueError:

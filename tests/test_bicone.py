@@ -1,10 +1,9 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
-from argshift import bicone, linalg
+from argshift import bicone, liealg, linalg
 from argshift.bicone import (
     bicone_dimension_check,
     bicone_fiber_check,
@@ -15,7 +14,8 @@ from argshift.bicone import (
     smoothness_crosscheck,
 )
 from argshift.groebner import DimensionReport
-from argshift.liealg import LieAlgebraError, coords_of_matrix, matrix_of_coords
+from argshift.invariants import invariant_generators
+from argshift.liealg import InternalError, LieAlgebraError, coords_of_matrix, matrix_of_coords
 
 
 def elem(L, label, value=1):
@@ -173,35 +173,51 @@ def test_sl2_bicone_dimension(algebras, families):
 
 
 def test_fiber_dimensions(algebras, families, triples):
-    expected = {("sl", 2): 1, ("sl", 3): 3, ("gl", 3): 3}
-    for spec, dim in expected.items():
-        rep = bicone_fiber_check(
-            algebras[spec], families[spec], triples[spec].e
-        )
+    so5 = liealg.build_classical("so", 5)
+    cases = [(algebras[spec], families[spec], triples[spec].e, dim)
+             for spec, dim in [(("sl", 2), 1), (("sl", 3), 3), (("gl", 3), 3), (("sp", 4), 4)]]
+    cases.append((so5, invariant_generators(so5), liealg.principal_sl2(so5).e, 4))
+    for L, fam, e, dim in cases:
+        rep = bicone_fiber_check(L, fam, e)
         assert rep.ideal_dimension == dim
         assert rep.expected_dimension == dim
         assert rep.verdict is True
+        assert rep.extra["shift_family_dimension"] == dim
         assert rep.extra["matches_shift_family"]
         # exactly the j = 0 components vanish at a nilpotent base point
-        assert rep.zero_generators == [(i, 0) for i in range(len(families[spec].degrees))]
+        assert rep.zero_generators == [(i, 0) for i in range(len(fam.degrees))]
 
 
-def test_fiber_check_shares_one_budget(algebras, families, triples, monkeypatch):
+def test_fiber_check_runs_one_verdict(algebras, families, triples, monkeypatch):
     real = bicone.regular_sequence_verdict
     budgets = []
 
-    def slow_verdict(gens, n, **kwargs):
+    def counted(gens, n, **kwargs):
         budgets.append(kwargs["timeout_secs"])
-        time.sleep(0.3)
         return real(gens, n, **kwargs)
 
-    monkeypatch.setattr(bicone, "regular_sequence_verdict", slow_verdict)
-    spec = ("sl", 2)
+    monkeypatch.setattr(bicone, "regular_sequence_verdict", counted)
+    spec = ("sl", 3)
     rep = bicone_fiber_check(algebras[spec], families[spec], triples[spec].e, timeout_secs=5.0)
     assert rep.verdict is True and rep.extra["matches_shift_family"]
-    assert len(budgets) == 2
-    assert budgets[0] <= 5.0
-    assert budgets[1] <= budgets[0] - 0.3  # the shift-family verdict gets what is left
+    assert len(budgets) == 1 and budgets[0] <= 5.0
+
+
+def test_fiber_check_rejects_a_generator_off_the_shift_family(algebras, families, triples,
+                                                                monkeypatch):
+    # the fiber generator (i, j) must be exactly D^(d-j) p_i / (d-j)!; plant a factor 2
+    real = bicone.mf_generators
+
+    def doubled(L, fam, xi):
+        mf = real(L, fam, xi)
+        i, j, p = mf.entries[-1]
+        mf.entries[-1] = (i, j, 2 * p)
+        return mf
+
+    monkeypatch.setattr(bicone, "mf_generators", doubled)
+    spec = ("sl", 3)
+    with pytest.raises(InternalError, match=r"fiber generators \[\(1, 1\)\]"):
+        bicone_fiber_check(algebras[spec], families[spec], triples[spec].e)
 
 
 def test_fiber_check_skips_shift_verdict_after_timeout(algebras, families, triples, monkeypatch):

@@ -1,6 +1,7 @@
 """The runtime stays stdlib-only (pyproject.toml: dependencies = []) and has
 no hidden knobs: nothing in it reads the environment, and every random draw
-comes from a generator built from a seed.  The algebra layers below the
+comes from a generator built from a seed.  Rationals become text only through
+reports.fractions_json.  The algebra layers below the
 Groebner engine do not import it.  The README shows only commands that the
 command line accepts, and the benchmark's workloads find every library name
 they call."""
@@ -115,6 +116,36 @@ def test_src_draws_randomness_only_from_seeded_generators():
         for line, what in _unseeded_randomness(path)
     ]
     assert draws == []
+
+
+def _rational_text(path: Path):
+    """str(Fraction(...)) calls, and f-strings that format a .numerator or a
+    .denominator."""
+    for node in _nodes(path):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "str" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "Fraction"):
+            yield node.lineno, "str(Fraction(...))"
+        elif isinstance(node, ast.JoinedStr):
+            for part in node.values:
+                if (isinstance(part, ast.FormattedValue) and isinstance(part.value, ast.Attribute)
+                        and part.value.attr in ("numerator", "denominator")):
+                    yield node.lineno, f"an f-string of .{part.value.attr}"
+
+
+def test_src_formats_rationals_only_through_fractions_json():
+    files = [path for path in sorted(SRC.glob("*.py")) if path.name != "reports.py"]
+    assert len(files) > 5
+    texts = [
+        f"{path.name}:{line} formats {what}"
+        for path in files
+        for line, what in _rational_text(path)
+    ]
+    assert texts == []
+    # the scan finds the one helper's own f-string
+    assert [what for _, what in _rational_text(SRC / "reports.py")] == [
+        "an f-string of .numerator", "an f-string of .denominator"]
 
 
 def test_algebra_layers_do_not_import_groebner():
