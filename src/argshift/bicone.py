@@ -3,17 +3,20 @@
 The defining ideal lives in doubled variables (x-block then y-block) and is
 generated by every bigraded component of every invariant generator -- one
 more component per generator than the shift family uses.  This module builds
-that ideal, decides membership, runs the dimension / fiber checks, and
-implements the exact pencil-regularity certificate: a line misses the
-singular locus exactly when the maximal minors of the invariant gradient
-matrix, restricted to the line, have no common nonzero root, which is a gcd
-computation for binary forms over Q.
+that ideal, decides membership and runs the full dimension check.  The fiber
+of the first projection over a regular nilpotent e is read off the shift
+family at dual(e) instead: by Taylor expansion its generators are the shifts
+up to factorials (see bicone_fiber_check).  The module also implements the
+exact pencil-regularity certificate: a line misses the singular locus
+exactly when the maximal minors of the invariant gradient matrix, restricted
+to the line, have no common nonzero root, which is a gcd computation for
+binary forms over Q.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -34,7 +37,6 @@ from .shift import bigraded_components, mf_generators
 
 @dataclass
 class BiconeIdeal:
-    algebra: LieAlgebraData
     generators: list[tuple[int, int, Poly]]  # (i, j) with j = 0..d_i, in 2n vars
 
     @property
@@ -87,7 +89,7 @@ def bicone_generators(L: LieAlgebraData, fam: InvariantFamily) -> BiconeIdeal:
     for i, p in enumerate(fam.generators):
         for j, comp in enumerate(bigraded_components(p)):
             gens.append((i, j, comp))
-    return BiconeIdeal(algebra=L, generators=gens)
+    return BiconeIdeal(generators=gens)
 
 
 def bicone_membership(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
@@ -129,47 +131,37 @@ def bicone_fiber_check(
 ) -> DimensionReport:
     """Fiber of the first projection over a regular nilpotent element e.
 
-    Substitutes the x-block at xi = dual(e); verdict true iff the y-block
-    ideal has dimension b - ell.  By Taylor expansion of p(y + t*xi), each
-    generator p^(j)(xi, y), j >= 1, is exactly D^(d-j) p / (d-j)! of the
-    shift family at xi (checked; InternalError otherwise) and p^(0) is the
-    constant p(xi), zero iff e is nilpotent.  So the one verdict also gives
-    the family's dimension: None when inconclusive or when the family has a
-    zero member.  timeout_secs bounds the whole call.
+    At xi = dual(e), Taylor expansion of p(y + t*xi) gives the fiber
+    generators p^(j)(xi, y) = D^(d-j) p(y) / (d-j)!, j = 1..d, read off the
+    shift family at xi; p^(0) is the constant p(xi), zero iff e is nilpotent.
+    No shift is zero at a regular xi: by Kostant's criterion the gradients of
+    the p_i at xi are independent, so D^(d-1) p_i = (d-1)! <grad p_i(xi), y>
+    is nonzero, and D^j p = 0 would force D^(j+1) p = 0.  A zero shift is
+    therefore an InternalError.  With k = b generators in n = 2b - ell
+    variables, the verdict's n - k is the fiber's b - ell, and the fiber's
+    dimension is the shift family's (None when inconclusive).
+    timeout_secs bounds the whole call.
     """
     deadline = deadline_after(timeout_secs)
     xi = dual_of(L, [Fraction(v) for v in e])
     if not is_regular_point(L, xi):
         raise ValueError("base point is not regular")
-    n = L.dim
-    images = [Poly.constant(n, v) for v in xi] + [Poly.variable(n, k) for k in range(n)]
-    ideal = bicone_generators(L, fam)
-    substituted = [(i, j, p.substitute(images)) for i, j, p in ideal.generators]
-    if any(not p.is_zero() for _, j, p in substituted if j == 0):
+    if any(p.evaluate(xi) for p in fam.generators):
         raise ValueError("base point is not nilpotent")
     mf = mf_generators(L, fam, xi)
-    shifts = {(i, fam.degrees[i] - k): q * Fraction(1, factorial(k)) for i, k, q in mf.entries}
-    bad = [(i, j) for i, j, p in substituted if j and p != shifts[i, j]]
-    if bad:
-        raise InternalError(f"fiber generators {bad} are not D^(d-j) p / (d-j)! (bug)")
+    if mf.degenerate:
+        raise InternalError(f"shifts {mf.zero_entries} vanish at a regular point (bug)")
     identity = counting_identity(L, fam)
-    b, ell = identity["b"], identity["index"]
-    nonzero = [p for _, _, p in substituted if not p.is_zero()]
-    dropped = [(i, j) for i, j, p in substituted if p.is_zero()]
-    gb_report = regular_sequence_verdict(
-        nonzero, n, timeout_secs=time_left(deadline), cache_dir=cache_dir
+    # generator (i, j) is shift (i, d_i - j) / (d_i - j)!; listed in (i, j) order
+    fiber = [q * Fraction(1, factorial(k))
+             for _, k, q in sorted(mf.entries, key=lambda entry: (entry[0], -entry[1]))]
+    report = regular_sequence_verdict(
+        fiber, L.dim, timeout_secs=time_left(deadline), cache_dir=cache_dir
     )
-    fiber_dim = gb_report.ideal_dimension
-    mf_dim = None if mf.degenerate else fiber_dim
-    report = replace(
-        gb_report,
-        expected_dimension=b - ell,
-        verdict=None if fiber_dim is None else (fiber_dim == b - ell),
-        zero_generators=dropped,
-    )
+    report.zero_generators = [(i, 0) for i in range(len(fam.generators))]
     report.extra["counting_identity"] = identity
-    report.extra["shift_family_dimension"] = mf_dim
-    report.extra["matches_shift_family"] = fiber_dim is not None and fiber_dim == mf_dim
+    report.extra["shift_family_dimension"] = report.ideal_dimension
+    report.extra["matches_shift_family"] = report.ideal_dimension is not None
     return report
 
 

@@ -165,7 +165,6 @@ class MonomialOrder:
 class GroebnerBasis:
     arity: int
     basis: list[Poly]  # reduced (over F_p minimal): monic, non-divisible leads, sorted by lead
-    input_hash: str | None  # None over F_p, where the digest, which names no field, would mislead
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
 
     def leading_monomials(self) -> list[Monomial]:
@@ -471,8 +470,7 @@ def buchberger(
     stats = _basis(polys, P, budget, mod)
     basis = _reduce_and_normalize(budget.records, P, budget, mod)
     stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
-    return GroebnerBasis(arity=arity, basis=basis, stats=stats,
-                         input_hash=None if mod else input_digest(gens, arity))
+    return GroebnerBasis(arity=arity, basis=basis, stats=stats)
 
 
 def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> dict:
@@ -795,6 +793,6 @@ def regular_sequence_verdict(
         raise InternalError(f"{gb.stats['zero_reductions']} zero reductions on a regular "
                             "sequence, which F5's theorem rules out: engine bug")
     return DimensionReport(
-        ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=gb.input_hash,
+        ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=input_digest(gens, n),
         stats={**gb.stats, "certificate": certificate}, **report,
     )

@@ -77,10 +77,8 @@ class MFGeneratorSet:
     regular-sequence verdict can see it is degenerate.
     """
 
-    algebra: LieAlgebraData
     xi: list[Fraction]
     entries: list[tuple[int, int, Poly]]
-    degrees: list[int]
     expected_count: int
     zero_entries: list[tuple[int, int]] = field(default_factory=list)
 
@@ -116,10 +114,8 @@ def mf_generators(L: LieAlgebraData, fam: InvariantFamily, xi) -> MFGeneratorSet
             if q.is_zero():
                 zero_entries.append((i, j))
     return MFGeneratorSet(
-        algebra=L,
         xi=xi,
         entries=entries,
-        degrees=list(fam.degrees),
         expected_count=sum(fam.degrees),
         zero_entries=zero_entries,
     )

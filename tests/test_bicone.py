@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,9 +14,11 @@ from argshift.bicone import (
     pencil_regularity,
     smoothness_crosscheck,
 )
+from argshift.exactpoly import Poly
 from argshift.groebner import DimensionReport
 from argshift.invariants import invariant_generators
 from argshift.liealg import InternalError, LieAlgebraError, coords_of_matrix, matrix_of_coords
+from argshift.shift import bigraded_components, shift_derivative
 
 
 def elem(L, label, value=1):
@@ -172,12 +175,17 @@ def test_sl2_bicone_dimension(algebras, families):
     assert rep.extra["counting_identity"]["three_b_minus_ell"] == 3
 
 
-def test_fiber_dimensions(algebras, families, triples):
+@pytest.fixture(scope="module")
+def principal_fibers(algebras, families, triples):
+    """(L, family, principal e, fiber dimension b - ell) for the fiber checks."""
     so5 = liealg.build_classical("so", 5)
     cases = [(algebras[spec], families[spec], triples[spec].e, dim)
              for spec, dim in [(("sl", 2), 1), (("sl", 3), 3), (("gl", 3), 3), (("sp", 4), 4)]]
-    cases.append((so5, invariant_generators(so5), liealg.principal_sl2(so5).e, 4))
-    for L, fam, e, dim in cases:
+    return cases + [(so5, invariant_generators(so5), liealg.principal_sl2(so5).e, 4)]
+
+
+def test_fiber_dimensions(principal_fibers):
+    for L, fam, e, dim in principal_fibers:
         rep = bicone_fiber_check(L, fam, e)
         assert rep.ideal_dimension == dim
         assert rep.expected_dimension == dim
@@ -203,20 +211,42 @@ def test_fiber_check_runs_one_verdict(algebras, families, triples, monkeypatch):
     assert len(budgets) == 1 and budgets[0] <= 5.0
 
 
-def test_fiber_check_rejects_a_generator_off_the_shift_family(algebras, families, triples,
-                                                                monkeypatch):
-    # the fiber generator (i, j) must be exactly D^(d-j) p_i / (d-j)!; plant a factor 2
+def test_fiber_generators_are_the_scaled_shifts(principal_fibers):
+    # Taylor expansion of p(y + t*xi): p^(j)(xi, y) == D^(d-j) p(y) / (d-j)!
+    for L, fam, e, _ in principal_fibers:
+        n = L.dim
+        xi = liealg.dual_of(L, e)
+        images = [Poly.constant(n, v) for v in xi] + [Poly.variable(n, k) for k in range(n)]
+        for p, d in zip(fam.generators, fam.degrees):
+            for j, comp in enumerate(bigraded_components(p)):
+                shift = shift_derivative(p, xi, d - j) * Fraction(1, factorial(d - j))
+                assert comp.substitute(images) == shift, (L.dim, d, j)
+
+
+def test_fiber_check_does_not_build_the_bicone(algebras, families, triples, monkeypatch):
+    def refused(p):
+        raise AssertionError("the fiber check built a bicone generator")
+
+    monkeypatch.setattr(bicone, "bigraded_components", refused)
+    spec = ("sl", 3)
+    rep = bicone_fiber_check(algebras[spec], families[spec], triples[spec].e)
+    assert rep.ideal_dimension == 3 and rep.verdict is True
+
+
+def test_fiber_check_rejects_a_zero_shift(algebras, families, triples, monkeypatch):
+    # at a regular point no shift vanishes; plant a zero one
     real = bicone.mf_generators
 
-    def doubled(L, fam, xi):
+    def zeroed(L, fam, xi):
         mf = real(L, fam, xi)
         i, j, p = mf.entries[-1]
-        mf.entries[-1] = (i, j, 2 * p)
+        mf.entries[-1] = (i, j, Poly.zero(p.arity))
+        mf.zero_entries = [(i, j)]
         return mf
 
-    monkeypatch.setattr(bicone, "mf_generators", doubled)
+    monkeypatch.setattr(bicone, "mf_generators", zeroed)
     spec = ("sl", 3)
-    with pytest.raises(InternalError, match=r"fiber generators \[\(1, 1\)\]"):
+    with pytest.raises(InternalError, match=r"shifts \[\(1, 2\)\] vanish at a regular point"):
         bicone_fiber_check(algebras[spec], families[spec], triples[spec].e)
 
 

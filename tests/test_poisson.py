@@ -110,10 +110,8 @@ def test_commutativity_does_not_need_regularity(algebras, families):
 def test_adversarial_family_fails(algebras):
     L = algebras[("sl", 2)]
     fake = MFGeneratorSet(
-        algebra=L,
         xi=[Fraction(0)] * 3,
         entries=[(0, 0, Poly.variable(3, 0)), (1, 0, Poly.variable(3, 2))],
-        degrees=[1, 1],
         expected_count=2,
     )
     rep = commutativity_report(L, fake)
@@ -127,13 +125,11 @@ def test_adversarial_family_fails(algebras):
 def test_adversarial_family_with_rational_coefficients_fails(algebras):
     L = algebras[("sl", 2)]
     fake = MFGeneratorSet(
-        algebra=L,
         xi=[Fraction(0)] * 3,
         entries=[
             (0, 0, Fraction(1, 3) * Poly.variable(3, 0)),
             (1, 0, Fraction(2, 5) * Poly.variable(3, 2)),
         ],
-        degrees=[1, 1],
         expected_count=2,
     )
     rep = commutativity_report(L, fake)

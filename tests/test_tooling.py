@@ -3,8 +3,8 @@ no hidden knobs: nothing in it reads the environment, and every random draw
 comes from a generator built from a seed.  Rationals become text only through
 reports.fractions_json.  The algebra layers below the
 Groebner engine do not import it.  The README shows only commands that the
-command line accepts, and the benchmark's workloads find every library name
-they call."""
+command line accepts and a library quick start that runs, and the benchmark's
+workloads find every library name they call."""
 
 import ast
 import importlib
@@ -169,6 +169,13 @@ def test_readme_command_lines_parse(capsys):
             parser.parse_args(line.split()[1:])
         except SystemExit:
             pytest.fail(f"the parser rejects a README command: {line}\n{capsys.readouterr().err}")
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert "assert " in block  # the block checks its own results
+    exec(compile(block, "README.md quick start", "exec"), {})
 
 
 def test_bench_workloads_call_the_library(algebras, monkeypatch):
