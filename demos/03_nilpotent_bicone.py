@@ -4,8 +4,10 @@ The bicone of g collects the pairs (x, y) whose whole span is nilpotent.
 It is cut out by all bigraded components of the invariant generators and
 has dimension 3(b - l); its fiber over a regular nilpotent recovers the
 shift-family scheme.  The smooth points are exactly the pairs spanning a
-plane of regular elements, which we certify with an exact gcd computation
-on binary forms rather than sampling.
+plane of regular elements, which we certify exactly rather than by sampling:
+the maximal minors of the invariant gradients, restricted to the line
+s*x + t*y, must have no common nonzero root (a Groebner dimension check on
+binary forms).
 """
 
 from fractions import Fraction
@@ -50,7 +52,7 @@ y = [Fraction(0)] * 8
 y[lab["E21"]], y[lab["E32"]] = Fraction(1), Fraction(-1)
 
 print(f"\npair (E12+E23, E21-E32): in bicone = {bicone_membership(L3, f3, x, y)}")
-print(f"pencil fully regular (gcd certificate) = {pencil_regularity(L3, f3, x, y)}")
+print(f"pencil fully regular (minors certificate) = {pencil_regularity(L3, f3, x, y)}")
 gens3 = bicone_generators(L3, f3)
 point = dual_of(L3, x) + dual_of(L3, y)
 rank = jacobian_rank(gens3.polynomials(), point)

@@ -3,14 +3,15 @@
 The defining ideal lives in doubled variables (x-block then y-block) and is
 generated by every bigraded component of every invariant generator -- one
 more component per generator than the shift family uses.  This module builds
-that ideal, decides membership and runs the full dimension check.  The fiber
-of the first projection over a regular nilpotent e is read off the shift
-family at dual(e) instead: by Taylor expansion its generators are the shifts
-up to factorials (see bicone_fiber_check).  The module also implements the
-exact pencil-regularity certificate: a line misses the singular locus
-exactly when the maximal minors of the invariant gradient matrix, restricted
-to the line, have no common nonzero root, which is a gcd computation for
-binary forms over Q.
+that ideal and runs the full dimension check.  The fiber of the first
+projection over a regular nilpotent e is read off the shift family at dual(e)
+instead: by Taylor expansion its generators are the shifts up to factorials
+(see bicone_fiber_check).  A single pair (x, y) is read through its line
+s*x + t*y: it lies in the bicone when every invariant generator vanishes
+identically on the line, and its pencil is regular when the maximal minors of
+the invariant gradient matrix, restricted to the line, have no common nonzero
+root -- a dimension question for binary forms that the Groebner engine
+answers.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .exactpoly import Poly
+from .exactpoly import Poly, pack_gradient, unpack
 from .groebner import (
     DimensionReport,
     MonomialOrder,
+    buchberger,
     deadline_after,
+    ideal_dimension,
     regular_sequence_verdict,
     time_left,
 )
@@ -46,14 +49,17 @@ class BiconeIdeal:
     def polynomials(self) -> list[Poly]:
         return [p for _, _, p in self.generators]
 
-    def vanishes_at(self, point) -> bool:
-        """True iff every generator vanishes at the point of the doubled variables."""
-        return all(p.evaluate(point) == 0 for _, _, p in self.generators)
-
 
 def _pair_point(L: LieAlgebraData, x, y) -> list[Fraction]:
     """The point (dual of x, dual of y) of the doubled variables."""
     return dual_of(L, [Fraction(v) for v in x]) + dual_of(L, [Fraction(v) for v in y])
+
+
+def _line(L: LieAlgebraData, x, y) -> list[Poly]:
+    """The dual coordinates of s*x + t*y, as linear forms in (s, t)."""
+    xs = dual_of(L, [Fraction(v) for v in x])
+    ys = dual_of(L, [Fraction(v) for v in y])
+    return [Poly.linear_form(st) for st in zip(xs, ys)]
 
 
 def counting_identity(L: LieAlgebraData, fam: InvariantFamily) -> dict:
@@ -93,8 +99,15 @@ def bicone_generators(L: LieAlgebraData, fam: InvariantFamily) -> BiconeIdeal:
 
 
 def bicone_membership(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
-    """True iff span(x, y) lies in the nilpotent cone (x, y elements of g)."""
-    return bicone_generators(L, fam).vanishes_at(_pair_point(L, x, y))
+    """True iff span(x, y) lies in the nilpotent cone (x, y elements of g).
+
+    Every invariant generator must vanish identically on the line s*x + t*y.
+    That is the bicone ideal's test: p(s*x + t*y) = sum_j s^(d-j) t^j
+    p^(j)(x, y), so p vanishes on the line exactly when each of its bigraded
+    components vanishes at (dual x, dual y).
+    """
+    line = _line(L, x, y)
+    return all(p.substitute(line).is_zero() for p in fam.generators)
 
 
 def bicone_dimension_check(
@@ -166,35 +179,8 @@ def bicone_fiber_check(
 
 
 # ---------------------------------------------------------------------------
-# pencil regularity: the exact gcd certificate
+# pencil regularity: the exact certificate on the line
 # ---------------------------------------------------------------------------
-
-
-def _poly_gcd_univariate(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of univariate rational polynomials given as coefficient lists
-    (index = degree)."""
-
-    def trim(h):
-        while h and h[-1] == 0:
-            h.pop()
-        return h
-
-    f, g = trim(list(f)), trim(list(g))
-    while g:
-        # remainder of f mod g
-        f = list(f)
-        while len(f) >= len(g) and f:
-            factor = f[-1] / g[-1]
-            shift_by = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift_by + i] -= factor * c
-            trim(f)
-        f, g = g, f
-    f = trim(f)
-    if f:
-        lead = f[-1]
-        f = [c / lead for c in f]
-    return f
 
 
 def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
@@ -203,37 +189,25 @@ def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
 
     Sampling cannot certify this (the bad locus on the projective line is
     finite), so the test is exact: restrict the gradients of the invariant
-    generators to the line s*x + t*y, form all maximal minors as binary forms
-    in (s, t), and check they have no common nonzero root.  By the
-    differential regularity criterion, a common root is precisely a
-    non-regular point on the line.
+    generators to the line s*x + t*y and form all maximal minors, binary
+    forms in (s, t).  By the differential regularity criterion a non-regular
+    point on the line is a common nonzero root of the minors, that is, a line
+    through the origin inside their zero set in the (s, t)-plane.  So the
+    pencil is regular exactly when that zero set has dimension at most 0:
+    the origin alone, or empty when some minor is a nonzero constant (the
+    unit ideal, dimension -1).  All minors zero leave dimension 2.
     """
     x = [Fraction(v) for v in x]
     y = [Fraction(v) for v in y]
+    line = _line(L, x, y)  # first: dual_of rejects a vector of the wrong length
     if linalg.rank([x, y]) != 2:
         return False
-    # x_k -> s*a_k + t*b_k; a minor's coefficient list is indexed by the t-degree
-    line = [Poly.linear_form(st) for st in zip(dual_of(L, x), dual_of(L, y))]
     ell = len(fam.generators)
     n = L.dim
-    rows = [[p.diff(k).substitute(line) for k in range(n)] for p in fam.generators]
-    minors = []
-    for cols in itertools.combinations(range(n), ell):
-        det = linalg.poly_det([[rows[i][c] for c in cols] for i in range(ell)])
-        if not det.is_zero():
-            deg = det.total_degree()
-            minors.append([det.coefficient((deg - j, j)) for j in range(deg + 1)])
-    if not minors:
-        return False
-    # root at [0:1] (the point y): every minor's top coefficient vanishes
-    if all(m[-1] == 0 for m in minors):
-        return False
-    gcd_poly = minors[0]
-    for m in minors[1:]:
-        gcd_poly = _poly_gcd_univariate(gcd_poly, m)
-        if len(gcd_poly) == 1:
-            return True
-    return len(gcd_poly) == 1
+    rows = [[unpack(q, n).substitute(line) for q in pack_gradient(p)] for p in fam.generators]
+    minors = [linalg.poly_det([[rows[i][c] for c in cols] for i in range(ell)])
+              for cols in itertools.combinations(range(n), ell)]
+    return ideal_dimension(buchberger(minors, arity=2)) <= 0
 
 
 @dataclass
@@ -257,9 +231,11 @@ class SmoothnessReport:
 def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> SmoothnessReport:
     """On bicone points, the pencil certificate must match the full Jacobian.
 
-    For each sample pair (x, y) in the bicone, compares pencil_regularity
-    with "the differentials of all bicone generators at (x, y) are linearly
-    independent"; any disagreement is listed (the theory says there are
+    Each sample pair (x, y) must lie in the bicone (bicone_membership, else
+    ValueError).  The check compares pencil_regularity, which works on the
+    line s*x + t*y, with an independent route in the doubled variables: "the
+    differentials of all bicone generators at (dual x, dual y) are linearly
+    independent".  Any disagreement is listed (the theory says there are
     none).
     """
     ideal = bicone_generators(L, fam)
@@ -268,11 +244,10 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     results = []
     disagreements = []
     for x, y in samples:
-        point = _pair_point(L, x, y)
-        if not ideal.vanishes_at(point):
+        if not bicone_membership(L, fam, x, y):
             raise ValueError("sample pair is not in the bicone")
         omega = pencil_regularity(L, fam, x, y)
-        rank = linalg.jacobian_rank(gens, point)
+        rank = linalg.jacobian_rank(gens, _pair_point(L, x, y))
         smooth = rank == full_count
         entry = {
             "x": fractions_json(map(Fraction, x)),

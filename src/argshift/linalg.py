@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import Poly
+from .exactpoly import Poly, pack_gradient, unpack
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -140,5 +140,5 @@ def jacobian_rank(gens: list[Poly], point) -> int:
     for g in gens:
         if point and g.arity != len(point):
             raise ValueError("point length does not match generator arity")
-        rows.append([g.diff(k).evaluate(point) for k in range(g.arity)])
+        rows.append([unpack(q, g.arity).evaluate(point) for q in pack_gradient(g)])
     return rank(rows)

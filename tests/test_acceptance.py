@@ -191,7 +191,7 @@ def test_c09_smoothness_crosscheck(algebras, families, triples):
     rep2 = smoothness_crosscheck(L2, families[("sl", 2)], samples2)
     assert rep2.all_agree
     total = rep2.sample_count + rep3.sample_count
-    print(f"ACCEPTANCE 9: PASS - pencil gcd certificate matches full Jacobian rank "
+    print(f"ACCEPTANCE 9: PASS - pencil minors certificate matches full Jacobian rank "
           f"on {total} seeded bicone samples (sl2 + sl3)")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -14,9 +15,10 @@ from argshift.bicone import (
     pencil_regularity,
     smoothness_crosscheck,
 )
+from argshift.centralizer_lab import _slice_pipeline, nilpotent_from_partition
 from argshift.exactpoly import Poly
 from argshift.groebner import DimensionReport
-from argshift.invariants import invariant_generators
+from argshift.invariants import InvariantFamily, invariant_generators
 from argshift.liealg import InternalError, LieAlgebraError, coords_of_matrix, matrix_of_coords
 from argshift.shift import bigraded_components, shift_derivative
 
@@ -147,6 +149,50 @@ def test_membership_origin(algebras, families):
     L = algebras[("sl", 3)]
     zero = [Fraction(0)] * 8
     assert bicone_membership(L, families[("sl", 3)], zero, zero)
+
+
+def strictly_upper(L, v):
+    """The strictly upper triangular part of v's matrix: a nilpotent element
+    of the Borel's nilradical for the split realizations."""
+    mat = matrix_of_coords(L, v)
+    return coords_of_matrix(L, [[c if j > i else Fraction(0) for j, c in enumerate(row)]
+                                for i, row in enumerate(mat)])
+
+
+def test_membership_matches_the_bicone_ideal(algebras, families, triples):
+    # the line route against the 2n-variable ideal (every bigraded component
+    # vanishes at (dual x, dual y)) on principal pairs, seeded random pairs
+    # (almost never in the bicone) and seeded nilradical pairs (always in it)
+    so5 = liealg.build_classical("so", 5)
+    cases = [(algebras[spec], families[spec], triples[spec])
+             for spec in [("sl", 2), ("sl", 3), ("gl", 3), ("sp", 4)]]
+    cases.append((so5, invariant_generators(so5), liealg.principal_sl2(so5)))
+    kinds = set()
+    for k, (L, fam, t) in enumerate(cases):
+        rng = random.Random(100 + k)
+        zero = [Fraction(0)] * L.dim
+        pairs = [(t.e, t.f), (t.e, t.h), (t.e, [2 * c for c in t.e]), (t.e, zero), (t.h, t.f)]
+        for _ in range(12):
+            x, y = ([Fraction(rng.randint(-2, 2)) for _ in range(L.dim)] for _ in range(2))
+            pairs += [(x, y), (strictly_upper(L, x), strictly_upper(L, y))]
+        if L is algebras[("sl", 3)]:
+            pairs += sl3_samples(L)
+        ideal = bicone_generators(L, fam).polynomials()
+        for x, y in pairs:
+            point = liealg.dual_of(L, x) + liealg.dual_of(L, y)
+            want = all(p.evaluate(point) == 0 for p in ideal)
+            assert bicone_membership(L, fam, x, y) == want, (L.dim, x, y)
+            kinds.add(want)
+    assert kinds == {True, False}
+
+
+def test_membership_does_not_build_the_bicone(algebras, families, monkeypatch):
+    def refused(p):
+        raise AssertionError("membership built a bicone generator")
+
+    monkeypatch.setattr(bicone, "bigraded_components", refused)
+    L = algebras[("sl", 3)]
+    assert bicone_membership(L, families[("sl", 3)], *omega_pair(L))
 
 
 def test_membership_span_invariance(algebras, families):
@@ -285,6 +331,12 @@ def test_membership_and_fiber_reject_wrong_length(algebras, families):
         bicone_membership(L, fam, [1], [1])
     with pytest.raises(LieAlgebraError, match="vector length mismatch"):
         bicone_fiber_check(L, fam, [1])
+    with pytest.raises(LieAlgebraError, match="vector length mismatch"):
+        pencil_regularity(L, fam, [1], [1])
+    L3 = algebras[("sl", 3)]
+    for x, y in [([1, 0, 0], [2, 0, 0]), ([1] * 8, [1] * 7)]:
+        with pytest.raises(LieAlgebraError, match="vector length mismatch"):
+            pencil_regularity(L3, families[("sl", 3)], x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +371,55 @@ def test_pencil_omega_pair(algebras, families):
     L = algebras[("sl", 3)]
     x, y = omega_pair(L)
     assert pencil_regularity(L, families[("sl", 3)], x, y)
+
+
+def spy_engine(monkeypatch):
+    """Record the minors pencil_regularity passes to buchberger and the
+    dimension it reads."""
+    log = {"minors": [], "dimensions": []}
+    real_basis, real_dimension = bicone.buchberger, bicone.ideal_dimension
+
+    def basis(gens, **kwargs):
+        log["minors"].append(gens)
+        return real_basis(gens, **kwargs)
+
+    def dimension(gb):
+        log["dimensions"].append(real_dimension(gb))
+        return log["dimensions"][-1]
+
+    monkeypatch.setattr(bicone, "buchberger", basis)
+    monkeypatch.setattr(bicone, "ideal_dimension", dimension)
+    return log
+
+
+def test_pencil_on_an_abelian_centralizer(algebras, monkeypatch):
+    # g^e for gl_3's principal e is abelian and its transported family is
+    # linear, so each maximal minor is a constant: a nonzero one gives the
+    # unit ideal (dimension -1), and the pencil is regular
+    L = algebras[("gl", 3)]
+    pipe = _slice_pipeline(L, nilpotent_from_partition(L, (3,)))
+    Lc = pipe.centralizer
+    fam = InvariantFamily(Lc, pipe.transported, [p.total_degree() for p in pipe.transported])
+    assert fam.degrees == [1, 1, 1]
+    log = spy_engine(monkeypatch)
+    basis = [[Fraction(int(i == k)) for i in range(Lc.dim)] for k in range(Lc.dim)]
+    for x, y in itertools.combinations(basis, 2):
+        assert pencil_regularity(Lc, fam, x, y)
+    assert log["dimensions"] == [-1, -1, -1]
+
+
+def test_pencil_with_every_minor_zero(algebras, families, monkeypatch):
+    # the line through E12 and E13 lies in the minimal nilpotent orbit's
+    # closure: every maximal minor vanishes, the basis is empty (dimension 2)
+    L = algebras[("sl", 3)]
+    fam = families[("sl", 3)]
+    x, y = elem(L, "E12"), elem(L, "E13")
+    assert bicone_membership(L, fam, x, y)
+    log = spy_engine(monkeypatch)
+    assert not pencil_regularity(L, fam, x, y)
+    [minors] = log["minors"]
+    assert minors and all(m.is_zero() for m in minors)
+    assert log["dimensions"] == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,15 @@ def test_readme_quick_start_runs():
 
 def test_bench_workloads_call_the_library(algebras, monkeypatch):
     # set-up of bench/workloads.py's bicone-slice workload, its gl_3 conjecture
-    # rows and the shift family its check rebuilds (without the sympy check)
+    # rows and the shift family its check rebuilds (without the sympy check),
+    # and its sl_3 smoothness verdict under the benchmark's own check
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
-    rows = [v for v in workloads.setup_bicone(1) if v.name.startswith("gl3 conjecture")]
+    verdicts = workloads.setup_bicone(1)
+    [smooth] = [v for v in verdicts if v.name == "sl3 smoothness"]
+    rep, _ = smooth.run()
+    assert smooth.check(rep) == []
+    rows = [v for v in verdicts if v.name.startswith("gl3 conjecture")]
     assert len(rows) == 3
     L = algebras[("gl", 3)]
     for verdict in rows:
