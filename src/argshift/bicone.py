@@ -69,10 +69,8 @@ def counting_identity(L: LieAlgebraData, fam: InvariantFamily) -> dict:
     2n - (b + ell) = 3(b - ell); all three equalities are checked.
     """
     n = L.dim
-    ell = index_of(L).index
-    b = (n + ell) // 2
-    if 2 * b != n + ell:
-        raise InternalError("dim + index is odd (structure matrix rank bug)")
+    idx = index_of(L)
+    ell, b = idx.index, idx.b
     degree_sum = sum(fam.degrees)
     count = sum(d + 1 for d in fam.degrees)
     ok = degree_sum == b and count == b + ell and 2 * n - count == 3 * (b - ell)

@@ -46,8 +46,7 @@ from .shift import mf_generators
 @dataclass
 class SliceRestriction:
     source_index: int
-    restricted: Poly  # in slice coordinates t_0..t_{m-1}
-    initial: Poly  # lowest homogeneous component, nonzero
+    initial: Poly  # lowest homogeneous component in t_0..t_{m-1}, nonzero
     initial_degree: int
 
 
@@ -117,7 +116,6 @@ def restrict_to_slice(p: Poly, chart: SliceChart, source_index: int = -1) -> Sli
     degree = min(comps)
     return SliceRestriction(
         source_index=source_index,
-        restricted=restricted,
         initial=comps[degree],
         initial_degree=degree,
     )
@@ -146,13 +144,14 @@ def transport_to_centralizer(
 
 @dataclass
 class SlicePipeline:
-    """Everything condition (*) computes, kept for reuse by the experiment."""
+    """Everything condition (*) computes, kept for reuse by the experiment:
+    family holds the restrictions' transports to g^e ordered by (initial
+    degree, source index), which certify ind(g^e) and which it shifts."""
 
-    partition: tuple[int, ...]
     chart: SliceChart
     centralizer: LieAlgebraData
     restrictions: list[SliceRestriction]
-    transported: list[Poly]  # transport_to_centralizer of each restriction
+    family: InvariantFamily
     star: StarReport
 
 
@@ -171,10 +170,8 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     chart = kostant_slice(L, triple)
     Lc, _ = centralizer(L, e)
     # the sampled index fixes b(g^e) and the family; the chosen family certifies it below
-    ind_c = index_of(Lc).index
-    b_c, rem = divmod(Lc.dim + ind_c, 2)
-    if rem:
-        raise InternalError("dim + index of the centralizer is odd (bug)")
+    sampled = index_of(Lc)
+    ind_c, b_c = sampled.index, sampled.b
     # the degree condition quantifies over a choice of free generators; the
     # power traces can miss the bound where the char-poly coefficients reach
     # it (first seen at partition (2,1,1) of gl_4), so try both
@@ -190,8 +187,13 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
         if sum(sr.initial_degree for sr in alt_restrictions) == b_c:
             family_name = "char-coefficients"
             restrictions = alt_restrictions
-    transported = [transport_to_centralizer(sr, chart, Lc) for sr in restrictions]
-    idx = index_of(Lc, transported)
+    ordered = sorted(restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
+    family = InvariantFamily(
+        algebra=Lc,
+        generators=[transport_to_centralizer(sr, chart, Lc) for sr in ordered],
+        degrees=[sr.initial_degree for sr in ordered],
+    )
+    idx = index_of(Lc, family.generators)
     if idx.mode != "exact" or idx.index != ind_c:
         raise InternalError(
             f"transported {family_name} do not certify the centralizer index {ind_c} (bug)"
@@ -208,11 +210,10 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
         generator_family=family_name,
     )
     return SlicePipeline(
-        partition=partition,
         chart=chart,
         centralizer=Lc,
         restrictions=restrictions,
-        transported=transported,
+        family=family,
         star=star,
     )
 
@@ -268,17 +269,8 @@ def conjecture_check(
     if not pipe.star.verdict:
         raise ValueError("condition (*) fails; the experiment hypothesis is not met")
     Lc = pipe.centralizer
-    transported = sorted(
-        zip(pipe.restrictions, pipe.transported),
-        key=lambda t: (t[0].initial_degree, t[0].source_index),
-    )
-    fam_c = InvariantFamily(
-        algebra=Lc,
-        generators=[q for _, q in transported],
-        degrees=[sr.initial_degree for sr, _ in transported],
-    )
     xi, attempts = draw_regular_dual_point(Lc, seed)
-    mf = mf_generators(Lc, fam_c, xi)
+    mf = mf_generators(Lc, pipe.family, xi)
     report = regular_sequence_verdict(
         mf.polynomials(),
         Lc.dim,
@@ -287,7 +279,7 @@ def conjecture_check(
         zero_labels=mf.zero_entries,
     )
     return ConjectureRow(
-        partition=pipe.partition,
+        partition=pipe.star.partition,
         star=pipe.star,
         xi=xi,
         xi_attempts=attempts,

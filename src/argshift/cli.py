@@ -96,7 +96,7 @@ def cmd_algebra(args) -> int:
         "algebra": liealg.algebra_to_json_dict(L),
         "index": idx.index,
         "index_mode": idx.mode,
-        "b": (L.dim + idx.index) // 2,
+        "b": idx.b,
     }
     _emit(args, payload)
     return EXIT_TRUE
@@ -105,8 +105,7 @@ def cmd_algebra(args) -> int:
 def cmd_invariants(args) -> int:
     L = _build_algebra(args)
     fam = invariants_mod.invariant_generators(L)
-    idx = liealg.index_of(L)
-    b = (L.dim + idx.index) // 2
+    b = liealg.index_of(L).b
     # index_of has checked every generator's Hamiltonian field (InternalError otherwise)
     ok = sum(fam.degrees) == b
     payload = {

@@ -40,8 +40,8 @@ borrows from its neighbour.  A monomial whose degree would reach the limit
 raises InternalError and the computation yields no basis.  A reduction never
 raises the degree, so the inputs, the S-polynomials and the signatures of
 the pairs are checked.  Tuples are built once on input and once on output:
-Poly terms, GroebnerBasis.basis, leading_monomials() and normal_form's
-result keep tuple monomials.
+Poly terms, GroebnerBasis.basis, GroebnerBasis.leads (each record's lm,
+decoded) and normal_form's result keep tuple monomials.
 
 Each basis element is one record, built when it enters the basis: the order
 key of its leading monomial, the leading monomial, the leading coefficient
@@ -115,8 +115,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .exactpoly import (
-    FIELD_BITS, InternalError, Monomial, Poly, _poly, decode, degrevlex_key, encode, format_poly,
-    guard_mask,
+    FIELD_BITS, InternalError, Monomial, Poly, _poly, decode, encode, format_poly, guard_mask,
 )
 
 # every exponent and degree of the engine stays below this bound, so the top
@@ -165,10 +164,8 @@ class MonomialOrder:
 class GroebnerBasis:
     arity: int
     basis: list[Poly]  # reduced (over F_p minimal): monic, non-divisible leads, sorted by lead
+    leads: list[Monomial]  # the leading monomial of each basis element
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
-
-    def leading_monomials(self) -> list[Monomial]:
-        return [max(p.terms, key=degrevlex_key) for p in self.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +465,9 @@ def buchberger(
     if mod:
         polys = [{m: c % mod for m, c in f.items() if c % mod} for f in polys]
     stats = _basis(polys, P, budget, mod)
-    basis = _reduce_and_normalize(budget.records, P, budget, mod)
+    basis, leads = _reduce_and_normalize(budget.records, P, budget, mod)
     stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
-    return GroebnerBasis(arity=arity, basis=basis, stats=stats)
+    return GroebnerBasis(arity=arity, basis=basis, leads=leads, stats=stats)
 
 
 def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> dict:
@@ -558,8 +555,11 @@ def _minimal(records: list[_Record], P: _Packing) -> list[_Record]:
     return kept
 
 
-def _reduce_and_normalize(minimal: list[_Record], P: _Packing, budget: _Budget, mod=0) -> list[Poly]:
-    """Inter-reduce the minimal records and make them monic; sorted by key.
+def _reduce_and_normalize(
+    minimal: list[_Record], P: _Packing, budget: _Budget, mod=0
+) -> tuple[list[Poly], list[Monomial]]:
+    """Inter-reduce the minimal records and make them monic; sorted by key,
+    each beside its decoded lm.
 
     A lead of a minimal basis is divisible by no other lead, so it survives
     the inter-reduction and is still the record's lm; a divisor of a term
@@ -571,10 +571,12 @@ def _reduce_and_normalize(minimal: list[_Record], P: _Packing, budget: _Budget, 
     for idx, rec in enumerate(minimal if not mod else ()):
         minimal[idx] = _record(_reduce_full(rec.terms, minimal[:idx], P, budget), P, budget)
     out: list[Poly] = []
+    leads: list[Monomial] = []
     while minimal:
         rec = minimal.pop()
         out.append(_poly(P.n, {P.decode(m): Fraction(c, rec.lc) for m, c in rec.terms}))
-    return out[::-1]
+        leads.append(P.decode(rec.lm))
+    return out[::-1], leads[::-1]
 
 
 _SCALE = None  # key of normal_form's factor entry in out; no monomial equals it
@@ -640,7 +642,7 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     if not gb.basis:
         return gb.arity
     supports = []
-    for lm in gb.leading_monomials():
+    for lm in gb.leads:
         supp = frozenset(i for i, e in enumerate(lm) if e)
         if not supp:
             return -1
@@ -676,7 +678,7 @@ def _section_certificate(
         return None
     P = _Packing(k)
     t = [P.encode(tuple(int(i == j) for i in range(k))) for j in range(k)]
-    count = _standard_monomial_count([P.encode(m) for m in gb.leading_monomials()], t, P, bezout)
+    count = _standard_monomial_count([P.encode(m) for m in gb.leads], t, P, bezout)
     if count != bezout:
         raise InternalError(f"the zero-dimensional F_p section has {count} standard monomials, "
                             f"not the Bezout number {bezout}: engine bug")

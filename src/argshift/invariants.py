@@ -37,10 +37,6 @@ def generic_dual_matrix(L: LieAlgebraData) -> list[list[Poly]]:
     coordinates x corresponds to the element form^{-1}.x, and the matrix is
     the sum of defining matrices weighted by those linear forms.
     """
-    if L.defining is None:
-        raise liealg.LieAlgebraError(
-            "algebra lacks defining matrices; rebuild it with build_classical"
-        )
     n = L.dim
     forminv = L.form_inverse()
 

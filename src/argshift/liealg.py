@@ -50,8 +50,8 @@ class LieAlgebraData:
     basis_labels: list[str]
     structure: dict[tuple[int, int], dict[int, Fraction]]
     form: list[list[Fraction]]
-    meta: dict = field(default_factory=dict)
-    defining: list[list[list[Fraction]]] | None = None
+    meta: dict
+    defining: list[list[list[Fraction]]]
 
     # per-algebra memos: "index", "form_inverse", "structure_rows" (B(x) packed, see
     # poisson), "invariants", "coords" (see coords_of_matrix)
@@ -95,10 +95,21 @@ class SliceChart:
 @dataclass
 class IndexReport:
     dim: int
-    generic_rank: int
     index: int
     certificate_points: list[Vector]
     mode: str  # "exact" (rank bound met by the invariants' gradients) or "sampled"
+
+    @property
+    def generic_rank(self) -> int:
+        return self.dim - self.index
+
+    @property
+    def b(self) -> int:
+        """b(g) = (dim + index) / 2, an integer: dim - index is the rank of the skew B(x)."""
+        b, odd = divmod(self.dim + self.index, 2)
+        if odd:
+            raise InternalError("dim + index is odd (structure matrix rank bug)")
+        return b
 
 
 def bracket(L: LieAlgebraData, x: Vector, y: Vector) -> Vector:
@@ -265,7 +276,7 @@ def _matrix_condition_basis(n: int, gram) -> list[list[list[Fraction]]]:
                 row[p * n + a] += gram[p][b]
                 row[p * n + b] += gram[a][p]
             rows.append(row)
-    kernel = linalg.nullspace(rows, n * n)
+    kernel = linalg.nullspace(rows)
     return [[[v[i * n + j] for j in range(n)] for i in range(n)] for v in kernel]
 
 
@@ -397,11 +408,12 @@ def index_of(L: LieAlgebraData, invariants: list[Poly] | None = None) -> IndexRe
 
     invariants default to the power traces (gl, sl, odd so, sp); a
     centralizer has none unless the caller passes the transported family.
-    An "exact" report is memoized for good, a "sampled" one is recomputed
-    when a call brings invariants.
+    A call without invariants returns the memoized report; a call that
+    brings invariants always checks and certifies with them, and its report
+    replaces the memo unless that would trade an "exact" one for "sampled".
     """
     cached = L._caches.get("index")
-    if cached is not None and (cached.mode == "exact" or invariants is None):
+    if cached is not None and invariants is None:
         return cached
     from .invariants import invariant_generators, verify_invariance  # it imports liealg
 
@@ -420,12 +432,12 @@ def index_of(L: LieAlgebraData, invariants: list[Poly] | None = None) -> IndexRe
         r = linalg.rank(structure_matrix_at(L, pt))
         ranks.append(r)
         if n - r == linalg.jacobian_rank(invariants, pt):
-            report = IndexReport(n, r, n - r, [pt], "exact")
+            report = IndexReport(n, n - r, [pt], "exact")
             break
     else:
-        r = max(ranks)
-        report = IndexReport(n, r, n - r, points, "sampled")
-    L._caches["index"] = report
+        report = IndexReport(n, n - max(ranks), points, "sampled")
+    if cached is None or report.mode == "exact":
+        L._caches["index"] = report
     return report
 
 
@@ -433,8 +445,7 @@ def is_regular_point(L: LieAlgebraData, xi: Vector) -> bool:
     """True iff the stabilizer of the dual point xi has minimal dimension."""
     if len(xi) != L.dim:
         raise LieAlgebraError("vector length mismatch")
-    report = index_of(L)
-    return linalg.rank(structure_matrix_at(L, xi)) == L.dim - report.index
+    return linalg.rank(structure_matrix_at(L, xi)) == index_of(L).generic_rank
 
 
 def draw_regular_dual_point(L: LieAlgebraData, seed: int) -> tuple[Vector, int]:
@@ -509,8 +520,6 @@ def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
     that block, memoized per algebra; rebuilding the matrix checks that it
     lies in the algebra.
     """
-    if L.defining is None:
-        raise LieAlgebraError("algebra lacks defining matrices")
     solver = L._caches.get("coords")
     if solver is None:
         flat = [_flatten(m) for m in L.defining]
@@ -527,8 +536,6 @@ def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
 
 def matrix_of_coords(L: LieAlgebraData, v: Vector):
     """Defining-representation matrix of an element given by coordinates."""
-    if L.defining is None:
-        raise LieAlgebraError("algebra lacks defining matrices")
     m = len(L.defining[0])
     out = _mat_zero(m)
     for coef, bm in zip(v, L.defining):

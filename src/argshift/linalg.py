@@ -60,16 +60,14 @@ def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Matrix, n_cols: int | None = None) -> list[Vector]:
-    """Basis of {v : A v = 0}, one vector per free column, ordered by column.
+def nullspace(rows: Matrix) -> list[Vector]:
+    """Basis of {v : A v = 0}, one vector per free column, ordered by column;
+    A must have at least one row.
 
     Each basis vector has 1 in its free column and the pivot columns solved
     from the RREF; this makes the basis reproducible.
     """
-    if rows:
-        n_cols = len(rows[0])
-    elif n_cols is None:
-        raise ValueError("need n_cols for an empty matrix")
+    n_cols = len(rows[0])
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]

@@ -18,7 +18,7 @@ from argshift.bicone import (
 from argshift.centralizer_lab import _slice_pipeline, nilpotent_from_partition
 from argshift.exactpoly import Poly
 from argshift.groebner import DimensionReport
-from argshift.invariants import InvariantFamily, invariant_generators
+from argshift.invariants import invariant_generators
 from argshift.liealg import InternalError, LieAlgebraError, coords_of_matrix, matrix_of_coords
 from argshift.shift import bigraded_components, shift_derivative
 
@@ -103,7 +103,7 @@ def test_odd_dim_plus_index_is_internal_error(algebras, families, monkeypatch):
 
     def odd_index(L, invariants=None):
         ind = 1 - L.dim % 2  # dim + index odd
-        return IndexReport(L.dim, L.dim - ind, ind, [], "exact")
+        return IndexReport(L.dim, ind, [], "exact")
 
     monkeypatch.setattr(bicone, "index_of", odd_index)
     monkeypatch.setattr(cl, "index_of", odd_index)
@@ -399,8 +399,8 @@ def test_pencil_on_an_abelian_centralizer(algebras, monkeypatch):
     L = algebras[("gl", 3)]
     pipe = _slice_pipeline(L, nilpotent_from_partition(L, (3,)))
     Lc = pipe.centralizer
-    fam = InvariantFamily(Lc, pipe.transported, [p.total_degree() for p in pipe.transported])
-    assert fam.degrees == [1, 1, 1]
+    fam = pipe.family
+    assert fam.degrees == [p.total_degree() for p in fam.generators] == [1, 1, 1]
     log = spy_engine(monkeypatch)
     basis = [[Fraction(int(i == k)) for i in range(Lc.dim)] for k in range(Lc.dim)]
     for x, y in itertools.combinations(basis, 2):

@@ -12,6 +12,7 @@ from argshift.centralizer_lab import (
     transport_to_centralizer,
 )
 from argshift import centralizer_lab, liealg, linalg
+from argshift.exactpoly import Poly
 from argshift.groebner import regular_sequence_verdict
 from argshift.invariants import invariant_generators, power_sums_to_elementary, verify_invariance
 from argshift.liealg import (
@@ -111,15 +112,17 @@ def test_restriction_for_zero_element_is_identity(algebras, families):
         sr = restrict_to_slice(p, chart)
         # with e = 0 the substitution is x = form . t, a linear change only
         assert sr.initial_degree == p.total_degree()
-        assert sr.restricted == sr.initial
+        assert p.substitute(chart.images) == sr.initial
 
 
 def test_sl2_casimir_restriction_is_linear(algebras, families, triples):
     L = algebras[("sl", 2)]
     chart = kostant_slice(L, triples[("sl", 2)])
-    sr = restrict_to_slice(families[("sl", 2)].generators[0], chart)
+    casimir = families[("sl", 2)].generators[0]
+    sr = restrict_to_slice(casimir, chart)
     assert sr.initial_degree == 1
-    assert sr.restricted == sr.initial  # tr((e + t f)^2) = 2t(e|f): purely linear
+    # tr((e + t f)^2) = 2t(e|f): purely linear
+    assert casimir.substitute(chart.images) == sr.initial
 
 
 def test_condition_star_gl3(algebras):
@@ -174,8 +177,12 @@ def test_chart_maps_need_no_dual_or_inverse_after_kostant_slice(monkeypatch):
                                          pipe.centralizer) for i, p in enumerate(family)]
 
     assert len(moved(fam)) == 4
-    # (2,1,1) takes the char-poly coefficients (test_gl4_2_1_1_needs_char_coefficients)
-    assert moved(power_sums_to_elementary(fam)) == pipe.transported
+    # (2,1,1) takes the char-poly coefficients (test_gl4_2_1_1_needs_char_coefficients),
+    # and the pipeline's family lists them by (initial degree, source index)
+    char = moved(power_sums_to_elementary(fam))
+    ordered = sorted(pipe.restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
+    assert [char[sr.source_index] for sr in ordered] == pipe.family.generators
+    assert [sr.initial_degree for sr in ordered] == pipe.family.degrees
 
 
 def test_conjecture_rows_gl3(algebras):
@@ -262,6 +269,24 @@ def test_pipeline_certifies_every_centralizer_index(n):
         rep = index_of(pipe.centralizer)
         assert (rep.mode, rep.index) == ("exact", n)
         assert pipe.star.centralizer_index == n
+
+
+def test_zero_element_certifies_with_the_transported_family(algebras, monkeypatch):
+    # for e = 0 the centralizer is gl_3 itself, whose exact index is memoized;
+    # the transported family must still be checked, so a planted non-central
+    # generator x1 * tr(X) is caught
+    L = algebras[("gl", 3)]
+    index_of(L)
+    real = centralizer_lab.transport_to_centralizer
+
+    def planted(sr, chart, Lc):
+        q = real(sr, chart, Lc)
+        return q * Poly.variable(Lc.dim, 1) if sr.source_index == 0 else q
+
+    monkeypatch.setattr(centralizer_lab, "transport_to_centralizer", planted)
+    with pytest.raises(liealg.InternalError, match="not Poisson-central"):
+        condition_star(L, nilpotent_from_partition(L, (1, 1, 1)))
+    assert index_of(L).mode == "exact"
 
 
 def test_dependent_transported_family_leaves_index_sampled():

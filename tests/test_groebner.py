@@ -241,6 +241,8 @@ def test_shift_family_basis_and_normal_form_match_sympy(algebras, families, trip
     gb = buchberger(gens)
     assert _monic_term_sets(gb.basis) == _monic_term_sets(want)
     assert len(gb.basis) == len(want)
+    # the engine's decoded record leads are each basis element's degrevlex maximum
+    assert gb.leads == [max(p.terms, key=exactpoly.degrevlex_key) for p in gb.basis]
     # normal forms of random polynomials of degree <= 3 are sympy's remainders
     # a str seed is the same in every process, unlike hash() of a str
     rng = random.Random(f"{spec} {point}")
@@ -254,12 +256,18 @@ def test_shift_family_basis_and_normal_form_match_sympy(algebras, families, trip
         assert got == _from_sympy(ref.reduce(_as_sympy(f, xs))[1], xs)
 
 
+def test_fp_leads_are_the_leading_monomials():
+    gb = buchberger([x * x + 3 * x * y - y * y, x * y * y + y * y * y], mod=groebner.SECTION_PRIME)
+    assert len(gb.basis) == 3
+    assert gb.leads == [max(p.terms, key=exactpoly.degrevlex_key) for p in gb.basis]
+
+
 def test_exponents_up_to_the_field_limit_round_trip():
     top = 2**31 - 1
     g = Poly(2, {(top, 0): Fraction(3), (0, top): Fraction(-6)})
     gb = buchberger([g])
     assert gb.basis == [Fraction(1, 3) * g]
-    assert gb.leading_monomials() == [(top, 0)]
+    assert gb.leads == [(top, 0)]
     assert normal_form(Poly(2, {(top, 0): Fraction(1)}), gb.basis) == Poly(2, {(0, top): Fraction(2)})
 
 

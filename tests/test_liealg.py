@@ -5,6 +5,7 @@ import pytest
 
 from argshift import liealg
 from argshift.liealg import (
+    IndexReport,
     LieAlgebraData,
     LieAlgebraError,
     adjoint_matrix,
@@ -75,6 +76,7 @@ def _corruptions(L, rng, count):
             structure={p: dict(c) for p, c in L.structure.items()},
             form=form or [row[:] for row in L.form],
             meta=L.meta,
+            defining=L.defining,
         )
 
     for _ in range(count):
@@ -263,6 +265,13 @@ def test_non_invariant_passed_as_invariant_is_internal_error():
         index_of(L, [Poly.variable(3, 0)])
 
 
+def test_index_report_derives_generic_rank_and_b():
+    rep = IndexReport(9, 3, [], "exact")
+    assert (rep.generic_rank, rep.b) == (6, 6)
+    with pytest.raises(liealg.InternalError):
+        IndexReport(8, 3, [], "exact").b
+
+
 def test_generic_rank_is_even_and_b_integral(algebras):
     for L in algebras.values():
         rep = index_of(L)
@@ -389,7 +398,7 @@ def test_kostant_slice_dimensions(algebras, triples):
 def test_kostant_slice_rejects_degenerate_pairing(algebras, triples):
     L = algebras[("sl", 2)]
     zero_form = [[Fraction(0)] * L.dim for _ in range(L.dim)]
-    flat = LieAlgebraData(L.dim, L.basis_labels, L.structure, zero_form, dict(L.meta))
+    flat = LieAlgebraData(L.dim, L.basis_labels, L.structure, zero_form, dict(L.meta), L.defining)
     with pytest.raises(LieAlgebraError, match="degenerate g\\^e x g\\^f pairing"):
         kostant_slice(flat, triples[("sl", 2)])
 

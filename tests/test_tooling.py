@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from argshift import cli
-from argshift.centralizer_lab import nilpotent_from_partition
+from argshift.centralizer_lab import _slice_pipeline, nilpotent_from_partition
+from argshift.liealg import build_classical
+from argshift.shift import mf_generators
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "argshift"
@@ -180,20 +182,27 @@ def test_readme_quick_start_runs():
 
 def test_bench_workloads_call_the_library(algebras, monkeypatch):
     # set-up of bench/workloads.py's bicone-slice workload, its gl_3 conjecture
-    # rows and the shift family its check rebuilds (without the sympy check),
-    # and its sl_3 smoothness verdict under the benchmark's own check
+    # rows and its gl_4 (2,1,1) row (the char-coefficients family), the shift
+    # family its check rebuilds (without the sympy check) against the one the
+    # slice pipeline keeps, and its sl_3 smoothness verdict under the
+    # benchmark's own check
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
     verdicts = workloads.setup_bicone(1)
     [smooth] = [v for v in verdicts if v.name == "sl3 smoothness"]
     rep, _ = smooth.run()
     assert smooth.check(rep) == []
-    rows = [v for v in verdicts if v.name.startswith("gl3 conjecture")]
-    assert len(rows) == 3
-    L = algebras[("gl", 3)]
+    rows = [v for v in verdicts
+            if v.name.startswith("gl3 conjecture") or v.name == "gl4 conjecture (2, 1, 1)"]
+    assert len(rows) == 4
+    gl4 = build_classical("gl", 4)
     for verdict in rows:
         row, _ = verdict.run()
+        L = algebras[("gl", 3)] if verdict.name.startswith("gl3") else gl4
         e = nilpotent_from_partition(L, row.partition)
         dim_c, polys = workloads.conjecture_family(L, e, row.xi)
         assert dim_c == row.star.centralizer_dim
         assert len(polys) == row.report.generator_count
+        assert row.star.generator_family == ("char-coefficients" if L is gl4 else "power-traces")
+        pipe = _slice_pipeline(L, e)
+        assert polys == mf_generators(pipe.centralizer, pipe.family, row.xi).polynomials()
