@@ -211,8 +211,12 @@ def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
 @dataclass
 class SmoothnessReport:
     sample_count: int
-    disagreements: list[dict] = field(default_factory=list)
     results: list[dict] = field(default_factory=list)
+
+    @property
+    def disagreements(self) -> list[dict]:
+        """The entries whose pencil and Jacobian verdicts differ."""
+        return [e for e in self.results if e["pencil_regular"] != e["jacobian_full"]]
 
     @property
     def all_agree(self) -> bool:
@@ -240,7 +244,6 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     full_count = ideal.generator_count
     gens = ideal.polynomials()
     results = []
-    disagreements = []
     for x, y in samples:
         if not bicone_membership(L, fam, x, y):
             raise ValueError("sample pair is not in the bicone")
@@ -256,8 +259,4 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
             "agree": omega == smooth,
         }
         results.append(entry)
-        if omega != smooth:
-            disagreements.append(entry)
-    return SmoothnessReport(
-        sample_count=len(results), disagreements=disagreements, results=results
-    )
+    return SmoothnessReport(sample_count=len(results), results=results)

@@ -1,7 +1,9 @@
 """Command-line surface for reproducible verification runs.
 
 Subcommands: algebra, invariants, mf, commute, regseq, bicone, star,
-conjecture.  Every run emits one JSON report (stdout or --output).
+conjecture.  Every run emits one JSON report (stdout or --output).  Each
+subcommand accepts only the options it reads and build_parser holds the usage
+rules, except one checked before any algebra is built: --partition sums to --size.
 
 Exit codes: 0 verdict true / success, 1 verdict false, 2 inconclusive
 (timeout), 3 usage or input error, 4 internal error (never a verdict).
@@ -16,6 +18,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from pathlib import Path
 
 from . import bicone as bicone_mod
 from . import centralizer_lab as cl
@@ -30,15 +33,8 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 def _build_algebra(args) -> liealg.LieAlgebraData:
-    try:
-        return liealg.build_classical(args.type, args.size)
-    except liealg.LieAlgebraError as err:
-        raise UsageError(str(err)) from err
+    return liealg.build_classical(args.type, args.size)
 
 
 def _resolve_xi(L, spec: str, seed: int):
@@ -63,9 +59,9 @@ def _resolve_xi(L, spec: str, seed: int):
     try:
         xi = [Fraction(part) for part in spec.split(",")]
     except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"cannot parse xi {spec!r}") from err
+        raise ValueError(f"cannot parse xi {spec!r}") from err
     if len(xi) != L.dim:
-        raise UsageError(f"xi has {len(xi)} entries, algebra has dimension {L.dim}")
+        raise ValueError(f"xi has {len(xi)} entries, algebra has dimension {L.dim}")
     return xi, {"kind": "explicit"}
 
 
@@ -199,27 +195,15 @@ def cmd_bicone(args) -> int:
     return _verdict_exit(rep.verdict)
 
 
-def _parse_partition(text: str | None, size: int):
-    if text is None:
-        raise UsageError("need --partition")
-    try:
-        part = tuple(int(p) for p in text.split(","))
-    except ValueError as err:
-        raise UsageError(f"cannot parse partition {text!r}") from err
+def _sized(part: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """A --partition of --size, checked before any algebra is built."""
     if sum(part) != size:
-        raise UsageError(f"partition {part} does not sum to {size}")
+        raise ValueError(f"partition {part} does not sum to {size}")
     return part
 
 
-def _require_gl(args) -> None:
-    """The slice pipeline's type check, made before any algebra is built."""
-    if args.type != "gl":
-        raise UsageError("the slice pipeline supports gl only")
-
-
 def cmd_star(args) -> int:
-    _require_gl(args)
-    part = _parse_partition(args.partition, args.size)
+    part = _sized(args.partition, args.size)
     L = _build_algebra(args)
     e = cl.nilpotent_from_partition(L, part)
     star = cl.condition_star(L, e)
@@ -233,14 +217,10 @@ def cmd_star(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    _require_gl(args)
-    if not args.all_partitions and not args.partition:
-        raise UsageError("need --partition or --all-partitions")
-    partitions = (
-        cl.all_partitions(args.size)
-        if args.all_partitions
-        else [_parse_partition(args.partition, args.size)]
-    )
+    if args.all_partitions:
+        partitions = cl.all_partitions(args.size)
+    else:
+        partitions = [_sized(args.partition, args.size)]
     L = _build_algebra(args)
     rows = []
     for part in partitions:
@@ -280,11 +260,27 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _add_common(sub, xi: bool = False, gb: bool = False, partition: bool = False):
-    sub.add_argument("--type", required=True, choices=["gl", "sl", "so", "sp"])
+def _partition(text: str) -> tuple[int, ...]:
+    """A --partition value: comma-separated integer parts, e.g. 2,1."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}") from None
+
+
+def _output(text: str) -> str:
+    """An --output value in a directory that exists; nothing is written until the report."""
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"the directory of {text!r} does not exist")
+    return text
+
+
+def _add_common(sub, types=("gl", "sl", "so", "sp"), seed=False, xi=False, gb=False):
+    sub.add_argument("--type", required=True, choices=types)
     sub.add_argument("--size", required=True, type=int)
-    sub.add_argument("--output", default=None, help="write the JSON report here")
-    sub.add_argument("--seed", type=int, default=42)
+    sub.add_argument("--output", type=_output, default=None, help="write the JSON report here")
+    if seed or xi:
+        sub.add_argument("--seed", type=int, default=42)
     if xi:
         sub.add_argument(
             "--xi",
@@ -293,8 +289,6 @@ def _add_common(sub, xi: bool = False, gb: bool = False, partition: bool = False
         )
     if gb:
         sub.add_argument("--timeout-secs", type=_seconds, default=None)
-    if partition:
-        sub.add_argument("--partition", default=None, help="Jordan type, e.g. 2,1")
     return sub
 
 
@@ -311,13 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(subs.add_parser("regseq", help="regular-sequence verdict"), xi=True, gb=True)
     bic = _add_common(subs.add_parser("bicone", help="bicone dimension / fiber checks"), gb=True)
     bic.add_argument("--fiber", action="store_true", help="check the fiber over the principal nilpotent")
-    _add_common(subs.add_parser("star", help="slice degree condition"), partition=True)
+    star = _add_common(subs.add_parser("star", help="slice degree condition"), types=("gl",))
+    star.add_argument("--partition", required=True, type=_partition, help="Jordan type, e.g. 2,1")
     conj = _add_common(
         subs.add_parser("conjecture", help="centralizer regular-sequence experiment"),
+        types=("gl",),
+        seed=True,
         gb=True,
-        partition=True,
     )
-    conj.add_argument("--all-partitions", action="store_true")
+    rows = conj.add_mutually_exclusive_group(required=True)
+    rows.add_argument("--partition", type=_partition, help="Jordan type, e.g. 2,1")
+    rows.add_argument("--all-partitions", action="store_true")
     return parser
 
 
@@ -343,7 +341,7 @@ def main(argv=None) -> int:
     args.deadline = deadline_after(getattr(args, "timeout_secs", None))
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError) as err:
+    except (ValueError, OSError) as err:  # OSError: the --output write failed
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:  # a bug, not a verdict: keep it off exit 1 ("false")

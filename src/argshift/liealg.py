@@ -113,16 +113,10 @@ class IndexReport:
 
 
 def bracket(L: LieAlgebraData, x: Vector, y: Vector) -> Vector:
-    """[x, y] from the structure constants."""
+    """[x, y] = (ad x) . y: column j of ad x is [x, b_j]."""
     if len(x) != L.dim or len(y) != L.dim:
         raise LieAlgebraError("vector length mismatch")
-    out = linalg.zeros_vector(L.dim)
-    for (i, j), comps in L.structure.items():
-        coef = x[i] * y[j] - x[j] * y[i]
-        if coef:
-            for k, c in comps.items():
-                out[k] += coef * c
-    return out
+    return linalg.mat_vec(adjoint_matrix(L, x), y)
 
 
 def adjoint_matrix(L: LieAlgebraData, x: Vector) -> list[list[Fraction]]:

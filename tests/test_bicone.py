@@ -458,6 +458,19 @@ def test_smoothness_crosscheck_sl3(algebras, families):
     assert any(not r["pencil_regular"] for r in rep.results)
 
 
+def test_smoothness_report_lists_its_disagreements():
+    def entry(pencil, jac):
+        return {"x": [], "y": [], "pencil_regular": pencil, "jacobian_full": jac}
+
+    agreeing = [entry(True, True), entry(False, False)]
+    rep = bicone.SmoothnessReport(sample_count=4, results=[*agreeing, entry(True, False),
+                                                           entry(False, True)])
+    assert rep.disagreements == [entry(True, False), entry(False, True)]
+    assert not rep.all_agree
+    rep = bicone.SmoothnessReport(sample_count=2, results=agreeing)
+    assert rep.disagreements == [] and rep.all_agree
+
+
 def test_smoothness_crosscheck_sl2(algebras, families, triples):
     # every 2-plane meets the sl2 cone outside the nilpotent locus, so all
     # bicone points have proportional components and both certificates agree

@@ -131,6 +131,20 @@ def test_usage_errors(capsys):
     conjecture = ["conjecture", "--type", "gl", "--size", "2", "--all-partitions"]
     assert main([*conjecture, "--jobs", "2"]) == 3
     capsys.readouterr()
+    # each subcommand accepts only the options it reads
+    for argv in (["algebra", "--type", "sl", "--size", "2", "--seed", "1"],
+                 ["invariants", "--type", "sl", "--size", "2", "--seed", "1"],
+                 ["bicone", "--type", "sl", "--size", "2", "--seed", "1"],
+                 ["star", "--type", "gl", "--size", "3", "--partition", "2,1", "--seed", "1"],
+                 ["conjecture", "--type", "gl", "--size", "3", "--partition", "2,1",
+                  "--all-partitions"],
+                 ["conjecture", "--type", "gl", "--size", "3", "--partition", "banana",
+                  "--all-partitions"],
+                 ["star", "--type", "gl", "--size", "3", "--partition", "2,x"],
+                 ["algebra", "--type", "sl", "--size", "2",
+                  "--output", "/nonexistent-argshift-dir/x.json"]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_slice_commands_reject_other_types_before_building(capsys, monkeypatch):
@@ -140,6 +154,33 @@ def test_slice_commands_reject_other_types_before_building(capsys, monkeypatch):
     assert main(["conjecture", "--type", "so", "--size", "9", "--partition", "9"]) == 3
     assert capsys.readouterr().out == ""
     assert built == []
+
+
+def test_partition_sum_is_checked_before_building(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(liealg, "build_classical", lambda *spec: built.append(spec))
+    assert main(["star", "--type", "gl", "--size", "9", "--partition", "5"]) == 3
+    assert main(["conjecture", "--type", "gl", "--size", "9", "--partition", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: partition (5,) does not sum to 9" in captured.err
+    assert built == []
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # the parser finds a missing directory before anything is built; a final
+    # write that fails (here the path is a directory) is a usage error too, not a bug
+    for path in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main(["algebra", "--type", "sl", "--size", "2", "--output", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in captured.err and "internal error" not in captured.err
+    # neither a failed write nor a failed run leaves a report file behind
+    argv = ["regseq", "--type", "sl", "--size", "2", "--xi", "1,2"]
+    assert main([*argv, "--output", str(tmp_path / "report.json")]) == 3
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timeout_must_be_non_negative(capsys):

@@ -6,6 +6,7 @@ Groebner engine do not import it.  The README shows only commands that the
 command line accepts and a library quick start that runs, and the benchmark's
 workloads find every library name they call."""
 
+import argparse
 import ast
 import importlib
 import sys
@@ -160,17 +161,57 @@ def test_algebra_layers_do_not_import_groebner():
     assert imports == []
 
 
-def test_readme_command_lines_parse(capsys):
+def _readme_command_lines():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if line.startswith("argshift ")]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("argshift ")]
+
+
+def test_readme_command_lines_parse(capsys):
+    lines = _readme_command_lines()
     assert len(lines) > 5
     parser = cli.build_parser()
-    for line in lines:
+    for argv in lines:
         try:
-            parser.parse_args(line.split()[1:])
+            parser.parse_args(argv)
         except SystemExit:
-            pytest.fail(f"the parser rejects a README command: {line}\n{capsys.readouterr().err}")
+            pytest.fail(f"the parser rejects a README command: {' '.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
+
+
+def test_every_option_is_read(capsys, monkeypatch):
+    """Each subcommand reads every option its parser defines, on the README's
+    command lines and a single conjecture row."""
+    reads, defined = [], []
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.append(name)
+            return super().__getattribute__(name)
+
+    real = cli.build_parser
+
+    def recording_parser():
+        parser = real()
+        parse = parser.parse_args
+
+        def parse_args(argv=None):
+            args = parse(argv, namespace=Recording())
+            defined.append(set(vars(args)) - {"command"})
+            reads.clear()  # argparse's own reads do not count
+            return args
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    unread = {}
+    for argv in [*_readme_command_lines(), "conjecture --type gl --size 2 --partition 2".split()]:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        unread.setdefault(argv[0], defined[-1]).intersection_update(defined[-1] - set(reads))
+    assert set(unread) == set(cli.COMMANDS)
+    assert {command: names for command, names in unread.items() if names} == {}
 
 
 def test_readme_quick_start_runs():
