@@ -242,13 +242,13 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     """
     ideal = bicone_generators(L, fam)
     full_count = ideal.generator_count
-    gens = ideal.polynomials()
+    jacobian_rank = linalg.jacobian_rank_at(ideal.polynomials())
     results = []
     for x, y in samples:
         if not bicone_membership(L, fam, x, y):
             raise ValueError("sample pair is not in the bicone")
         omega = pencil_regularity(L, fam, x, y)
-        rank = linalg.jacobian_rank(gens, _pair_point(L, x, y))
+        rank = jacobian_rank(_pair_point(L, x, y))
         smooth = rank == full_count
         entry = {
             "x": fractions_json(map(Fraction, x)),

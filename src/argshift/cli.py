@@ -14,6 +14,7 @@ anything is built, and each verdict gets only the time left.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import traceback
@@ -269,9 +270,15 @@ def _partition(text: str) -> tuple[int, ...]:
 
 
 def _output(text: str) -> str:
-    """An --output value in a directory that exists; nothing is written until the report."""
-    if not Path(text).parent.is_dir():
+    """An --output value the report can be written to: not a directory, in a
+    directory that exists, and writable.  Nothing is written until the report."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not path.parent.is_dir():
         raise argparse.ArgumentTypeError(f"the directory of {text!r} does not exist")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is not writable")
     return text
 
 

@@ -9,7 +9,9 @@ structure matrix there, and the rank of the invariants' gradients there.
 Coordinate convention: S(g) uses coordinates x_0..x_{n-1} dual to the chosen
 basis, so a point of the dual space is a plain coordinate vector and the
 linear form (u | .) attached to an element u has coordinate vector form.u
-(see dual_of).
+(see dual_of).  Every classical basis is ordered by descending principal
+weight (build_classical): positive root vectors by height, the diagonal,
+then negative root vectors, so x_{n-1} is the coordinate of the lowest root.
 """
 
 from __future__ import annotations
@@ -274,12 +276,35 @@ def _matrix_condition_basis(n: int, gram) -> list[list[list[Fraction]]]:
     return [[[v[i * n + j] for j in range(n)] for i in range(n)] for v in kernel]
 
 
+def _principal_weight_order(mats) -> list[int]:
+    """Basis positions sorted by (-principal weight, position).
+
+    A matrix with nonzero entries only at (a, b) with b - a = w is an ad h
+    eigenvector of weight 2w for the principal h = diag(n-1, n-3, ..., 1-n)
+    of principal_sl2; a matrix mixing two values of b - a is not a weight
+    vector and raises InternalError.
+    """
+    weights = []
+    for i, m in enumerate(mats):
+        found = {b - a for a, row in enumerate(m) for b, x in enumerate(row) if x}
+        if len(found) != 1:
+            raise InternalError(f"basis matrix {i} is not a principal weight vector (bug)")
+        weights.append(found.pop())
+    return sorted(range(len(mats)), key=lambda i: (-weights[i], i))
+
+
 def build_classical(kind: str, size: int) -> LieAlgebraData:
     """Construct gl_n, sl_n, so_n or sp_n (split form, trace form).
 
+    The basis is ordered by descending principal weight: positive root
+    vectors by height, then the diagonal, then negative root vectors (ties
+    keep the construction order).  Degrevlex on the dual coordinates then
+    treats the negative root coordinates as the smallest variables, the order
+    under which the exact engine's bicone and shift ideals stay small.
     All structure invariants (antisymmetry, Jacobi, form symmetry/invariance
     and nondegeneracy) are verified exactly; a failure aborts construction.
     """
+    labels = None
     if kind == "gl":
         if size < 1:
             raise LieAlgebraError("gl size must be >= 1")
@@ -294,16 +319,17 @@ def build_classical(kind: str, size: int) -> LieAlgebraData:
         if size < 3:
             raise LieAlgebraError("so size must be >= 3")
         mats = _matrix_condition_basis(size, _gram_so(size))
-        labels = [f"b{i}" for i in range(len(mats))]
         meta = {"type": "so", "size": size, "rank": size // 2}
     elif kind == "sp":
         if size < 2 or size % 2:
             raise LieAlgebraError("sp size must be even and >= 2")
         mats = _matrix_condition_basis(size, _gram_sp(size))
-        labels = [f"b{i}" for i in range(len(mats))]
         meta = {"type": "sp", "size": size, "rank": size // 2}
     else:
         raise LieAlgebraError(f"unsupported type {kind!r}")
+    order = _principal_weight_order(mats)
+    mats = [mats[i] for i in order]
+    labels = [f"b{k}" for k in range(len(mats))] if labels is None else [labels[i] for i in order]
     L = _from_matrices(mats, labels, meta)
     validate(L)
     return L
@@ -421,11 +447,12 @@ def index_of(L: LieAlgebraData, invariants: list[Poly] | None = None) -> IndexRe
             raise InternalError("an invariant passed to index_of is not Poisson-central (bug)")
     n = L.dim
     points = list(_seeded_points(n, INDEX_SEED, INDEX_POINTS))
+    jacobian_rank = linalg.jacobian_rank_at(invariants)
     ranks = []
     for pt in points:
         r = linalg.rank(structure_matrix_at(L, pt))
         ranks.append(r)
-        if n - r == linalg.jacobian_rank(invariants, pt):
+        if n - r == jacobian_rank(pt):
             report = IndexReport(n, n - r, [pt], "exact")
             break
     else:

@@ -9,8 +9,10 @@ forms are reproducible run to run.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Callable
 
-from .exactpoly import Poly, pack_gradient, unpack
+from .exactpoly import Poly, decode, pack_gradient
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -57,7 +59,37 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    """Exact rank: each row scaled to integers, then fraction-free elimination."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return _integer_rank(scaled)
+
+
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix: a pivot row clears its pivot column from the
+    other rows by cross-multiplication, and each changed row is divided by the
+    gcd of its entries to keep them small; a row that cancels is dropped."""
+    rows = [row for row in rows if any(row)]
+    found = 0
+    while rows:
+        pivot = rows.pop()
+        c = next(j for j, a in enumerate(pivot) if a)
+        a = pivot[c]
+        kept = []
+        for row in rows:
+            b = row[c]
+            if b:
+                row = [a * u - b * v for u, v in zip(row, pivot)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                row = [u // g for u in row]
+            kept.append(row)
+        rows = kept
+        found += 1
+    return found
 
 
 def nullspace(rows: Matrix) -> list[Vector]:
@@ -133,10 +165,40 @@ def poly_det(mat: list[list[Poly]]) -> Poly:
 
 def jacobian_rank(gens: list[Poly], point) -> int:
     """Exact rank of the matrix (d g_i / d x_j) evaluated at the point."""
-    point = [Fraction(v) for v in point]
+    return jacobian_rank_at(gens)(point)
+
+
+def jacobian_rank_at(gens: list[Poly]) -> Callable[[list], int]:
+    """The exact Jacobian rank of gens as a function of the point, for a
+    caller that evaluates one generator list at many points.
+
+    The gradients are packed once.  Row i is scaled by den_i * D^top_i (den_i
+    the denominator pack_gradient gives g_i, D the point's common denominator,
+    top_i the highest degree of a term of its partials), which leaves the rank
+    as it is and makes every entry the integer sum of c * D^(top_i - deg) *
+    prod p_k^e_k over the terms c * x^e of degree deg, p = D * point.
+    """
     rows = []
     for g in gens:
-        if point and g.arity != len(point):
+        terms = [(j, c, sum(mono), [(k, e) for k, e in enumerate(mono) if e])
+                 for j, (_, monos, nums) in enumerate(pack_gradient(g))
+                 for mono, c in zip((decode(m, g.arity) for m in monos), nums)]
+        rows.append((g.arity, max((t[2] for t in terms), default=0), terms))
+
+    def rank_at(point) -> int:
+        point = [Fraction(v) for v in point]
+        if point and any(arity != len(point) for arity, _, _ in rows):
             raise ValueError("point length does not match generator arity")
-        rows.append([unpack(q, g.arity).evaluate(point) for q in pack_gradient(g)])
-    return rank(rows)
+        den = lcm(*(v.denominator for v in point))
+        p = [v.numerator * (den // v.denominator) for v in point]
+        matrix = []
+        for arity, top, terms in rows:
+            row = [0] * arity
+            for j, c, deg, factors in terms:
+                for k, e in factors:
+                    c *= p[k] ** e
+                row[j] += c * den ** (top - deg)
+            matrix.append(row)
+        return _integer_rank(matrix)
+
+    return rank_at

@@ -1,7 +1,9 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -456,6 +458,23 @@ def test_smoothness_crosscheck_sl3(algebras, families):
     # the construction guarantees both kinds occur
     assert any(r["pencil_regular"] for r in rep.results)
     assert any(not r["pencil_regular"] for r in rep.results)
+
+
+@pytest.mark.parametrize("seed", [1, 24001])
+def test_jacobian_rank_matches_fraction_evaluation(algebras, families, monkeypatch, seed):
+    # the benchmark's sl_3 bicone pairs, against partials evaluated one by one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    samples = importlib.import_module("workloads").bicone_samples(algebras[("sl", 3)], seed)
+    L = algebras[("sl", 3)]
+    gens = bicone_generators(L, families[("sl", 3)]).polynomials()
+    rank_at = linalg.jacobian_rank_at(gens)
+    ranks = set()
+    for x, y in samples:
+        pt = bicone._pair_point(L, x, y)
+        rows = [[g.diff(j).evaluate(pt) for j in range(len(pt))] for g in gens]
+        ranks.add(len(linalg.rref(rows)[1]))
+        assert rank_at(pt) == linalg.jacobian_rank(gens, pt) == len(linalg.rref(rows)[1])
+    assert len(ranks) > 1
 
 
 def test_smoothness_report_lists_its_disagreements():

@@ -1,5 +1,7 @@
 import json
+import os
 import time
+from pathlib import Path
 
 from argshift import cli, liealg
 from argshift.cli import main
@@ -34,6 +36,14 @@ def test_bicone_sl2(capsys):
     assert payload["report"]["ideal_dimension"] == 3
 
 
+def test_bicone_gl3_is_decided(capsys):
+    # inconclusive at 60 s while the basis was not ordered by principal weight
+    code, payload = run_cli(capsys, "bicone", "--type", "gl", "--size", "3", "--timeout-secs", "10")
+    assert code == 0
+    assert payload["report"]["ideal_dimension"] == payload["report"]["expected_dimension"] == 9
+    assert payload["report"]["stats"]["certificate"] == {"kind": "exact"}
+
+
 def test_bicone_fiber(capsys):
     code, payload = run_cli(capsys, "bicone", "--type", "sl", "--size", "3", "--fiber")
     assert code == 0
@@ -43,7 +53,7 @@ def test_bicone_fiber(capsys):
 
 def test_bicone_timeout_is_inconclusive(capsys):
     code, payload = run_cli(
-        capsys, "bicone", "--type", "sl", "--size", "3", "--timeout-secs", "0.01"
+        capsys, "bicone", "--type", "sp", "--size", "4", "--timeout-secs", "0.01"
     )
     assert code == 2
     assert payload["report"]["status"] == "inconclusive"
@@ -167,20 +177,29 @@ def test_partition_sum_is_checked_before_building(capsys, monkeypatch):
     assert built == []
 
 
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
-    # the parser finds a missing directory before anything is built; a final
-    # write that fails (here the path is a directory) is a usage error too, not a bug
-    for path in (tmp_path / "missing" / "report.json", tmp_path):
-        assert main(["algebra", "--type", "sl", "--size", "2", "--output", str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
-        assert "Traceback" not in captured.err and "internal error" not in captured.err
-    # neither a failed write nor a failed run leaves a report file behind
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a failed run leaves no report file behind
     argv = ["regseq", "--type", "sl", "--size", "2", "--xi", "1,2"]
     assert main([*argv, "--output", str(tmp_path / "report.json")]) == 3
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+    # the parser finds a missing directory, a directory as the path and a
+    # read-only directory before any algebra is built
+    read_only = tmp_path / "read-only"
+    read_only.mkdir(mode=0o555)
+    access = os.access  # root may write anywhere: report the mode bits as a user would see them
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: access(path, mode) and not (
+        Path(path) == read_only and mode & os.W_OK))
+    built = []
+    monkeypatch.setattr(liealg, "build_classical", lambda *args: built.append(args))
+    for path in (tmp_path / "missing" / "report.json", tmp_path, read_only / "report.json"):
+        assert main(["bicone", "--type", "gl", "--size", "3", "--output", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in captured.err and "internal error" not in captured.err
+    assert built == []
+    assert list(read_only.iterdir()) == []
 
 
 def test_timeout_must_be_non_negative(capsys):

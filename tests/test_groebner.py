@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import bicone, cli, exactpoly, groebner, liealg
+from argshift import bicone, cli, exactpoly, groebner, liealg, linalg
 from argshift import centralizer_lab as cl
 from argshift.exactpoly import Poly, parse_poly
 from argshift.groebner import (
@@ -472,19 +472,20 @@ def test_regseq_zero_generator_short_circuits():
 
 
 def test_timeout_is_inconclusive(algebras, families):
-    gens = bicone.bicone_generators(algebras[("sl", 3)], families[("sl", 3)]).polynomials()
+    # the sp_4 bicone (8 generators in 20 variables) is still inconclusive at 20 s
+    gens = bicone.bicone_generators(algebras[("sp", 4)], families[("sp", 4)]).polynomials()
     with pytest.raises(GBTimeout):
         buchberger(gens, timeout_secs=0.01)
-    rep = regular_sequence_verdict(gens, 16, timeout_secs=0.01)
+    rep = regular_sequence_verdict(gens, 20, timeout_secs=0.01)
     assert rep.verdict is None
     assert rep.status == "inconclusive"
     assert rep.ideal_dimension is None
 
 
 def test_timeout_bounds_coefficient_growth(algebras, families):
-    # the gl_3 bicone (9 generators in 18 variables) runs past 60 s; the budget reads
+    # the sp_4 bicone (8 generators in 20 variables) runs past 60 s; the budget reads
     # the clock on every reduction step, so 3 s of it end the run well within 10 s
-    gens = bicone.bicone_generators(algebras[("gl", 3)], families[("gl", 3)]).polynomials()
+    gens = bicone.bicone_generators(algebras[("sp", 4)], families[("sp", 4)]).polynomials()
     start = time.monotonic()
     with pytest.raises(GBTimeout):
         buchberger(gens, timeout_secs=3)
@@ -523,6 +524,40 @@ def test_jacobian_rank_at_origin_vanishes():
 
 def test_jacobian_rank_with_linear_form():
     assert jacobian_rank([x + 2 * y], [5, Fraction(1, 3)]) >= 1
+
+
+def _fraction_rank(rows):
+    return len(linalg.rref(rows)[1])
+
+
+def test_rank_matches_rref():
+    rng = random.Random(11)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        # few distinct rows and many zeros, so that dependent rows are common
+        base = [[Fraction(rng.choice([0, 0, 0, rng.randint(-4, 4)]), rng.randint(1, 5))
+                 for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        rows = [[sum((rng.randint(-2, 2) * b[j] for b in base), Fraction(0)) for j in range(n)]
+                for _ in range(m)]
+        assert linalg.rank(rows) == _fraction_rank(rows)
+    assert linalg.rank([[0, 3], [0, 6]]) == 1  # int entries too
+
+
+def test_jacobian_rank_of_inhomogeneous_generators_matches_fraction_evaluation():
+    # (x0 - pt0)^2 (x1 + 1) has gradient 0 at pt alone, so there the third row
+    # depends on the first two
+    rng = random.Random(12)
+    n = 3
+    for _ in range(40):
+        f, g = (Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)})
+                for _ in range(2))
+        pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(n)]
+        x0, x1 = Poly.variable(n, 0), Poly.variable(n, 1)
+        gens = [f, g, f + 2 * g + (x0 - pt[0]) * (x0 - pt[0]) * (x1 + 1)]
+        want = _fraction_rank([[p.diff(j).evaluate(pt) for j in range(n)] for p in gens])
+        assert want < 3
+        assert jacobian_rank(gens, pt) == want
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +668,45 @@ def test_non_regular_points_fall_through_to_the_exact_engine(
     assert exact.stats["zero_reductions"] >= 1
 
 
+def _construction_order(L, gens):
+    """gens with their variables renamed to the order the basis is built in,
+    before build_classical sorts it by principal weight."""
+    build = {"gl": liealg._gl_basis, "sl": liealg._sl_basis}[L.meta["type"]]
+    labels = build(L.meta["size"])[1]
+    target = [labels.index(label) for label in L.basis_labels]
+
+    def rename(p):
+        monos = {}
+        for mono, c in p:
+            old = [0] * L.dim
+            for i, e in enumerate(mono):
+                old[target[i]] = e
+            monos[tuple(old)] = c
+        return Poly(L.dim, monos)
+
+    return [rename(p) for p in gens]
+
+
+@pytest.mark.parametrize("spec", [("sl", 3), ("gl", 3)])
+@pytest.mark.parametrize("point", ["e", "h", "ef", "zero", "non-regular"])
+def test_weight_order_changes_no_verdict(algebras, families, triples, spec, point):
+    L, t = algebras[spec], triples[spec]
+    if point == "non-regular":
+        xi = _matrix_point(L, {(a, a): v for a, v in enumerate(NON_REGULAR_DIAGONALS[spec])})
+    elif point == "zero":
+        xi = [Fraction(0)] * L.dim
+    else:
+        xi = dual_of(L, {"e": t.e, "h": t.h, "ef": [a + b for a, b in zip(t.e, t.f)]}[point])
+    family = mf_generators(L, families[spec], xi)
+    gens = family.polynomials()
+    reports = [regular_sequence_verdict(g, L.dim, zero_labels=family.zero_entries)
+               for g in (gens, _construction_order(L, gens))]
+    assert reports[0].status == reports[1].status
+    assert reports[0].verdict == reports[1].verdict
+    assert reports[0].ideal_dimension == reports[1].ideal_dimension
+    assert reports[0].verdict is (point not in ("zero", "non-regular"))
+
+
 def test_minimal_nilpotent_is_decided_before_the_section(algebras, families):
     # the top shift of the cubic invariant vanishes at E13, so no engine runs
     L = algebras[("sl", 3)]
@@ -695,7 +769,7 @@ def test_zero_reduction_in_a_true_exact_verdict_is_internal_error(monkeypatch):
 
 
 def test_inconclusive_report_keeps_partial_counters(algebras, families):
-    L, fam = algebras[("sl", 3)], families[("sl", 3)]
+    L, fam = algebras[("sp", 4)], families[("sp", 4)]  # inconclusive at 20 s
     rep = bicone.bicone_dimension_check(L, fam, timeout_secs=0.05)
     assert rep.status == "inconclusive" and rep.verdict is None
     assert set(rep.stats) == {"pairs_formed", "reduction_steps", "basis_size", "certificate"}
@@ -703,9 +777,9 @@ def test_inconclusive_report_keeps_partial_counters(algebras, families):
     assert rep.stats["certificate"] == {"kind": "exact"}
     # the canonical report is the one without counters
     assert canonical_json(rep.to_json_dict()) == (
-        '{"arity":16,"counting_identity":{"b":5,"degree_sum":5,"dim":8,"generator_count":7,'
-        '"identity_ok":true,"index":2,"three_b_minus_ell":9},"expected_dimension":9,'
-        '"generator_count":7,"ideal_dimension":null,"input_hash":null,'
+        '{"arity":20,"counting_identity":{"b":6,"degree_sum":6,"dim":10,"generator_count":8,'
+        '"identity_ok":true,"index":2,"three_b_minus_ell":12},"expected_dimension":12,'
+        '"generator_count":8,"ideal_dimension":null,"input_hash":null,'
         '"order":{"kind":"degrevlex","permutation":null},"status":"inconclusive",'
         '"verdict":null,"zero_generators":[]}'
     )

@@ -20,7 +20,7 @@ from argshift.liealg import (
     principal_sl2,
 )
 from argshift import linalg
-from argshift.exactpoly import Poly
+from argshift.exactpoly import InternalError, Poly
 
 
 def basis_vec(n, i):
@@ -168,6 +168,34 @@ def test_adjoint_of_h_is_diagonal(algebras):
         [Fraction(0), Fraction(0), Fraction(-2)],
     ]
     assert adjoint_matrix(L, [Fraction(0)] * 3) == [[Fraction(0)] * 3 for _ in range(3)]
+
+
+def _assert_descends_in_weight(L, h):
+    # ad h of the principal triple is diagonal on the basis, with weights that never rise
+    ad = adjoint_matrix(L, h)
+    weights = [ad[i][i] for i in range(L.dim)]
+    assert ad == [[w if i == j else 0 for j in range(L.dim)] for i, w in enumerate(weights)]
+    assert weights == sorted(weights, reverse=True)
+    assert weights[0] == -weights[-1] > 0  # the highest root first, the lowest last
+
+
+@pytest.mark.parametrize("spec", [("gl", 3), ("sl", 4)])
+def test_basis_descends_in_principal_weight(spec):
+    L = build_classical(*spec)
+    _assert_descends_in_weight(L, principal_sl2(L).h)
+
+
+def test_basis_orders_positive_roots_by_height(algebras):
+    assert algebras[("sl", 3)].basis_labels == ["E13", "E12", "E23", "H1", "H2", "E21", "E32", "E31"]
+    assert algebras[("gl", 2)].basis_labels == ["E12", "E11", "E22", "E21"]
+
+
+def test_weight_order_rejects_a_mixed_weight_matrix():
+    e11, e12, e21 = (liealg._E(2, a, b) for a, b in [(1, 1), (1, 2), (2, 1)])
+    assert liealg._principal_weight_order([e11, e21, e12]) == [2, 0, 1]
+    e12_plus_e21 = [[x + y for x, y in zip(r, s)] for r, s in zip(e12, e21)]
+    with pytest.raises(InternalError, match="not a principal weight vector"):
+        liealg._principal_weight_order([e11, e12_plus_e21])
 
 
 def test_adjoint_traceless_for_sl(algebras):
@@ -348,6 +376,8 @@ def test_principal_triples_so_sp_closed_form(spec):
             e_expected[i - 1][i] = Fraction(sign)
             f_expected[i][i - 1] = Fraction(sign * i * (n - i))
     assert (e, h, f) == (e_expected, h_expected, f_expected)
+    _assert_descends_in_weight(L, t.h)
+    assert L.basis_labels == [f"b{i}" for i in range(L.dim)]
 
 
 def test_principal_triple_needs_no_linear_solve(monkeypatch):
@@ -420,8 +450,9 @@ def test_coords_of_matrix_rejects_matrix_outside_algebra(algebras):
     identity = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
     with pytest.raises(LieAlgebraError, match="does not lie in the algebra"):
         coords_of_matrix(L, identity)  # trace 3: in gl_3, not in sl_3
-    assert coords_of_matrix(algebras[("gl", 3)], identity) == [
-        Fraction(int(i % 4 == 0)) for i in range(9)
+    gl3 = algebras[("gl", 3)]
+    assert coords_of_matrix(gl3, identity) == [
+        Fraction(int(label[1] == label[2])) for label in gl3.basis_labels
     ]
 
 
