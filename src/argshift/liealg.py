@@ -280,9 +280,11 @@ def _principal_weight_order(mats) -> list[int]:
     """Basis positions sorted by (-principal weight, position).
 
     A matrix with nonzero entries only at (a, b) with b - a = w is an ad h
-    eigenvector of weight 2w for the principal h = diag(n-1, n-3, ..., 1-n)
-    of principal_sl2; a matrix mixing two values of b - a is not a weight
-    vector and raises InternalError.
+    eigenvector of weight 2w for h = diag(n-1, n-3, ..., 1-n), the h of
+    principal_sl2 for gl, sl, sp and odd so.  For even so the key is the
+    grading by that same diagonal, which is not a principal h there.  A
+    matrix mixing two values of b - a is not a weight vector and raises
+    InternalError.
     """
     weights = []
     for i, m in enumerate(mats):
@@ -298,7 +300,8 @@ def build_classical(kind: str, size: int) -> LieAlgebraData:
 
     The basis is ordered by descending principal weight: positive root
     vectors by height, then the diagonal, then negative root vectors (ties
-    keep the construction order).  Degrevlex on the dual coordinates then
+    keep the construction order).  For even so, which has no principal
+    triple here, the weight is the grading by diag(n-1, ..., 1-n).  Degrevlex on the dual coordinates then
     treats the negative root coordinates as the smallest variables, the order
     under which the exact engine's bicone and shift ideals stay small.
     All structure invariants (antisymmetry, Jacobi, form symmetry/invariance

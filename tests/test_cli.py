@@ -3,7 +3,7 @@ import os
 import time
 from pathlib import Path
 
-from argshift import cli, liealg
+from argshift import cli, liealg, reports
 from argshift.cli import main
 from argshift.reports import canonical_json, report_digest, strip_volatile
 
@@ -183,6 +183,20 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert main([*argv, "--output", str(tmp_path / "report.json")]) == 3
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+    # a write that fails after parsing (permissions changed, disk full) is
+    # exit 3 with one error line, and leaves no report file
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(reports, "open", refuse, raising=False)
+    assert main(["algebra", "--type", "sl", "--size", "2", "--output", str(tmp_path / "report.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"error: [Errno 13] Permission denied: '{tmp_path / 'report.json'}'"]
+    assert "Traceback" not in captured.err and "internal error" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
     # the parser finds a missing directory, a directory as the path and a
     # read-only directory before any algebra is built
     read_only = tmp_path / "read-only"

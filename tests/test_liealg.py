@@ -171,7 +171,7 @@ def test_adjoint_of_h_is_diagonal(algebras):
 
 
 def _assert_descends_in_weight(L, h):
-    # ad h of the principal triple is diagonal on the basis, with weights that never rise
+    # ad h is diagonal on the basis, with weights that never rise
     ad = adjoint_matrix(L, h)
     weights = [ad[i][i] for i in range(L.dim)]
     assert ad == [[w if i == j else 0 for j in range(L.dim)] for i, w in enumerate(weights)]
@@ -179,10 +179,17 @@ def _assert_descends_in_weight(L, h):
     assert weights[0] == -weights[-1] > 0  # the highest root first, the lowest last
 
 
-@pytest.mark.parametrize("spec", [("gl", 3), ("sl", 4)])
+@pytest.mark.parametrize("spec", [("gl", 3), ("sl", 4), ("so", 4), ("so", 6)])
 def test_basis_descends_in_principal_weight(spec):
+    # the sort grades by h = diag(n-1, ..., 1-n); for even so that h is not
+    # the principal h (there is no principal triple), but it is still diagonal
     L = build_classical(*spec)
-    _assert_descends_in_weight(L, principal_sl2(L).h)
+    n = spec[1]
+    h = coords_of_matrix(L, [[Fraction(n - 1 - 2 * a) if a == b else Fraction(0) for b in range(n)]
+                             for a in range(n)])
+    if spec[0] != "so":
+        assert h == principal_sl2(L).h
+    _assert_descends_in_weight(L, h)
 
 
 def test_basis_orders_positive_roots_by_height(algebras):
