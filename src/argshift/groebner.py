@@ -589,6 +589,8 @@ def normal_form(f: Poly, basis: list[Poly]) -> Poly:
     reduced Groebner basis this is the unique normal form, so membership in
     the ideal is the test `normal_form(f, gb.basis).is_zero()`.
     """
+    if any(b.arity != f.arity for b in basis):
+        raise ValueError("generators live in different rings")
     P = _Packing(f.arity)
     g = _to_int_poly(f, P)
     if not g:

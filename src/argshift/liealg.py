@@ -175,7 +175,7 @@ def _mat_mul(a, b):
 def _mat_commutator(a, b):
     ab = _mat_mul(a, b)
     ba = _mat_mul(b, a)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
 def _mat_trace_pairing(a, b) -> Fraction:
@@ -191,31 +191,23 @@ def _flatten(mat) -> Vector:
 def _from_matrices(
     mats: list[list[list[Fraction]]], labels: list[str], meta: dict
 ) -> LieAlgebraData:
-    """The span of independent basis matrices: structure constants from one
-    elimination that solves every commutator [b_i, b_j], i < j, in the
-    flattened basis, and the trace form.  Raises LieAlgebraError if some
-    commutator leaves the span."""
+    """The span of independent basis matrices: the trace form, and the
+    structure constants of [b_i, b_j], i < j, as coords_of_matrix of the
+    commutator.  Raises LieAlgebraError if some commutator leaves the span."""
     n = len(mats)
-    rows = [list(r) for r in zip(*(_flatten(m) for m in mats))]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    commutators = [_flatten(_mat_commutator(mats[i], mats[j])) for i, j in pairs]
-    sols = linalg.solve_many(rows, commutators) if pairs else []
-    if sols is None:
-        raise LieAlgebraError("basis does not close under the bracket")
-    structure: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for pair, sol in zip(pairs, sols):
-        comps = {k: c for k, c in enumerate(sol) if c != 0}
-        if comps:
-            structure[pair] = comps
     form = [[_mat_trace_pairing(mats[i], mats[j]) for j in range(n)] for i in range(n)]
-    return LieAlgebraData(
-        dim=n,
-        basis_labels=labels,
-        structure=structure,
-        form=form,
-        meta=meta,
-        defining=mats,
-    )
+    L = LieAlgebraData(dim=n, basis_labels=labels, structure={}, form=form, meta=meta,
+                       defining=mats)
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                coords = coords_of_matrix(L, _mat_commutator(mats[i], mats[j]))
+            except LieAlgebraError:
+                raise LieAlgebraError("basis does not close under the bracket") from None
+            comps = {k: c for k, c in enumerate(coords) if c}
+            if comps:
+                L.structure[(i, j)] = comps
+    return L
 
 
 def _gl_basis(n: int):
@@ -542,17 +534,20 @@ def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
     The defining matrices are independent, so dim of their entries (the
     pivots of one elimination) fix the coordinates through the inverse of
     that block, memoized per algebra; rebuilding the matrix checks that it
-    lies in the algebra.
+    lies in the algebra.  Fewer pivots than basis matrices raise
+    InternalError.
     """
     solver = L._caches.get("coords")
     if solver is None:
         flat = [_flatten(m) for m in L.defining]
         pivots = linalg.rref(flat)[1]
+        if len(pivots) < len(flat):
+            raise InternalError("the defining matrices are dependent (bug)")
         block_inv = linalg.invert([[row[p] for row in flat] for p in pivots])
         solver = L._caches["coords"] = [[(p, c) for p, c in zip(pivots, row) if c]
                                         for row in block_inv]
-    entries = _flatten(mat)
-    v = [sum((c * entries[p] for p, c in row), Fraction(0)) for row in solver]
+    entries = {p: x for p, x in enumerate(_flatten(mat)) if x}
+    v = [sum((c * entries[p] for p, c in row if p in entries), Fraction(0)) for row in solver]
     if matrix_of_coords(L, v) != mat:
         raise LieAlgebraError("matrix does not lie in the algebra")
     return v
@@ -564,9 +559,11 @@ def matrix_of_coords(L: LieAlgebraData, v: Vector):
     out = _mat_zero(m)
     for coef, bm in zip(v, L.defining):
         if coef:
-            for a in range(m):
-                for b in range(m):
-                    out[a][b] += Fraction(coef) * bm[a][b]
+            coef = Fraction(coef)
+            for row, b_row in zip(out, bm):
+                for b, x in enumerate(b_row):
+                    if x:
+                        row[b] += coef * x
     return out
 
 

@@ -1,9 +1,12 @@
 """Exact rational linear algebra, plus the determinant of a polynomial matrix
 and the rank of a Jacobian at a point.
 
-Matrices are lists of lists of Fraction.  Everything here is deterministic:
-pivots are always the first usable row/column, so kernel bases and echelon
-forms are reproducible run to run.
+A matrix is a list of rows of Fraction (int entries are accepted too).  One
+fraction-free elimination (_eliminate) answers every question: each row is
+scaled to coprime integers, and a pivot row clears its column from another
+row by cross-multiplication, the result divided by the gcd of its entries.
+Rank counts the pivots; the reduced form is the unique RREF, so kernel bases
+and inverses do not depend on the choice of pivots.
 """
 
 from __future__ import annotations
@@ -28,68 +31,59 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * x for j, x in nonzero if row[j]), Fraction(0)) for row in m]
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a zero row stays zero)."""
+    g = gcd(*row)
+    return [u // g for u in row] if g > 1 else row
+
+
+def _clear(row: list[int], pivot: list[int], c: int) -> list[int]:
+    """row with column c cleared by the pivot row: pivot[c] * row - row[c] * pivot,
+    made primitive."""
+    a, b = pivot[c], row[c]
+    return _primitive([a * u - b * v for u, v in zip(row, pivot)])
+
+
+def _integer_rows(rows: Matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(rows: list[list[int]], reduced: bool) -> list[tuple[int, list[int]]]:
+    """Fraction-free elimination of integer rows, each first made primitive.
+
+    Each pivot is the last remaining row, its pivot column its first nonzero
+    entry, and it clears that column from the remaining rows (a row that
+    cancels is dropped).  Returns (pivot column, pivot row) pairs sorted by
+    column.  With reduced, each pivot also clears its column from the earlier
+    pivot rows, so dividing every row by its pivot entry gives the RREF.
+    """
+    rest = [row for row in map(_primitive, rows) if any(row)]
+    done: list[tuple[int, list[int]]] = []
+    while rest:
+        pivot = rest.pop()
+        c = next(j for j, a in enumerate(pivot) if a)
+        rest = [row for row in (_clear(row, pivot, c) if row[c] else row for row in rest) if any(row)]
+        if reduced:
+            done = [(d, _clear(row, pivot, c) if row[c] else row) for d, row in done]
+        done.append((c, pivot))
+    return sorted(done)
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+    done = _eliminate(_integer_rows(rows), reduced=True)
+    red = [[Fraction(u, row[c]) for u in row] for c, row in done]
+    return red + [zeros_vector(len(rows[0])) for _ in rows[len(red):]], [c for c, _ in done]
 
 
 def rank(rows: Matrix) -> int:
-    """Exact rank: each row scaled to integers, then fraction-free elimination."""
-    scaled = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
-    return _integer_rank(scaled)
-
-
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix: a pivot row clears its pivot column from the
-    other rows by cross-multiplication, and each changed row is divided by the
-    gcd of its entries to keep them small; a row that cancels is dropped."""
-    rows = [row for row in rows if any(row)]
-    found = 0
-    while rows:
-        pivot = rows.pop()
-        c = next(j for j, a in enumerate(pivot) if a)
-        a = pivot[c]
-        kept = []
-        for row in rows:
-            b = row[c]
-            if b:
-                row = [a * u - b * v for u, v in zip(row, pivot)]
-                g = gcd(*row)
-                if not g:
-                    continue
-                row = [u // g for u in row]
-            kept.append(row)
-        rows = kept
-        found += 1
-    return found
+    """Exact rank: the number of pivots of the forward elimination."""
+    return len(_eliminate(_integer_rows(rows), reduced=False))
 
 
 def nullspace(rows: Matrix) -> list[Vector]:
@@ -115,36 +109,10 @@ def nullspace(rows: Matrix) -> list[Vector]:
 
 def invert(rows: Matrix) -> Matrix:
     n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
-
-
-def solve_many(rows: Matrix, rhs_columns: list[Vector]) -> list[Vector] | None:
-    """Solve A x = b for several right-hand sides with one elimination.
-
-    Returns one solution per column (free variables at 0), or None if any
-    system is inconsistent.
-    """
-    if not rows:
-        return None
-    n_cols = len(rows[0])
-    aug = [
-        list(map(Fraction, row)) + [Fraction(col[i]) for col in rhs_columns]
-        for i, row in enumerate(rows)
-    ]
-    red, pivots = rref(aug)
-    if any(p >= n_cols for p in pivots):
-        return None
-    sols = []
-    for t in range(len(rhs_columns)):
-        x = zeros_vector(n_cols)
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r][n_cols + t]
-        sols.append(x)
-    return sols
 
 
 def poly_det(mat: list[list[Poly]]) -> Poly:
@@ -187,7 +155,7 @@ def jacobian_rank_at(gens: list[Poly]) -> Callable[[list], int]:
 
     def rank_at(point) -> int:
         point = [Fraction(v) for v in point]
-        if point and any(arity != len(point) for arity, _, _ in rows):
+        if any(arity != len(point) for arity, _, _ in rows):
             raise ValueError("point length does not match generator arity")
         den = lcm(*(v.denominator for v in point))
         p = [v.numerator * (den // v.denominator) for v in point]
@@ -199,6 +167,6 @@ def jacobian_rank_at(gens: list[Poly]) -> Callable[[list], int]:
                     c *= p[k] ** e
                 row[j] += c * den ** (top - deg)
             matrix.append(row)
-        return _integer_rank(matrix)
+        return len(_eliminate(matrix, reduced=False))
 
     return rank_at

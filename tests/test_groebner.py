@@ -91,6 +91,11 @@ def test_normal_form_untouched():
     assert normal_form(x, [y]) == x
 
 
+def test_normal_form_rejects_a_basis_from_another_ring():
+    with pytest.raises(ValueError, match="different rings"):
+        normal_form(x * y, [Poly.variable(3, 0)])
+
+
 def test_normal_form_multistep():
     assert normal_form(x * x + x * y, [x]).is_zero()
 
@@ -526,21 +531,70 @@ def test_jacobian_rank_with_linear_form():
     assert jacobian_rank([x + 2 * y], [5, Fraction(1, 3)]) >= 1
 
 
-def _fraction_rank(rows):
-    return len(linalg.rref(rows)[1])
+def test_jacobian_rank_rejects_an_empty_point():
+    with pytest.raises(ValueError, match="point length"):
+        jacobian_rank([x + 2 * y], [])
+    with pytest.raises(ValueError, match="point length"):
+        jacobian_rank([x * y], [])
+    assert jacobian_rank([Poly.constant(0, 3)], []) == 0  # arity 0 matches an empty point
+
+
+def _sympy_rank(rows):
+    """Independent oracle: sympy's exact rank."""
+    import sympy
+
+    return sympy.Matrix(rows).rank()
+
+
+def _fractions(column):
+    return [Fraction(int(q.p), int(q.q)) for q in column]
+
+
+def _seeded_matrices(seed, count):
+    """Wide, tall and square rational matrices of rank at most 3: few
+    distinct rows and many zeros, so that dependent and zero rows are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        base = [[Fraction(rng.choice([0, 0, 0, rng.randint(-4, 4)]), rng.randint(1, 5))
+                 for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        yield [[sum((rng.randint(-2, 2) * b[j] for b in base), Fraction(0)) for j in range(n)]
+               for _ in range(m)]
 
 
 def test_rank_matches_rref():
-    rng = random.Random(11)
-    for _ in range(200):
-        m, n = rng.randint(1, 6), rng.randint(1, 7)
-        # few distinct rows and many zeros, so that dependent rows are common
-        base = [[Fraction(rng.choice([0, 0, 0, rng.randint(-4, 4)]), rng.randint(1, 5))
-                 for _ in range(n)] for _ in range(rng.randint(1, 3))]
-        rows = [[sum((rng.randint(-2, 2) * b[j] for b in base), Fraction(0)) for j in range(n)]
-                for _ in range(m)]
-        assert linalg.rank(rows) == _fraction_rank(rows)
+    for rows in _seeded_matrices(11, 200):
+        assert linalg.rank(rows) == _sympy_rank(rows)
     assert linalg.rank([[0, 3], [0, 6]]) == 1  # int entries too
+
+
+def test_elimination_matches_sympy():
+    import sympy
+
+    rng = random.Random(14)
+    dense = ([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)] for _ in range(k)]
+             for k in (rng.randint(1, 6) for _ in range(60)))  # square, almost all invertible
+    shapes, inverted = set(), 0
+    for rows in itertools.chain(_seeded_matrices(13, 300), dense):
+        m, n = len(rows), len(rows[0])
+        M = sympy.Matrix(rows)
+        red, pivots = linalg.rref(rows)
+        want_red, want_pivots = M.rref()
+        assert pivots == list(want_pivots)
+        assert red == [_fractions(want_red.row(i)) for i in range(m)]
+        assert linalg.rank(rows) == len(pivots) == M.rank()
+        assert linalg.nullspace(rows) == [_fractions(v) for v in M.nullspace()]
+        if m == n and M.rank() == n:
+            inverse = M.inv()
+            assert linalg.invert(rows) == [_fractions(inverse.row(i)) for i in range(n)]
+            inverted += 1
+        elif m == n:
+            with pytest.raises(ValueError, match="singular"):
+                linalg.invert(rows)
+        shapes.add((m < n, m > n, M.rank() < min(m, n), not all(any(r) for r in rows)))
+    # wide, tall, square; rank deficient; with a zero row
+    assert {s[:2] for s in shapes} == {(True, False), (False, True), (False, False)}
+    assert any(s[2] for s in shapes) and any(s[3] for s in shapes) and inverted > 50
 
 
 def test_jacobian_rank_of_inhomogeneous_generators_matches_fraction_evaluation():
@@ -555,7 +609,7 @@ def test_jacobian_rank_of_inhomogeneous_generators_matches_fraction_evaluation()
         pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(n)]
         x0, x1 = Poly.variable(n, 0), Poly.variable(n, 1)
         gens = [f, g, f + 2 * g + (x0 - pt[0]) * (x0 - pt[0]) * (x1 + 1)]
-        want = _fraction_rank([[p.diff(j).evaluate(pt) for j in range(n)] for p in gens])
+        want = _sympy_rank([[p.diff(j).evaluate(pt) for j in range(n)] for p in gens])
         assert want < 3
         assert jacobian_rank(gens, pt) == want
 

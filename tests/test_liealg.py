@@ -271,8 +271,9 @@ def test_centralizer_closed_under_bracket(case):
 
 def test_centralizer_closure_failure_is_internal_error(algebras, monkeypatch):
     L = algebras[("gl", 3)]
-    e12 = basis_vec(9, L.basis_labels.index("E12"))
-    monkeypatch.setattr(linalg, "solve_many", lambda rows, rhs: None)
+    e12, e21 = (basis_vec(9, L.basis_labels.index(label)) for label in ("E12", "E21"))
+    # a planted kernel: [E12, E21] = E11 - E22 leaves span(E12, E21)
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: [e12, e21])
     with pytest.raises(liealg.InternalError, match="not closed under bracket"):
         centralizer(L, e12)
 
@@ -393,7 +394,11 @@ def test_principal_triple_needs_no_linear_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("linear solve while building a triple")
 
-    monkeypatch.setattr(linalg, "solve_many", refuse)
+    # the coordinate solver is memoized when the algebra is built, and the
+    # regularity check reads the memoized index (its invariants invert the form)
+    for L in algebras:
+        index_of(L)
+    monkeypatch.setattr(linalg, "rref", refuse)
     for L in algebras:
         liealg.verify_sl2(L, principal_sl2(L))
 
@@ -461,6 +466,13 @@ def test_coords_of_matrix_rejects_matrix_outside_algebra(algebras):
     assert coords_of_matrix(gl3, identity) == [
         Fraction(int(label[1] == label[2])) for label in gl3.basis_labels
     ]
+
+
+def test_dependent_basis_matrices_are_internal_error():
+    # E12 and 2 E12: one pivot for two basis matrices, no square block to invert
+    e12 = [[Fraction(int((a, b) == (0, 1))) for b in range(2)] for a in range(2)]
+    with pytest.raises(InternalError, match="dependent"):
+        liealg._from_matrices([e12, [[2 * u for u in row] for row in e12]], ["a", "b"], {})
 
 
 def test_dual_of_rejects_wrong_length(algebras):
