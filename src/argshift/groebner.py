@@ -19,8 +19,9 @@ F5's theorem: on a homogeneous regular sequence no pair left reduces to zero
 has lead t, outside the ideal of generators 0..i-1, so generator i would be
 a zero divisor modulo them).  Coefficients are cleared to primitive integer
 vectors and all reductions are integer pseudo-reductions, so no rational
-arithmetic happens in the hot loop; the reduced basis is made monic and
-rational at the end.
+arithmetic happens in the hot loop.  The run ends with the minimal records
+and their leads; the reduced basis, inter-reduced, monic and rational, is
+built only when GroebnerBasis.basis is read, and no verdict reads it.
 
 The engine has one monomial order, degrevlex with x0 > x1 > ...: the
 verdicts are dimensions, and dim R/I = dim R/in(I) under every order.
@@ -52,9 +53,11 @@ monomial, which no divisor is.  Output is deterministic for a fixed input
 sequence, which is what makes the golden reports sound, and so are the
 engine counters in GroebnerBasis.stats.
 
-The Krull dimension of the quotient is read off the leading-term ideal: it is
-the largest number of variables that avoid the support of every leading
-monomial (computed as a minimum hitting set over the supports).
+Every dimension is read off the leads by one function: R/in(I) and R/I have
+the Hilbert series N(t)/(1 - t)^n, and dim R/I is n minus the order of t = 1
+as a root of N.  By Stanley's criterion (Adv. Math. 28, 1978) homogeneous
+f_1..f_k are a regular sequence exactly when N = prod(1 - t^deg f_i), which
+a true verdict also checks.
 
 The same kernel runs over F_p when buchberger is given a modulus p: its
 records are monic, so the integer rescale never fires, coefficients are
@@ -68,10 +71,11 @@ D = prod deg f_i is at most SECTION_MAX_BEZOUT, the F_p linear section below
 may prove it true ("fp-section"); otherwise, or when the section is not
 zero-dimensional, the exact engine over Q decides ("exact").  Only the exact
 engine proves a verdict false, and a true one with a zero reduction, which
-F5's theorem rules out, raises InternalError.  Above the cap the section
-costs more than the exact engine on the inputs measured (the sl_3 bicone,
-D = 648); below it the exact engine is the slow side (sp_4, sl_4 and gl_4
-shift families).
+F5's theorem rules out, or with a Hilbert numerator other than
+prod(1 - t^d_i), which Stanley's criterion rules out, raises InternalError.
+Above the cap the section costs more than the exact engine on the inputs
+measured (the sl_3 bicone, D = 648); below it the exact engine is the slow
+side (sp_4, sl_4 and gl_4 shift families).
 
 The section: with p = SECTION_PRIME and a seeded n x k matrix A of residues
 mod p, g_i(t) is the primitive integer multiple of f_i(A t), which
@@ -89,10 +93,10 @@ and vanish on the kernel line of A).  Complete A to a basis with B and write
 x = A t + B u: the n - k linear forms u that cut out im A, together with f,
 generate an ideal primary to the maximal ideal of Q[x], so they are a
 regular sequence of length n, and so is f, with dim V(f) = n - k.  As a
-self-check, the k forms of degrees d_i are then a complete intersection over
-F_p, so the quotient has exactly D standard monomials; any other count
-raises InternalError.  A = [I; R]: an A whose top k x k block is invertible
-is this one after a change of the t coordinates, which keeps
+self-check, the k forms of degrees d_i are then a regular sequence over F_p,
+so the Hilbert numerator of their leads is prod(1 - t^d_i), in every degree;
+any other numerator raises InternalError.  A = [I; R]: an A whose top k x k
+block is invertible is this one after a change of the t coordinates, which keeps
 zero-dimensionality, so the seeded R is as generic as a seeded A.  The F_p
 basis is computed only up to degree s + 1, s = sum(d_i - 1): were the section
 zero-dimensional, its quotient would vanish above degree s, so every minimal
@@ -109,8 +113,10 @@ import random
 import time
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, zip_longest
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
@@ -163,9 +169,21 @@ class MonomialOrder:
 @dataclass
 class GroebnerBasis:
     arity: int
-    basis: list[Poly]  # reduced (over F_p minimal): monic, non-divisible leads, sorted by lead
-    leads: list[Monomial]  # the leading monomial of each basis element
+    leads: list[Monomial]  # the minimal leads, sorted by the order: in(I)'s minimal generators
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
+    # buchberger's minimal records behind the leads, and their modulus (0: over Q)
+    _records: list = field(default_factory=list, repr=False, compare=False)
+    _mod: int = field(default=0, repr=False, compare=False)
+
+    @cached_property
+    def basis(self) -> list[Poly]:
+        """The reduced (over F_p minimal) monic basis, built on first read, with no budget."""
+        return _reduce_and_normalize(self._records, _Packing(self.arity), self._mod)
+
+    @cached_property
+    def hilbert_numerator(self) -> list[int]:
+        """The Hilbert numerator of the quotient by the leads (see _hilbert_numerator)."""
+        return _hilbert_numerator(self.leads, self.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -433,24 +451,23 @@ def buchberger(
 
     Deterministic for a fixed input sequence.  Zero generators are
     ignored; an empty input yields the empty basis (pass arity in that
-    case).  Raises GBTimeout when the time budget runs out.  The loop is the
+    case).  Raises GBTimeout when the time budget runs out; the budget
+    covers the run to the minimal records, not the inter-reduction that a
+    later read of .basis does (with no budget).  The loop is the
     signature-based one of the module docstring: an S-pair is skipped when
     its signature is divisible by a Koszul or an earlier zero-reduction
     signature, or repeats the one just handled.  stats holds its
     deterministic counters: critical pairs formed, pairs skipped by the
     first two rules (pairs_koszul), by the third or as singular
     (pairs_rewritten), S-polynomials that reduced to zero, reduction steps
-    (over every reduction of the run), the basis size before
-    minimalization, and the largest term degree and coefficient bit length
-    of a record.
+    (over the whole run; a later inter-reduction is not counted), the basis
+    size before minimalization, and the largest term degree and coefficient
+    bit length of a record.
 
-    With a prime mod, the primitive integer multiple of each gen is read mod
-    p, and the run is over F_p.  That path serves only the F_p linear section
-    of regular_sequence_verdict (k forms in k variables), which reads only
-    the leading monomials.  It stops at the first zero reduction, which by
-    F5's theorem proves that the forms are not a regular sequence, and at
-    degree s + 1 (see _basis): its result is a minimal monic basis only up to
-    that degree, not inter-reduced.
+    With a prime mod, each gen's primitive integer multiple is read mod p
+    and the run, the F_p linear section's (see the module docstring), stops
+    at the first zero reduction and at degree s + 1 (see _basis): its basis
+    is minimal and monic up to that degree, not inter-reduced.
     """
     if gens:
         arity = gens[0].arity
@@ -464,10 +481,8 @@ def buchberger(
     polys = [_to_int_poly(p, P) for p in gens]
     if mod:
         polys = [{m: c % mod for m, c in f.items() if c % mod} for f in polys]
-    stats = _basis(polys, P, budget, mod)
-    basis, leads = _reduce_and_normalize(budget.records, P, budget, mod)
-    stats["reduction_steps"] = budget.steps  # with the inter-reduction of the output
-    return GroebnerBasis(arity=arity, basis=basis, leads=leads, stats=stats)
+    stats, records = _basis(polys, P, budget, mod), budget.records
+    return GroebnerBasis(arity, [P.decode(r.lm) for r in records], stats, records, mod)
 
 
 def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> dict:
@@ -555,28 +570,19 @@ def _minimal(records: list[_Record], P: _Packing) -> list[_Record]:
     return kept
 
 
-def _reduce_and_normalize(
-    minimal: list[_Record], P: _Packing, budget: _Budget, mod=0
-) -> tuple[list[Poly], list[Monomial]]:
-    """Inter-reduce the minimal records and make them monic; sorted by key,
-    each beside its decoded lm.
+def _reduce_and_normalize(minimal: list[_Record], P: _Packing, mod=0) -> list[Poly]:
+    """The minimal records (sorted by key), inter-reduced and made monic.
 
     A lead of a minimal basis is divisible by no other lead, so it survives
-    the inter-reduction and is still the record's lm; a divisor of a term
-    below the lead is a lead of smaller key, so each record is reduced by
-    the reduced ones before it and replaced.  The list is emptied as it is
-    decoded, so that the records and the output never all live at once.
+    the inter-reduction; a divisor of a term below the lead is a lead of
+    smaller key, so each record is reduced by the reduced ones before it.
     Over F_p the records are monic already and are not inter-reduced.
     """
-    for idx, rec in enumerate(minimal if not mod else ()):
-        minimal[idx] = _record(_reduce_full(rec.terms, minimal[:idx], P, budget), P, budget)
-    out: list[Poly] = []
-    leads: list[Monomial] = []
-    while minimal:
-        rec = minimal.pop()
-        out.append(_poly(P.n, {P.decode(m): Fraction(c, rec.lc) for m, c in rec.terms}))
-        leads.append(P.decode(rec.lm))
-    return out[::-1], leads[::-1]
+    budget, reduced = _Budget(None), []
+    for rec in minimal:
+        rec = rec if mod else _record(_reduce_full(rec.terms, reduced, P, budget), P, budget)
+        reduced.append(rec)
+    return [_poly(P.n, {P.decode(m): Fraction(c, rec.lc) for m, c in rec.terms}) for rec in reduced]
 
 
 _SCALE = None  # key of normal_form's factor entry in out; no monomial equals it
@@ -610,46 +616,86 @@ def normal_form(f: Poly, basis: list[Poly]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _min_hitting_set_size(supports: list[frozenset[int]]) -> int:
-    """Smallest set of variables meeting every support (exact branch&bound)."""
-    keep: list[frozenset[int]] = []
-    for s in sorted(supports, key=len):
-        if not any(t <= s for t in keep):
-            keep.append(s)
-    best = len(frozenset().union(*keep)) if keep else 0
+def _hilbert_numerator(leads: list[Monomial], n: int) -> list[int]:
+    """N(t), from degree 0 up, where N(t)/(1 - t)^n is the Hilbert series of
+    k[x_1..x_n]/(leads); the unit ideal gives N = 0.  Bigatti's pivot
+    recursion (J. Pure Appl. Algebra 119, 1997) on packed monomials: groups of
+    leads linked by shared variables multiply their N, a lone lead m gives
+    1 - t^deg(m), and a larger group splits at x^e, x the variable of the most
+    leads of two or more variables and e its least positive exponent, as
+    N(I) = (1 - t^e) N(the leads without x) + t^e N(I : x^e).
+    """
+    P = _Packing(n)
+    w, guard, ones, degree = P.w, P.guard & P.low, P.ones, P.degree
+    field_max = (1 << w) - 1
 
-    def rec(chosen: set[int], size: int):
-        nonlocal best
-        if size >= best:
-            return
-        pending = next((s for s in keep if not s & chosen), None)
-        if pending is None:
-            best = size
-            return
-        for v in sorted(pending):
-            chosen.add(v)
-            rec(chosen, size + 1)
-            chosen.discard(v)
+    def lone(d):  # 1 - t^d
+        return [1] + [0] * (d - 1) + [-1] if d else [0]
 
-    rec(set(), 0)
-    return best
+    def numerator(ms):
+        groups: dict[int, list[int]] = {}  # the guard bits of a group's variables: its leads
+        for m in ms:
+            s, members = ((m | guard) - ones) & guard, [m]
+            for mask in [mask for mask in groups if mask & s]:
+                s |= mask
+                members += groups.pop(mask)
+            groups[s] = members
+        out = [1]
+        for group in groups.values():
+            out = _series_mul(out, split(group) if len(group) > 1 else lone(degree(group[0])))
+        return out
+
+    def split(group):
+        # the sum of the mixed leads' supports, one per field: how many hold each variable
+        counts = decode(sum(s >> (w - 1) for m in group
+                            if (s := ((m | guard) - ones) & guard) & (s - 1)), n)
+        shift = w * counts.index(max(counts))
+        e = min(a for m in group if (a := m >> shift & field_max))
+        kept = [m for m in group if not m >> shift & field_max]
+        # every exponent of x is at least e, so no cut lead divides another, and a
+        # kept lead can be divided only by a cut one
+        cut = [m - (e << shift) for m in group if m >> shift & field_max]
+        colon = cut + [m for m in kept if not any(((m | guard) - c) & guard == guard for c in cut)]
+        first = _series_mul(lone(e), numerator(kept))
+        return [a + b for a, b in zip_longest(first, [0] * e + numerator(colon), fillvalue=0)]
+
+    ms: list[int] = []  # the minimal leads
+    for m in sorted(map(encode, leads), key=degree):
+        if not any(((m | guard) - k) & guard == guard for k in ms):
+            ms.append(m)
+    out = numerator(ms)
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+def _check_stanley(gb: GroebnerBasis, degrees: list[int], what: str) -> None:
+    """Stanley's criterion: the leads of a regular sequence of these positive
+    degrees have the Hilbert numerator prod(1 - t^d)."""
+    product = reduce(_series_mul, ([1] + [0] * (d - 1) + [-1] for d in degrees), [1])
+    if gb.hilbert_numerator != product:
+        raise InternalError(f"{what} has Hilbert numerator {gb.hilbert_numerator}, not "
+                            f"prod(1 - t^d) over the degrees {degrees}: engine bug")
 
 
 def ideal_dimension(gb: GroebnerBasis) -> int:
-    """Krull dimension of the quotient by the ideal (via leading terms).
-
-    Equals the size of the largest variable subset S such that no leading
-    monomial has support inside S; the unit ideal returns the sentinel -1.
-    """
-    if not gb.basis:
-        return gb.arity
-    supports = []
-    for lm in gb.leads:
-        supp = frozenset(i for i, e in enumerate(lm) if e)
-        if not supp:
-            return -1
-        supports.append(supp)
-    return gb.arity - _min_hitting_set_size(supports)
+    """Krull dimension of the quotient: n minus the order of t = 1 as a root
+    of the leads' Hilbert numerator N; the unit ideal, N = 0, gives -1."""
+    N, order = gb.hilbert_numerator, 0
+    if not any(N):
+        return -1
+    while not sum(N):
+        N, order = list(accumulate(N))[:-1], order + 1  # N/(1 - t); the last partial sum is N(1)
+    return gb.arity - order
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +704,13 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
 
 
 def _section_certificate(
-    gens: list[Poly], n: int, bezout: int, timeout_secs: float | None
+    gens: list[Poly], n: int, degrees: list[int], timeout_secs: float | None
 ) -> dict | None:
     """Engine counters of a zero-dimensional F_p section of gens, or None.
 
-    gens are k homogeneous forms of positive degree in n variables with
-    Bezout number bezout; the proof that a zero-dimensional section makes
-    them a regular sequence is in the module docstring.
+    gens are k homogeneous forms in n variables of the positive degrees
+    given; the proof that a zero-dimensional section makes them a regular
+    sequence is in the module docstring.
     """
     deadline = deadline_after(timeout_secs)  # building the section spends the budget too
     k, p = len(gens), SECTION_PRIME
@@ -678,28 +724,8 @@ def _section_certificate(
     # may have no pure power among the leads
     if gb.stats["zero_reductions"] or ideal_dimension(gb) != 0:
         return None
-    P = _Packing(k)
-    t = [P.encode(tuple(int(i == j) for i in range(k))) for j in range(k)]
-    count = _standard_monomial_count([P.encode(m) for m in gb.leads], t, P, bezout)
-    if count != bezout:
-        raise InternalError(f"the zero-dimensional F_p section has {count} standard monomials, "
-                            f"not the Bezout number {bezout}: engine bug")
+    _check_stanley(gb, degrees, "the zero-dimensional F_p section")
     return gb.stats
-
-
-def _standard_monomial_count(leads: list[int], variables: list[int], P: _Packing, cap: int) -> int:
-    """Number of monomials divisible by no lead, or a number above cap.
-
-    The leads must generate a zero-dimensional ideal.  Standard monomials
-    are closed under division, so each degree's are found among the
-    products of the previous degree's with one variable.
-    """
-    count, layer = 0, [0]
-    while layer and count <= cap:
-        count += len(layer)
-        layer = [m for m in {a + v for a in layer for v in variables}
-                 if not any(P.divides(lm, m) for lm in leads)]
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +802,7 @@ def regular_sequence_verdict(
     try:
         budget.tick()  # a budget spent before the call leaves no time for either engine
         if section:
-            stats = _section_certificate(gens, n, bezout, time_left(budget.deadline))
+            stats = _section_certificate(gens, n, degrees, time_left(budget.deadline))
             if stats is not None:
                 return DimensionReport(
                     ideal_dimension=n - k, verdict=True, status="ok",
@@ -793,9 +819,11 @@ def regular_sequence_verdict(
         )
     if dim != -1 and dim < n - k:
         raise InternalError(f"computed dimension {dim} below the Krull bound {n - k}: engine bug")
-    if dim == n - k and gb.stats["zero_reductions"]:  # F5's theorem, see the module docstring
-        raise InternalError(f"{gb.stats['zero_reductions']} zero reductions on a regular "
-                            "sequence, which F5's theorem rules out: engine bug")
+    if dim == n - k:
+        if gb.stats["zero_reductions"]:  # F5's theorem, see the module docstring
+            raise InternalError(f"{gb.stats['zero_reductions']} zero reductions on a regular "
+                                "sequence, which F5's theorem rules out: engine bug")
+        _check_stanley(gb, degrees, "a regular sequence")
     return DimensionReport(
         ideal_dimension=dim, verdict=(dim == n - k), status="ok", input_hash=input_digest(gens, n),
         stats={**gb.stats, "certificate": certificate}, **report,

@@ -1,15 +1,14 @@
-"""Canonical JSON reports and content digests.
+"""Canonical JSON reports.
 
 Reports must be byte-identical across seeded reruns, so wall-clock fields
 and engine counters (anything named in VOLATILE_KEYS) are stripped before
-canonicalization and digesting; they stay in the emitted files for humans
-but never influence a digest comparison, so an engine change that does more
-or less work leaves every digest and golden file as it was.
+canonicalization; they stay in the emitted files for humans but never reach
+the canonical text, so an engine change that does more or less work leaves
+every canonical report and golden file as it was.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 VOLATILE_KEYS = frozenset({"gb_seconds", "stats"})
@@ -30,11 +29,6 @@ def strip_volatile(obj):
 
 def canonical_json(obj) -> str:
     return json.dumps(strip_volatile(obj), sort_keys=True, separators=(",", ":"))
-
-
-def report_digest(obj) -> str:
-    """Content hash of the canonical (volatile-free) JSON form."""
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 def dump_report(obj, path: str | None = None) -> str:

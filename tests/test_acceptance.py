@@ -22,7 +22,7 @@ from argshift.cli import main as cli_main
 from argshift.groebner import regular_sequence_verdict
 from argshift.liealg import build_classical, centralizer, dual_of, index_of
 from argshift.poisson import commutativity_report
-from argshift.reports import report_digest
+from argshift.reports import canonical_json
 from argshift.shift import mf_generators
 
 ALGEBRAS = [("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("so", 3), ("sp", 4)]
@@ -260,6 +260,6 @@ def test_c13_determinism(tmp_path):
         code_a, payload_a = _cli_payload(tmp_path, name + "-a", argv)
         code_b, payload_b = _cli_payload(tmp_path, name + "-b", argv)
         assert code_a == code_b == 0, name
-        assert report_digest(payload_a) == report_digest(payload_b), name
+        assert canonical_json(payload_a) == canonical_json(payload_b), name
     print("ACCEPTANCE 13: PASS - repeated seeded commute/regseq/conjecture runs have "
-          "byte-identical canonical JSON digests")
+          "byte-identical canonical JSON")

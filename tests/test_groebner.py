@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -452,7 +453,8 @@ def test_regseq_nilpotent_cone_gl3(families):
 
 def test_krull_bound_violation_is_internal_error(monkeypatch):
     assert liealg.InternalError is exactpoly.InternalError is InternalError
-    monkeypatch.setattr(groebner, "ideal_dimension", lambda gb: 0)
+    # the leads' Hilbert numerator (1 - t)^2 says dimension 0 in two variables
+    monkeypatch.setattr(groebner, "_hilbert_numerator", lambda leads, n: [1, -2, 1])
     monkeypatch.setattr(groebner, "SECTION_MAX_BEZOUT", 0)  # the exact engine decides
     with pytest.raises(InternalError, match="Krull bound"):
         regular_sequence_verdict([x], 2)
@@ -792,8 +794,8 @@ def test_section_certificate_is_sound(system):
     # on a thin set of inputs, fail to be zero-dimensional and leave the verdict
     # to the exact engine
     n, k = system[0].arity, len(system)
-    bezout = prod(p.total_degree() for p in system)
-    if groebner._section_certificate(system, n, bezout, None) is not None:
+    degrees = [p.total_degree() for p in system]
+    if groebner._section_certificate(system, n, degrees, None) is not None:
         assert ideal_dimension(buchberger(system)) == n - k
 
 
@@ -863,13 +865,94 @@ def test_section_budget_covers_building_the_section(algebras, families, triples,
     assert rep.stats["certificate"]["kind"] == "fp-section"
 
 
-def test_standard_monomial_count_off_the_bezout_number_is_internal_error(
+def _planting(monkeypatch, lead_of):
+    """buchberger with one more lead, lead_of(gb, mod), in each result it
+    returns for which lead_of gives one."""
+    real = groebner.buchberger
+
+    def planted(*args, **kwargs):
+        gb = real(*args, **kwargs)
+        extra = lead_of(gb, kwargs.get("mod", 0))
+        if extra is not None:
+            gb.leads.append(extra)
+        return gb
+
+    monkeypatch.setattr(groebner, "buchberger", planted)
+
+
+def test_planted_lead_in_a_true_section_is_internal_error(
     algebras, families, triples, monkeypatch, capsys
 ):
     L = algebras[("sl", 3)]
     gens = mf_generators(L, families[("sl", 3)], dual_of(L, triples[("sl", 3)].e)).polynomials()
-    monkeypatch.setattr(groebner, "_standard_monomial_count", lambda *args: 13)
-    with pytest.raises(InternalError, match="Bezout number 12"):
+
+    def standard_quadric(gb, mod):  # over F_p only: a degree-2 monomial outside the leads' ideal
+        if not mod:
+            return None
+        return next(m for m in _monomials(gb.arity, 2)
+                    if not any(all(a <= b for a, b in zip(lm, m)) for lm in gb.leads))
+
+    _planting(monkeypatch, standard_quadric)
+    with pytest.raises(InternalError, match="F_p section has Hilbert numerator"):
         regular_sequence_verdict(gens, 8)
     assert cli.main(["regseq", "--type", "sl", "--size", "3", "--xi", "e"]) == cli.EXIT_INTERNAL
-    assert "standard monomials" in capsys.readouterr().err
+    assert "prod(1 - t^d) over the degrees [2, 1, 3, 2, 1]" in capsys.readouterr().err
+
+
+def test_planted_lead_in_a_true_exact_verdict_is_internal_error(monkeypatch):
+    u, v, w = (Poly.variable(3, i) for i in range(3))
+    monkeypatch.setattr(groebner, "SECTION_MAX_BEZOUT", 0)  # the exact engine decides
+    gb = buchberger([u**2, v**2])
+    assert gb.hilbert_numerator == [1, 0, -2, 0, 1]
+    _planting(monkeypatch, lambda gb, mod: (1, 1, 1))
+    planted = groebner.buchberger([u**2, v**2])
+    # the dimension stays 1: only the product check sees the planted lead x*y*z
+    assert ideal_dimension(planted) == 1 and planted.hilbert_numerator == [1, 0, -2, -1, 3, -1]
+    with pytest.raises(InternalError, match="Hilbert numerator"):
+        regular_sequence_verdict([u**2, v**2], 3)
+    assert regular_sequence_verdict([u**2, u * v], 3).verdict is False  # false: no check
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to 6 leads in 1-4 variables, each of degree at most 4 (the constant too)."""
+    n = draw(st.integers(1, 4))
+    monos = [m for d in range(5) for m in _monomials(n, d)]
+    return n, draw(st.lists(st.sampled_from(monos), max_size=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ideal=monomial_ideals())
+def test_hilbert_numerator_counts_standard_monomials(ideal):
+    n, leads = ideal
+    gb = groebner.GroebnerBasis(arity=n, leads=leads)
+    top = 9
+    # N(t)/(1 - t)^n, expanded: the coefficient of t^d in 1/(1 - t)^n is C(d + n - 1, n - 1)
+    N = gb.hilbert_numerator
+    series = [sum(c * math.comb(d - i + n - 1, n - 1) for i, c in enumerate(N) if i <= d)
+              for d in range(top)]
+    standard = [sum(1 for m in _monomials(n, d)
+                    if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads))
+                for d in range(top)]
+    assert series == standard
+    # the largest set of variables that holds the support of no lead; none for the unit ideal
+    free = [len(s) for r in range(n + 1) for s in itertools.combinations(range(n), r)
+            if not any(all(i in s for i, e in enumerate(lm) if e) for lm in leads)]
+    assert ideal_dimension(gb) == max(free, default=-1)
+
+
+@pytest.mark.parametrize("bezout_cap", [groebner.SECTION_MAX_BEZOUT, 0])
+def test_verdicts_read_no_reduced_basis(algebras, families, triples, monkeypatch, bezout_cap):
+    def refuse(*args):
+        raise AssertionError("a verdict built a reduced basis")
+
+    monkeypatch.setattr(groebner, "_reduce_and_normalize", refuse)
+    monkeypatch.setattr(groebner, "SECTION_MAX_BEZOUT", bezout_cap)
+    L = algebras[("sl", 3)]
+    gens = mf_generators(L, families[("sl", 3)], dual_of(L, triples[("sl", 3)].e)).polynomials()
+    rep = regular_sequence_verdict(gens, 8)
+    assert rep.verdict is True
+    assert rep.stats["certificate"]["kind"] == ("fp-section" if bezout_cap else "exact")
+    assert regular_sequence_verdict([x, x * y], 2).verdict is False
+    t = triples[("sl", 3)]
+    assert bicone.pencil_regularity(L, families[("sl", 3)], t.e, t.f)

@@ -4,11 +4,13 @@ comes from a generator built from a seed.  Rationals become text only through
 reports.fractions_json.  The algebra layers below the
 Groebner engine do not import it.  The README shows only commands that the
 command line accepts and a library quick start that runs, and the benchmark's
-workloads find every library name they call."""
+workloads find every library name they call.  A failing Hypothesis test fails
+only itself under the repository's pytest settings."""
 
 import argparse
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -247,3 +249,29 @@ def test_bench_workloads_call_the_library(algebras, monkeypatch):
         assert row.star.generator_family == ("char-coefficients" if L is gl4 else "power-traces")
         pipe = _slice_pipeline(L, e)
         assert polys == mf_generators(pipe.centralizer, pipe.family, row.xi).polynomials()
+
+
+FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_fails_only_itself(tmp_path):
+    # Hypothesis's report of a failing example imports modules that warn on
+    # import; under filterwarnings = ["error"] that must not stop the session
+    (tmp_path / "test_given.py").write_text(FAILING_GIVEN, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_given.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
