@@ -11,7 +11,12 @@ s*x + t*y: it lies in the bicone when every invariant generator vanishes
 identically on the line, and its pencil is regular when the maximal minors of
 the invariant gradient matrix, restricted to the line, have no common nonzero
 root -- a dimension question for binary forms that the Groebner engine
-answers.
+answers.  Nothing is substituted: with X and Y the integer multiples of
+dual x and dual y, the family's gradient matrix is evaluated exactly at the
+points X + k*Y.  A generator of degree d vanishes on the line iff it does at
+k = 0..d; every maximal minor is a binary form of degree D = sum(d_i - 1),
+an integer determinant at k = 0..D, and a basis of the span of those value
+vectors is interpolated into the binary forms the engine reads.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
 
 from . import linalg
-from .exactpoly import Poly, pack_gradient, unpack
+from .exactpoly import Poly
 from .groebner import (
     DimensionReport,
     MonomialOrder,
@@ -50,16 +56,77 @@ class BiconeIdeal:
         return [p for _, _, p in self.generators]
 
 
-def _pair_point(L: LieAlgebraData, x, y) -> list[Fraction]:
-    """The point (dual of x, dual of y) of the doubled variables."""
-    return dual_of(L, [Fraction(v) for v in x]) + dual_of(L, [Fraction(v) for v in y])
+def _integer_line(L: LieAlgebraData, x, y) -> list[list[int]]:
+    """[X, Y]: dual x and dual y, each times the lcm of its own denominators;
+    scaling x and y by positive constants leaves span(x, y) and its lines as
+    they are."""
+    return linalg._integer_rows([dual_of(L, [Fraction(c) for c in v]) for v in (x, y)])
 
 
-def _line(L: LieAlgebraData, x, y) -> list[Poly]:
-    """The dual coordinates of s*x + t*y, as linear forms in (s, t)."""
-    xs = dual_of(L, [Fraction(v) for v in x])
-    ys = dual_of(L, [Fraction(v) for v in y])
-    return [Poly.linear_form(st) for st in zip(xs, ys)]
+class _LineReader:
+    """The family's gradient matrix at the integer points X + k*Y of a line
+    (X, Y from _integer_line), and the two verdicts read off it.
+
+    Both rest on each generator being homogeneous of its listed positive
+    degree, so a family whose generator is not is an InternalError.
+    """
+
+    def __init__(self, fam: InvariantFamily):
+        if len(fam.degrees) != len(fam.generators):
+            raise InternalError("the family lists one degree per generator (bug)")
+        for i, (p, d) in enumerate(zip(fam.generators, fam.degrees)):
+            if d < 1 or not p.is_homogeneous() or p.total_degree() != d:
+                raise InternalError(f"invariant generator {i} is not homogeneous of degree {d} (bug)")
+        self.degrees = fam.degrees
+        self.top = sum(d - 1 for d in fam.degrees)  # the degree of every maximal minor
+        self.gradient = linalg.jacobian_at(fam.generators)
+
+    def readings(self, X: list[int], Y: list[int], count: int) -> list[tuple[list, list]]:
+        """(P_k, the scaled gradient matrix at P_k) for P_k = X + k*Y, k < count."""
+        points = ([a + k * b for a, b in zip(X, Y)] for k in range(count))
+        return [(P, self.gradient(P)) for P in points]
+
+    def vanishes(self, readings) -> bool:
+        """Whether every generator vanishes on the line, read at P_k, k = 0..d.
+
+        For p homogeneous of degree d, p(X + t*Y) is a polynomial of degree
+        at most d in t whose coefficients are p's bigraded components at
+        (X, Y), so it is zero iff it vanishes at t = 0..d.  The value comes
+        from the gradient row by Euler's identity d * p(P) = P . grad p(P).
+        """
+        return all(not sum(a * g for a, g in zip(P, G[i]))
+                   for i, d in enumerate(self.degrees) for P, G in readings[:d + 1])
+
+    @cached_property
+    def interpolation(self) -> list[list[int]]:
+        """The inverse of the Vandermonde matrix (k^j), j, k = 0..top, times
+        the lcm of its denominators: it takes the values of a polynomial of
+        degree at most top at t = 0..top to its coefficients, all times one
+        constant."""
+        size = self.top + 1
+        inverse = linalg.invert([[k ** j for j in range(size)] for k in range(size)])
+        den = lcm(*(c.denominator for row in inverse for c in row))
+        return [[c.numerator * (den // c.denominator) for c in row] for row in inverse]
+
+    def regular(self, readings) -> bool:
+        """The pencil verdict from the readings at P_k, k = 0..top.
+
+        Every maximal minor restricted to the line is a binary form of
+        degree top = sum(d_i - 1), fixed by its values at (1, k), k = 0..top:
+        there it is an integer determinant of a reading (the rows' scaling
+        multiplies every minor by one constant, as the interpolation does
+        every form).  A basis of the span of the value vectors generates the
+        minors' ideal, so only it is interpolated into binary forms
+        sum_j a_j s^(top-j) t^j and handed to the Groebner engine.
+        """
+        readings = readings[:self.top + 1]
+        ell, n = len(self.degrees), len(readings[0][0])
+        values = [[linalg.det([[G[i][c] for c in cols] for i in range(ell)]) for _, G in readings]
+                  for cols in itertools.combinations(range(n), ell)]
+        forms = [Poly(2, {(self.top - j, j): sum(a * v for a, v in zip(w, row))
+                          for j, w in enumerate(self.interpolation)})
+                 for _, row in linalg._eliminate(values, reduced=False)]
+        return ideal_dimension(buchberger(forms, arity=2)) <= 0
 
 
 def counting_identity(L: LieAlgebraData, fam: InvariantFamily) -> dict:
@@ -102,10 +169,12 @@ def bicone_membership(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     Every invariant generator must vanish identically on the line s*x + t*y.
     That is the bicone ideal's test: p(s*x + t*y) = sum_j s^(d-j) t^j
     p^(j)(x, y), so p vanishes on the line exactly when each of its bigraded
-    components vanishes at (dual x, dual y).
+    components vanishes at (dual x, dual y).  It is read at the integer
+    points of the line (see _LineReader.vanishes).
     """
-    line = _line(L, x, y)
-    return all(p.substitute(line).is_zero() for p in fam.generators)
+    X, Y = _integer_line(L, x, y)
+    reader = _LineReader(fam)
+    return reader.vanishes(reader.readings(X, Y, max(fam.degrees, default=0) + 1))
 
 
 def bicone_dimension_check(
@@ -195,17 +264,13 @@ def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     the origin alone, or empty when some minor is a nonzero constant (the
     unit ideal, dimension -1).  All minors zero leave dimension 2.
     """
-    x = [Fraction(v) for v in x]
-    y = [Fraction(v) for v in y]
-    line = _line(L, x, y)  # first: dual_of rejects a vector of the wrong length
-    if linalg.rank([x, y]) != 2:
-        return False
-    ell = len(fam.generators)
-    n = L.dim
-    rows = [[unpack(q, n).substitute(line) for q in pack_gradient(p)] for p in fam.generators]
-    minors = [linalg.poly_det([[rows[i][c] for c in cols] for i in range(ell)])
-              for cols in itertools.combinations(range(n), ell)]
-    return ideal_dimension(buchberger(minors, arity=2)) <= 0
+    X, Y = _integer_line(L, x, y)  # first: dual_of rejects a vector of the wrong length
+    reader = _LineReader(fam)
+    return _independent(x, y) and reader.regular(reader.readings(X, Y, reader.top + 1))
+
+
+def _independent(x, y) -> bool:
+    return linalg.rank([[Fraction(v) for v in x], [Fraction(v) for v in y]]) == 2
 
 
 @dataclass
@@ -238,17 +303,24 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     line s*x + t*y, with an independent route in the doubled variables: "the
     differentials of all bicone generators at (dual x, dual y) are linearly
     independent".  Any disagreement is listed (the theory says there are
-    none).
+    none).  Per pair the line is read once: membership and the pencil share
+    the family's gradient matrices at X + k*Y.
     """
+    reader = _LineReader(fam)
     ideal = bicone_generators(L, fam)
     full_count = ideal.generator_count
     jacobian_rank = linalg.jacobian_rank_at(ideal.polynomials())
+    count = max(reader.top, *fam.degrees, 0) + 1
     results = []
     for x, y in samples:
-        if not bicone_membership(L, fam, x, y):
+        X, Y = _integer_line(L, x, y)
+        readings = reader.readings(X, Y, count)
+        if not reader.vanishes(readings):
             raise ValueError("sample pair is not in the bicone")
-        omega = pencil_regularity(L, fam, x, y)
-        rank = jacobian_rank(_pair_point(L, x, y))
+        omega = _independent(x, y) and reader.regular(readings)
+        # the bicone generators are bihomogeneous, so scaling each block of
+        # (dual x, dual y) leaves the Jacobian's rank as it is
+        rank = jacobian_rank(X + Y)
         smooth = rank == full_count
         entry = {
             "x": fractions_json(map(Fraction, x)),

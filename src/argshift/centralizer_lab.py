@@ -169,31 +169,34 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     fam = invariant_generators(L)
     chart = kostant_slice(L, triple)
     Lc, _ = centralizer(L, e)
-    # the sampled index fixes b(g^e) and the family; the chosen family certifies it below
-    sampled = index_of(Lc)
-    ind_c, b_c = sampled.index, sampled.b
+
+    def restricted(polys):
+        return [restrict_to_slice(p, chart, source_index=i) for i, p in enumerate(polys)]
+
+    def certified(restrictions):
+        ordered = sorted(restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
+        family = InvariantFamily(
+            algebra=Lc,
+            generators=[transport_to_centralizer(sr, chart, Lc) for sr in ordered],
+            degrees=[sr.initial_degree for sr in ordered],
+        )
+        return family, index_of(Lc, family.generators)
+
+    # the transported power traces certify ind(g^e), and so fix b(g^e), unless
+    # they fall short: then index_of has ranked B at all its sampled points
+    family_name = "power-traces"
+    restrictions = restricted(fam.generators)
+    family, idx = certified(restrictions)
+    ind_c, b_c = idx.index, idx.b
     # the degree condition quantifies over a choice of free generators; the
     # power traces can miss the bound where the char-poly coefficients reach
     # it (first seen at partition (2,1,1) of gl_4), so try both
-    family_name = "power-traces"
-    restrictions = [
-        restrict_to_slice(p, chart, source_index=i) for i, p in enumerate(fam.generators)
-    ]
-    if sum(sr.initial_degree for sr in restrictions) != b_c:
-        alt = power_sums_to_elementary(fam.generators)
-        alt_restrictions = [
-            restrict_to_slice(p, chart, source_index=i) for i, p in enumerate(alt)
-        ]
+    if sum(family.degrees) != b_c:
+        alt_restrictions = restricted(power_sums_to_elementary(fam.generators))
         if sum(sr.initial_degree for sr in alt_restrictions) == b_c:
             family_name = "char-coefficients"
             restrictions = alt_restrictions
-    ordered = sorted(restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
-    family = InvariantFamily(
-        algebra=Lc,
-        generators=[transport_to_centralizer(sr, chart, Lc) for sr in ordered],
-        degrees=[sr.initial_degree for sr in ordered],
-    )
-    idx = index_of(Lc, family.generators)
+            family, idx = certified(restrictions)
     if idx.mode != "exact" or idx.index != ind_c:
         raise InternalError(
             f"transported {family_name} do not certify the centralizer index {ind_c} (bug)"

@@ -350,11 +350,15 @@ def validate(L: LieAlgebraData) -> None:
             if L.form[i][j] != L.form[j][i]:
                 raise LieAlgebraError("form is not symmetric")
     # the form being symmetric (checked above), invariance is t[j][k] = -t[k][j]
+    # for t[j][k] = ([b_i, b_j] | b_k), summed over the nonzero c_ij^a and form[a][k]
+    form_rows = [[(k, f) for k, f in enumerate(row) if f] for row in L.form]
     for i in range(n):
-        # t[j][k] = ([b_i, b_j] | b_k)
-        t = [[sum((c * L.form[a][k] for a, c in br(i, j).items()), Fraction(0)) for k in range(n)]
-             for j in range(n)]
-        if any(t[j][k] + t[k][j] for j in range(n) for k in range(j, n)):
+        t: dict[tuple[int, int], Fraction] = {}
+        for j in range(n):
+            for a, c in br(i, j).items():
+                for k, f in form_rows[a]:
+                    t[j, k] = t.get((j, k), 0) + c * f
+        if any(v + t.get((k, j), 0) for (j, k), v in t.items()):
             raise LieAlgebraError("form is not invariant")
     if linalg.rank(L.form) != n:
         raise LieAlgebraError("form is degenerate")

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra, plus the determinant of a polynomial matrix
-and the rank of a Jacobian at a point.
+"""Exact rational linear algebra, an integer determinant, and a Jacobian
+evaluated at a point as an integer matrix, with its rank.
 
 A matrix is a list of rows of Fraction (int entries are accepted too).  One
 fraction-free elimination (_eliminate) answers every question: each row is
@@ -115,20 +115,25 @@ def invert(rows: Matrix) -> Matrix:
     return [row[n:] for row in red[:n]]
 
 
-def poly_det(mat: list[list[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix by cofactor expansion (tiny
-    matrices only: the cost grows like size!)."""
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    total = Poly.zero(mat[0][0].arity)
-    for j in range(size):
-        if mat[0][j].is_zero():
-            continue
-        sub = [[row[k] for k in range(size) if k != j] for row in mat[1:]]
-        term = mat[0][j] * poly_det(sub)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: after step k every entry is a (k + 1)-minor, so each division
+    by the previous pivot is exact."""
+    m = [list(row) for row in rows]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        a = m[k][k]
+        for row in m[k + 1:]:
+            b = row[k]
+            for j in range(k + 1, size):
+                row[j] = (a * row[j] - b * m[k][j]) // prev
+        prev = a
+    return sign * m[-1][-1] if size else 1
 
 
 def jacobian_rank(gens: list[Poly], point) -> int:
@@ -138,13 +143,21 @@ def jacobian_rank(gens: list[Poly], point) -> int:
 
 def jacobian_rank_at(gens: list[Poly]) -> Callable[[list], int]:
     """The exact Jacobian rank of gens as a function of the point, for a
-    caller that evaluates one generator list at many points.
+    caller that evaluates one generator list at many points."""
+    evaluate = jacobian_at(gens)
+    return lambda point: len(_eliminate(evaluate(point), reduced=False))
+
+
+def jacobian_at(gens: list[Poly]) -> Callable[[list], list[list[int]]]:
+    """The Jacobian of gens at a point, row i scaled to integers, as a
+    function of the point.
 
     The gradients are packed once.  Row i is scaled by den_i * D^top_i (den_i
     the denominator pack_gradient gives g_i, D the point's common denominator,
     top_i the highest degree of a term of its partials), which leaves the rank
     as it is and makes every entry the integer sum of c * D^(top_i - deg) *
-    prod p_k^e_k over the terms c * x^e of degree deg, p = D * point.
+    prod p_k^e_k over the terms c * x^e of degree deg, p = D * point.  At an
+    integer point D = 1, so row i is den_i times the gradient of g_i there.
     """
     rows = []
     for g in gens:
@@ -153,8 +166,8 @@ def jacobian_rank_at(gens: list[Poly]) -> Callable[[list], int]:
                  for mono, c in zip((decode(m, g.arity) for m in monos), nums)]
         rows.append((g.arity, max((t[2] for t in terms), default=0), terms))
 
-    def rank_at(point) -> int:
-        point = [Fraction(v) for v in point]
+    def at(point) -> list[list[int]]:
+        point = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in point]
         if any(arity != len(point) for arity, _, _ in rows):
             raise ValueError("point length does not match generator arity")
         den = lcm(*(v.denominator for v in point))
@@ -167,6 +180,6 @@ def jacobian_rank_at(gens: list[Poly]) -> Callable[[list], int]:
                     c *= p[k] ** e
                 row[j] += c * den ** (top - deg)
             matrix.append(row)
-        return len(_eliminate(matrix, reduced=False))
+        return matrix
 
-    return rank_at
+    return at

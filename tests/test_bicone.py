@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import random
@@ -20,7 +21,7 @@ from argshift.bicone import (
 from argshift.centralizer_lab import _slice_pipeline, nilpotent_from_partition
 from argshift.exactpoly import Poly
 from argshift.groebner import DimensionReport
-from argshift.invariants import invariant_generators
+from argshift.invariants import InvariantFamily, invariant_generators
 from argshift.liealg import InternalError, LieAlgebraError, coords_of_matrix, matrix_of_coords
 from argshift.shift import bigraded_components, shift_derivative
 
@@ -412,7 +413,8 @@ def test_pencil_on_an_abelian_centralizer(algebras, monkeypatch):
 
 def test_pencil_with_every_minor_zero(algebras, families, monkeypatch):
     # the line through E12 and E13 lies in the minimal nilpotent orbit's
-    # closure: every maximal minor vanishes, the basis is empty (dimension 2)
+    # closure: every maximal minor vanishes, so the basis of their span that
+    # reaches the engine is empty (dimension 2)
     L = algebras[("sl", 3)]
     fam = families[("sl", 3)]
     x, y = elem(L, "E12"), elem(L, "E13")
@@ -420,8 +422,117 @@ def test_pencil_with_every_minor_zero(algebras, families, monkeypatch):
     log = spy_engine(monkeypatch)
     assert not pencil_regularity(L, fam, x, y)
     [minors] = log["minors"]
-    assert minors and all(m.is_zero() for m in minors)
+    assert minors == []
     assert log["dimensions"] == [2]
+
+
+def test_line_readers_reject_a_generator_off_its_degree(algebras, families):
+    # the readings at X + k*Y decide only for a generator homogeneous of its
+    # listed degree: x0 * q + x0 is not homogeneous, x0 * c has degree 4, not 3
+    L = algebras[("sl", 3)]
+    fam = families[("sl", 3)]
+    quadric, cubic = fam.generators
+    x0 = Poly.variable(L.dim, 0)
+    planted = [
+        ([quadric, x0 * quadric + x0], [2, 3], "generator 1 is not homogeneous of degree 3"),
+        ([quadric, x0 * cubic], [2, 3], "generator 1 is not homogeneous of degree 3"),
+        ([quadric, cubic], [2, 2], "generator 1 is not homogeneous of degree 2"),
+        ([quadric, cubic], [2], "one degree per generator"),
+    ]
+    x, y = omega_pair(L)
+    for gens, degrees, message in planted:
+        bad = InvariantFamily(algebra=L, generators=gens, degrees=degrees)
+        for check in (bicone_membership, pencil_regularity):
+            with pytest.raises(InternalError, match=message):
+                check(L, bad, x, y)
+        with pytest.raises(InternalError, match=message):
+            smoothness_crosscheck(L, bad, [(x, y)])
+
+
+def _sympy_line_verdicts(L, fam, x, y):
+    """(membership, pencil regularity) by sympy alone: each generator and the
+    gradient's maximal minors (Leibniz sums) restricted to s*x + t*y as
+    polynomials in Q[s, t]; regular means x, y independent, some minor
+    nonzero and the minors' gcd constant."""
+    import sympy
+
+    n, ell = L.dim, len(fam.generators)
+    zs = sympy.symbols(f"z0:{n}")
+    s, t = sympy.symbols("s t")
+    line = {z: s * a + t * b for z, a, b in zip(zs, liealg.dual_of(L, x), liealg.dual_of(L, y))}
+
+    def on_line(expr):
+        return sympy.Poly(expr.xreplace(line), s, t)
+
+    gens = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*(z ** e for z, e in zip(zs, mono)))
+                        for mono, c in p.terms.items()))
+            for p in fam.generators]
+    member = all(on_line(g).is_zero for g in gens)
+    grad = [[on_line(sympy.diff(g, z)) for z in zs] for g in gens]
+    minors = []
+    for cols in itertools.combinations(range(n), ell):
+        minor = sympy.Poly(0, s, t)
+        for perm in itertools.permutations(range(ell)):
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            minor += sign * functools.reduce(lambda f, g: f * g,
+                                             (grad[i][cols[perm[i]]] for i in range(ell)))
+        if not minor.is_zero:
+            minors.append(minor)
+    regular = (sympy.Matrix([x, y]).rank() == 2 and bool(minors)
+               and functools.reduce(sympy.Poly.gcd, minors).total_degree() == 0)
+    return member, regular
+
+
+def _substitution_membership(L, fam, x, y):
+    """The earlier route: every generator substituted by the line's linear forms."""
+    line = [Poly.linear_form(st) for st in zip(liealg.dual_of(L, x), liealg.dual_of(L, y))]
+    return all(p.substitute(line).is_zero() for p in fam.generators)
+
+
+def _line_cases(algebras, families, workloads):
+    """(L, family, pairs): the benchmark's sl_3 pairs for seeds 1 and 24001,
+    seeded strictly upper triangular pairs of gl_3 and sp_4 (members whose
+    pencils meet the nilradical's non-regular hyperplanes, so never regular),
+    gl_3's regular pencil through E12+E23 and E21-E32, seeded random pairs
+    of each algebra (almost never members), and the sl_2 non-member
+    (E12, E21 - E12), whose quadric vanishes at t = 0 and 1 but not at 2."""
+    sl3 = algebras[("sl", 3)]
+    cases = [(sl3, families[("sl", 3)], workloads.bicone_samples(sl3, seed)) for seed in (1, 24001)]
+    for k, spec in enumerate([("gl", 3), ("sp", 4)]):
+        L, rng = algebras[spec], random.Random(300 + k)
+        upper = []
+        for _ in range(10):
+            x, y = ([Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(L.dim)] for _ in range(2))
+            upper.append((strictly_upper(L, x), strictly_upper(L, y)))
+        cases.append((L, families[spec], upper))
+    cases.append((algebras[("gl", 3)], families[("gl", 3)], [omega_pair(algebras[("gl", 3)])]))
+    for spec in [("sl", 3), ("gl", 3), ("sp", 4)]:
+        L, rng = algebras[spec], random.Random(400 + L.dim)
+        pairs = [tuple([Fraction(rng.randint(-2, 2)) for _ in range(L.dim)] for _ in range(2))
+                 for _ in range(4)]
+        cases.append((L, families[spec], pairs))
+    sl2 = algebras[("sl", 2)]
+    cases.append((sl2, families[("sl", 2)],
+                  [(elem(sl2, "E12"), combine((1, elem(sl2, "E21")), (-1, elem(sl2, "E12"))))]))
+    return cases
+
+
+def test_line_readings_match_sympy(algebras, families, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    seen = set()
+    for L, fam, pairs in _line_cases(algebras, families, workloads):
+        for x, y in pairs:
+            member, regular = _sympy_line_verdicts(L, fam, x, y)
+            assert bicone_membership(L, fam, x, y) == member
+            assert _substitution_membership(L, fam, x, y) == member
+            if member:
+                assert pencil_regularity(L, fam, x, y) == regular, (L.dim, x, y)
+            seen.add((L.dim, member, member and regular))
+    # members with regular and non-regular pencils, and non-members
+    assert {(8, True, True), (8, True, False), (9, True, True), (9, True, False),
+            (10, True, False), (8, False, False), (9, False, False), (10, False, False)} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +574,9 @@ def test_smoothness_crosscheck_sl3(algebras, families):
 @pytest.mark.parametrize("seed", [1, 24001])
 def test_jacobian_rank_matches_fraction_evaluation(algebras, families, monkeypatch, seed):
     # the benchmark's sl_3 bicone pairs, against sympy's rank of the partials
-    # evaluated one by one
+    # evaluated one by one; the cross-check reads the rank at the integer
+    # multiples of the two blocks, which the bihomogeneous generators leave as
+    # it is
     import sympy
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -473,10 +586,11 @@ def test_jacobian_rank_matches_fraction_evaluation(algebras, families, monkeypat
     rank_at = linalg.jacobian_rank_at(gens)
     ranks = set()
     for x, y in samples:
-        pt = bicone._pair_point(L, x, y)
+        pt = liealg.dual_of(L, x) + liealg.dual_of(L, y)
         want = sympy.Matrix([[g.diff(j).evaluate(pt) for j in range(len(pt))] for g in gens]).rank()
         ranks.add(want)
-        assert rank_at(pt) == linalg.jacobian_rank(gens, pt) == want
+        X, Y = bicone._integer_line(L, x, y)
+        assert rank_at(pt) == linalg.jacobian_rank(gens, pt) == rank_at(X + Y) == want
     assert len(ranks) > 1
 
 

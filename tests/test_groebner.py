@@ -599,6 +599,23 @@ def test_elimination_matches_sympy():
     assert any(s[2] for s in shapes) and any(s[3] for s in shapes) and inverted > 50
 
 
+def test_det_matches_sympy():
+    # seeded integer matrices up to 6 x 6; small entries with many zeros, so
+    # that the Bareiss pivot is often zero (a row swap) and many are singular
+    import sympy
+
+    rng = random.Random(15)
+    kinds = set()
+    assert linalg.det([]) == 1
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 7]) for _ in range(k)] for _ in range(k)]
+        want = sympy.Matrix(rows).det()
+        assert linalg.det(rows) == want
+        kinds.add((want == 0, rows[0][0] == 0 and want != 0))
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
 def test_jacobian_rank_of_inhomogeneous_generators_matches_fraction_evaluation():
     # (x0 - pt0)^2 (x1 + 1) has gradient 0 at pt alone, so there the third row
     # depends on the first two
