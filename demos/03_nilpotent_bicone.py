@@ -6,8 +6,8 @@ has dimension 3(b - l); its fiber over a regular nilpotent recovers the
 shift-family scheme.  The smooth points are exactly the pairs spanning a
 plane of regular elements, which we certify exactly rather than by sampling:
 the maximal minors of the invariant gradients, restricted to the line
-s*x + t*y, must have no common nonzero root (a Groebner dimension check on
-binary forms).
+s*x + t*y, must have no common zero on P^1 (one exact rank of their
+products with the monomials of one degree less).
 """
 
 from fractions import Fraction

@@ -9,14 +9,18 @@ instead: by Taylor expansion its generators are the shifts up to factorials
 (see bicone_fiber_check).  A single pair (x, y) is read through its line
 s*x + t*y: it lies in the bicone when every invariant generator vanishes
 identically on the line, and its pencil is regular when the maximal minors of
-the invariant gradient matrix, restricted to the line, have no common nonzero
-root -- a dimension question for binary forms that the Groebner engine
-answers.  Nothing is substituted: with X and Y the integer multiples of
-dual x and dual y, the family's gradient matrix is evaluated exactly at the
-points X + k*Y.  A generator of degree d vanishes on the line iff it does at
-k = 0..d; every maximal minor is a binary form of degree D = sum(d_i - 1),
-an integer determinant at k = 0..D, and a basis of the span of those value
-vectors is interpolated into the binary forms the engine reads.
+the invariant gradient matrix, restricted to the line, binary forms of degree
+D = sum(d_i - 1), have no common zero on P^1.  Nothing is substituted: with
+X and Y the integer multiples of dual x and dual y, the family's gradient
+matrix is evaluated exactly at the points X + k*Y.  A generator of degree d
+vanishes on the line iff it does at k = 0..d.  The pencil is one rank, by the
+Sylvester/Macaulay criterion: forms f_1..f_r of degree D >= 1 have no common
+zero on P^1 iff the products s^(D-1-a) t^a f_i, a < D, span all 2D forms of
+degree 2D - 1.  If they span, no point is a zero of them all, so none of the
+f_i; if the f_i have no common zero, their Q-span holds a coprime pair f, g
+(a g avoiding f's finitely many roots), whose Sylvester matrix is invertible.
+At (1, k), k < 2D, such a product is k^a times the minor's integer
+determinant at X + k*Y.
 """
 
 from __future__ import annotations
@@ -24,17 +28,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import factorial, lcm
+from math import factorial
 
 from . import linalg
 from .exactpoly import Poly
 from .groebner import (
     DimensionReport,
     MonomialOrder,
-    buchberger,
     deadline_after,
-    ideal_dimension,
     regular_sequence_verdict,
     time_left,
 )
@@ -79,11 +80,13 @@ class _LineReader:
                 raise InternalError(f"invariant generator {i} is not homogeneous of degree {d} (bug)")
         self.degrees = fam.degrees
         self.top = sum(d - 1 for d in fam.degrees)  # the degree of every maximal minor
+        self.size = max(2 * self.top, 1)  # the points the pencil reads
+        self.count = max(self.size, max(fam.degrees, default=0) + 1)  # the points both verdicts read
         self.gradient = linalg.jacobian_at(fam.generators)
 
-    def readings(self, X: list[int], Y: list[int], count: int) -> list[tuple[list, list]]:
+    def readings(self, X: list[int], Y: list[int]) -> list[tuple[list, list]]:
         """(P_k, the scaled gradient matrix at P_k) for P_k = X + k*Y, k < count."""
-        points = ([a + k * b for a, b in zip(X, Y)] for k in range(count))
+        points = ([a + k * b for a, b in zip(X, Y)] for k in range(self.count))
         return [(P, self.gradient(P)) for P in points]
 
     def vanishes(self, readings) -> bool:
@@ -97,36 +100,20 @@ class _LineReader:
         return all(not sum(a * g for a, g in zip(P, G[i]))
                    for i, d in enumerate(self.degrees) for P, G in readings[:d + 1])
 
-    @cached_property
-    def interpolation(self) -> list[list[int]]:
-        """The inverse of the Vandermonde matrix (k^j), j, k = 0..top, times
-        the lcm of its denominators: it takes the values of a polynomial of
-        degree at most top at t = 0..top to its coefficients, all times one
-        constant."""
-        size = self.top + 1
-        inverse = linalg.invert([[k ** j for j in range(size)] for k in range(size)])
-        den = lcm(*(c.denominator for row in inverse for c in row))
-        return [[c.numerator * (den // c.denominator) for c in row] for row in inverse]
-
     def regular(self, readings) -> bool:
-        """The pencil verdict from the readings at P_k, k = 0..top.
-
-        Every maximal minor restricted to the line is a binary form of
-        degree top = sum(d_i - 1), fixed by its values at (1, k), k = 0..top:
-        there it is an integer determinant of a reading (the rows' scaling
-        multiplies every minor by one constant, as the interpolation does
-        every form).  A basis of the span of the value vectors generates the
-        minors' ideal, so only it is interpolated into binary forms
-        sum_j a_j s^(top-j) t^j and handed to the Groebner engine.
+        """The pencil verdict from the readings at P_k, k < size: a basis of
+        the span of the minors' value vectors (a minor at (1, k) is an integer
+        determinant of a reading, up to one constant), each vector times k^a
+        for a < max(top, 1), must have rank size (the module docstring).
         """
-        readings = readings[:self.top + 1]
+        readings = readings[:self.size]
         ell, n = len(self.degrees), len(readings[0][0])
         values = [[linalg.det([[G[i][c] for c in cols] for i in range(ell)]) for _, G in readings]
                   for cols in itertools.combinations(range(n), ell)]
-        forms = [Poly(2, {(self.top - j, j): sum(a * v for a, v in zip(w, row))
-                          for j, w in enumerate(self.interpolation)})
-                 for _, row in linalg._eliminate(values, reduced=False)]
-        return ideal_dimension(buchberger(forms, arity=2)) <= 0
+        products = [[k ** a * v for k, v in enumerate(row)]
+                    for _, row in linalg._eliminate(values, reduced=False)
+                    for a in range(max(self.top, 1))]
+        return len(linalg._eliminate(products, reduced=False)) == self.size
 
 
 def counting_identity(L: LieAlgebraData, fam: InvariantFamily) -> dict:
@@ -174,7 +161,7 @@ def bicone_membership(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     """
     X, Y = _integer_line(L, x, y)
     reader = _LineReader(fam)
-    return reader.vanishes(reader.readings(X, Y, max(fam.degrees, default=0) + 1))
+    return reader.vanishes(reader.readings(X, Y))
 
 
 def bicone_dimension_check(
@@ -257,16 +244,19 @@ def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     Sampling cannot certify this (the bad locus on the projective line is
     finite), so the test is exact: restrict the gradients of the invariant
     generators to the line s*x + t*y and form all maximal minors, binary
-    forms in (s, t).  By the differential regularity criterion a non-regular
-    point on the line is a common nonzero root of the minors, that is, a line
-    through the origin inside their zero set in the (s, t)-plane.  So the
-    pencil is regular exactly when that zero set has dimension at most 0:
-    the origin alone, or empty when some minor is a nonzero constant (the
-    unit ideal, dimension -1).  All minors zero leave dimension 2.
+    forms f_1..f_r in (s, t) of degree D = sum(d_i - 1).  By the differential
+    regularity criterion a non-regular point on the line is a common zero of
+    the minors on P^1.  For D >= 1 they have none iff the products
+    s^(D-1-a) t^a f_i, a < D, span all 2D forms of degree 2D - 1: a common
+    zero is a zero of every product, and not of every form; with none, the
+    f_i's Q-span holds a coprime pair, whose Sylvester matrix has full rank.
+    For D = 0 the minors are constants and some must be nonzero.  All minors
+    zero fail both.  The rank is read from integer values at 2D points of
+    the line (_LineReader.regular).
     """
     X, Y = _integer_line(L, x, y)  # first: dual_of rejects a vector of the wrong length
     reader = _LineReader(fam)
-    return _independent(x, y) and reader.regular(reader.readings(X, Y, reader.top + 1))
+    return _independent(x, y) and reader.regular(reader.readings(X, Y))
 
 
 def _independent(x, y) -> bool:
@@ -310,11 +300,10 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     ideal = bicone_generators(L, fam)
     full_count = ideal.generator_count
     jacobian_rank = linalg.jacobian_rank_at(ideal.polynomials())
-    count = max(reader.top, *fam.degrees, 0) + 1
     results = []
     for x, y in samples:
         X, Y = _integer_line(L, x, y)
-        readings = reader.readings(X, Y, count)
+        readings = reader.readings(X, Y)
         if not reader.vanishes(readings):
             raise ValueError("sample pair is not in the bicone")
         omega = _independent(x, y) and reader.regular(readings)

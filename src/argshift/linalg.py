@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable
 
-from .exactpoly import Poly, decode, pack_gradient
+from .exactpoly import Poly
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -152,18 +152,23 @@ def jacobian_at(gens: list[Poly]) -> Callable[[list], list[list[int]]]:
     """The Jacobian of gens at a point, row i scaled to integers, as a
     function of the point.
 
-    The gradients are packed once.  Row i is scaled by den_i * D^top_i (den_i
-    the denominator pack_gradient gives g_i, D the point's common denominator,
-    top_i the highest degree of a term of its partials), which leaves the rank
-    as it is and makes every entry the integer sum of c * D^(top_i - deg) *
-    prod p_k^e_k over the terms c * x^e of degree deg, p = D * point.  At an
-    integer point D = 1, so row i is den_i times the gradient of g_i there.
+    The partials are read once, from the terms.  Row i is scaled by
+    den_i * D^top_i (den_i the lcm of g_i's denominators, D the point's common
+    denominator, top_i the highest degree of a term of its partials), which
+    leaves the rank as it is and makes every entry the integer sum of
+    c * D^(top_i - deg) * prod p_k^e_k over the terms c * x^e of degree deg,
+    p = D * point.  At an integer point D = 1, so row i is den_i times the
+    gradient of g_i there.
     """
     rows = []
     for g in gens:
-        terms = [(j, c, sum(mono), [(k, e) for k, e in enumerate(mono) if e])
-                 for j, (_, monos, nums) in enumerate(pack_gradient(g))
-                 for mono, c in zip((decode(m, g.arity) for m in monos), nums)]
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        terms = []
+        for mono, c in g.terms.items():
+            num, factors = c.numerator * (den // c.denominator), [(k, e) for k, e in enumerate(mono) if e]
+            for j, e in factors:  # d/dx_j takes num * x^mono to num * e * x^(mono - e_j)
+                terms.append((j, num * e, sum(mono) - 1,
+                              [(k, f - (k == j)) for k, f in factors if f - (k == j)]))
         rows.append((g.arity, max((t[2] for t in terms), default=0), terms))
 
     def at(point) -> list[list[int]]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from argshift import bicone, liealg, linalg
+from argshift import bicone, groebner, liealg, linalg
 from argshift.bicone import (
     bicone_dimension_check,
     bicone_fiber_check,
@@ -376,54 +376,67 @@ def test_pencil_omega_pair(algebras, families):
     assert pencil_regularity(L, families[("sl", 3)], x, y)
 
 
-def spy_engine(monkeypatch):
-    """Record the minors pencil_regularity passes to buchberger and the
-    dimension it reads."""
-    log = {"minors": [], "dimensions": []}
-    real_basis, real_dimension = bicone.buchberger, bicone.ideal_dimension
+def spy_line_reader(monkeypatch):
+    """Make the Groebner engine raise, and record each determinant and each
+    elimination (rows in, pivots out) the line reader makes."""
+    log = {"dets": [], "eliminations": []}
+    real_det, real_eliminate = linalg.det, linalg._eliminate
 
-    def basis(gens, **kwargs):
-        log["minors"].append(gens)
-        return real_basis(gens, **kwargs)
+    def engine(*args, **kwargs):
+        raise AssertionError("the line reader reached the Groebner engine")
 
-    def dimension(gb):
-        log["dimensions"].append(real_dimension(gb))
-        return log["dimensions"][-1]
+    def det(rows):
+        log["dets"].append(real_det(rows))
+        return log["dets"][-1]
 
-    monkeypatch.setattr(bicone, "buchberger", basis)
-    monkeypatch.setattr(bicone, "ideal_dimension", dimension)
+    def eliminate(rows, reduced):
+        done = real_eliminate(rows, reduced)
+        log["eliminations"].append((len(rows), len(done)))
+        return done
+
+    monkeypatch.setattr(groebner, "_basis", engine)
+    monkeypatch.setattr(linalg, "det", det)
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
     return log
 
 
 def test_pencil_on_an_abelian_centralizer(algebras, monkeypatch):
     # g^e for gl_3's principal e is abelian and its transported family is
-    # linear, so each maximal minor is a constant: a nonzero one gives the
-    # unit ideal (dimension -1), and the pencil is regular
+    # linear, so D = 0: the one maximal minor is a constant, read at one point,
+    # and it is nonzero, so the pencil is regular
     L = algebras[("gl", 3)]
     pipe = _slice_pipeline(L, nilpotent_from_partition(L, (3,)))
     Lc = pipe.centralizer
     fam = pipe.family
     assert fam.degrees == [p.total_degree() for p in fam.generators] == [1, 1, 1]
-    log = spy_engine(monkeypatch)
+    assert Lc.dim == 3
+    log = spy_line_reader(monkeypatch)
     basis = [[Fraction(int(i == k)) for i in range(Lc.dim)] for k in range(Lc.dim)]
     for x, y in itertools.combinations(basis, 2):
+        log["dets"].clear()
+        log["eliminations"].clear()
         assert pencil_regularity(Lc, fam, x, y)
-    assert log["dimensions"] == [-1, -1, -1]
+        [minor] = log["dets"]
+        assert minor != 0
+        # x, y independent; one value vector with one entry; one product of rank 1
+        assert log["eliminations"] == [(2, 2), (1, 1), (1, 1)]
 
 
 def test_pencil_with_every_minor_zero(algebras, families, monkeypatch):
     # the line through E12 and E13 lies in the minimal nilpotent orbit's
-    # closure: every maximal minor vanishes, so the basis of their span that
-    # reaches the engine is empty (dimension 2)
+    # closure: every maximal minor vanishes at all 2D = 6 points, so no value
+    # vector survives and no product is formed
     L = algebras[("sl", 3)]
     fam = families[("sl", 3)]
     x, y = elem(L, "E12"), elem(L, "E13")
     assert bicone_membership(L, fam, x, y)
-    log = spy_engine(monkeypatch)
+    log = spy_line_reader(monkeypatch)
     assert not pencil_regularity(L, fam, x, y)
-    [minors] = log["minors"]
-    assert minors == []
-    assert log["dimensions"] == [2]
+    assert len(log["dets"]) == 28 * 6 and not any(log["dets"])
+    assert log["eliminations"] == [(2, 2), (28, 0), (0, 0)]
+    report = smoothness_crosscheck(L, fam, [(x, y), omega_pair(L)])
+    assert [e["pencil_regular"] for e in report.results] == [False, True]
+    assert report.all_agree
 
 
 def test_line_readers_reject_a_generator_off_its_degree(algebras, families):
@@ -495,8 +508,12 @@ def _line_cases(algebras, families, workloads):
     seeded strictly upper triangular pairs of gl_3 and sp_4 (members whose
     pencils meet the nilradical's non-regular hyperplanes, so never regular),
     gl_3's regular pencil through E12+E23 and E21-E32, seeded random pairs
-    of each algebra (almost never members), and the sl_2 non-member
-    (E12, E21 - E12), whose quadric vanishes at t = 0 and 1 but not at 2."""
+    of each algebra (almost never members), the sl_2 non-member
+    (E12, E21 - E12), whose quadric vanishes at t = 0 and 1 but not at 2, and
+    the transported families of gl_3's (3,) and (2, 1) centralizers (degrees
+    1, 1, 1 and 1, 1, 2, so D = 0 and 1) on their basis pairs, a
+    proportional pair and seeded random pairs.  The flag asks for the pencil
+    verdict on every pair, not only on members."""
     sl3 = algebras[("sl", 3)]
     cases = [(sl3, families[("sl", 3)], workloads.bicone_samples(sl3, seed)) for seed in (1, 24001)]
     for k, spec in enumerate([("gl", 3), ("sp", 4)]):
@@ -515,6 +532,16 @@ def _line_cases(algebras, families, workloads):
     sl2 = algebras[("sl", 2)]
     cases.append((sl2, families[("sl", 2)],
                   [(elem(sl2, "E12"), combine((1, elem(sl2, "E21")), (-1, elem(sl2, "E12"))))]))
+    cases = [(L, fam, pairs, False) for L, fam, pairs in cases]
+    gl3 = algebras[("gl", 3)]
+    for partition in [(3,), (2, 1)]:
+        pipe = _slice_pipeline(gl3, nilpotent_from_partition(gl3, partition))
+        Lc, rng = pipe.centralizer, random.Random(500 + len(partition))
+        basis = [[Fraction(int(i == k)) for i in range(Lc.dim)] for k in range(Lc.dim)]
+        pairs = list(itertools.combinations(basis, 2)) + [(basis[0], [2 * c for c in basis[0]])]
+        pairs += [tuple([Fraction(rng.randint(-2, 2)) for _ in range(Lc.dim)] for _ in range(2))
+                  for _ in range(6)]
+        cases.append((Lc, pipe.family, pairs, True))
     return cases
 
 
@@ -522,17 +549,22 @@ def test_line_readings_match_sympy(algebras, families, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     workloads = importlib.import_module("workloads")
     seen = set()
-    for L, fam, pairs in _line_cases(algebras, families, workloads):
+    for L, fam, pairs, every in _line_cases(algebras, families, workloads):
         for x, y in pairs:
             member, regular = _sympy_line_verdicts(L, fam, x, y)
             assert bicone_membership(L, fam, x, y) == member
             assert _substitution_membership(L, fam, x, y) == member
-            if member:
+            if member or every:
                 assert pencil_regularity(L, fam, x, y) == regular, (L.dim, x, y)
-            seen.add((L.dim, member, member and regular))
-    # members with regular and non-regular pencils, and non-members
+            seen.add((L.dim, member, (member or every) and regular))
+    # members with regular and non-regular pencils, and non-members; regular
+    # and non-regular pencils of non-members on the (3,) centralizer (dim 3),
+    # non-regular ones on the (2, 1) centralizer (dim 5), whose restricted
+    # trace form has rank 2, so that every dual vector lies where the
+    # quadric's gradient vanishes
     assert {(8, True, True), (8, True, False), (9, True, True), (9, True, False),
-            (10, True, False), (8, False, False), (9, False, False), (10, False, False)} <= seen
+            (10, True, False), (8, False, False), (9, False, False), (10, False, False),
+            (3, False, True), (3, False, False), (5, False, False)} <= seen
 
 
 # ---------------------------------------------------------------------------

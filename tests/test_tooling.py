@@ -2,7 +2,7 @@
 no hidden knobs: nothing in it reads the environment, and every random draw
 comes from a generator built from a seed.  Rationals become text only through
 reports.fractions_json.  The algebra layers below the
-Groebner engine do not import it.  The README shows only commands that the
+Groebner engine do not import it, and no module but groebner calls it.  The README shows only commands that the
 command line accepts and a library quick start that runs, and the benchmark's
 workloads find every library name they call.  A failing Hypothesis test fails
 only itself under the repository's pytest settings."""
@@ -161,6 +161,18 @@ def test_algebra_layers_do_not_import_groebner():
         if module == "groebner"
     ]
     assert imports == []
+
+
+def test_only_groebner_calls_its_engine():
+    # every other module reaches the engine through regular_sequence_verdict
+    calls = [
+        f"{path.name}:{node.lineno} calls {name}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "groebner"
+        for node in _nodes(path) if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        if name in {"buchberger", "ideal_dimension"}
+    ]
+    assert calls == []
 
 
 def _readme_command_lines():
