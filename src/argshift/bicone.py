@@ -40,7 +40,9 @@ from .groebner import (
     time_left,
 )
 from .invariants import InvariantFamily
-from .liealg import InternalError, LieAlgebraData, dual_of, index_of, is_regular_point
+from .liealg import (
+    InternalError, LieAlgebraData, dual_of, index_of, integer_dual_of, is_regular_point,
+)
 from .reports import fractions_json
 from .shift import bigraded_components, mf_generators
 
@@ -58,10 +60,9 @@ class BiconeIdeal:
 
 
 def _integer_line(L: LieAlgebraData, x, y) -> list[list[int]]:
-    """[X, Y]: dual x and dual y, each times the lcm of its own denominators;
-    scaling x and y by positive constants leaves span(x, y) and its lines as
-    they are."""
-    return linalg._integer_rows([dual_of(L, [Fraction(c) for c in v]) for v in (x, y)])
+    """[X, Y]: positive integer multiples of dual x and dual y; scaling x and y
+    by positive constants leaves span(x, y) and its lines as they are."""
+    return [integer_dual_of(L, v) for v in (x, y)]
 
 
 class _LineReader:
@@ -254,7 +255,7 @@ def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     zero fail both.  The rank is read from integer values at 2D points of
     the line (_LineReader.regular).
     """
-    X, Y = _integer_line(L, x, y)  # first: dual_of rejects a vector of the wrong length
+    X, Y = _integer_line(L, x, y)  # first: it rejects a vector of the wrong length
     reader = _LineReader(fam)
     return _independent(x, y) and reader.regular(reader.readings(X, Y))
 

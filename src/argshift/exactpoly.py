@@ -77,15 +77,6 @@ def decode(m: int, n: int) -> Monomial:
     return dec.unpack(m.to_bytes(width, "little"))
 
 
-def degrevlex_key(mono: Monomial) -> tuple:
-    """Sort key for graded reverse lexicographic order (x0 > x1 > ...).
-
-    Larger key = larger monomial.  Compare by total degree first, then by the
-    reversed, negated exponent vector.
-    """
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
 class Poly:
     """Immutable-by-convention sparse polynomial in ``arity`` variables."""
 
@@ -154,8 +145,10 @@ class Poly:
         return self.terms.get(mono, Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        """Terms in descending grevlex order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
+        """Terms in descending grevlex order (x0 > x1 > ...), the canonical
+        order: the larger degree first, then the smaller last exponents, that
+        is ascending on (-degree, reversed exponents)."""
+        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0][::-1]))
 
     def __iter__(self) -> Iterator[tuple[Monomial, Coeff]]:
         return iter(self.terms.items())

@@ -59,10 +59,10 @@ as a root of N.  By Stanley's criterion (Adv. Math. 28, 1978) homogeneous
 f_1..f_k are a regular sequence exactly when N = prod(1 - t^deg f_i), which
 a true verdict also checks.
 
-The same kernel runs over F_p when buchberger is given a modulus p: its
+The same loop runs over F_p when buchberger is given a modulus p: its
 records are monic, so the integer rescale never fires, coefficients are
 reduced mod p when a monomial is popped, and no content is taken.  That path
-serves only the linear section below.
+serves only the linear section below, which hands it residues directly.
 
 regular_sequence_verdict decides "f_1..f_k regular" (homogeneous, positive
 degrees, in n variables) in this order: a zero generator makes the verdict
@@ -78,11 +78,16 @@ measured (the sl_3 bicone, D = 648); below it the exact engine is the slow
 side (sp_4, sl_4 and gl_4 shift families).
 
 The section: with p = SECTION_PRIME and a seeded n x k matrix A of residues
-mod p, g_i(t) is the primitive integer multiple of f_i(A t), which
-Poly.substitute forms and buchberger reduces mod p, and its basis is
-computed over F_p in k variables.  The section is accepted when every t_j
-has a pure power among the leading monomials, that is, when F_p[t]/(g) is
-finite-dimensional.  Why that proves the verdict:
+mod p, g_i(t) = h_i(A t) for a nonzero integer multiple h_i of f_i (den_i
+f_i, den_i the lcm of f_i's denominators), and the basis of the residues
+of g mod p is computed over F_p in k variables.  _section forms those
+residues straight from f's terms, with no rational polynomial in between.
+Any such multiple will do: over Q, g_i generates the ideal that f_i(A t)
+does.  g_i is not made primitive, so when p divides its content its
+residue is zero; fewer than k forms in k variables cut no finite quotient,
+so the section gives up and the exact engine decides.  The section is
+accepted when every t_j has a pure power among the leading monomials, that
+is, when F_p[t]/(g) is finite-dimensional.  Why that proves the verdict:
 M = Z_(p)[t]/(g) is finitely generated in each degree, so by Nakayama
 dim_Q (M (x) Q)_d <= dim_Fp (M (x) F_p)_d: in every degree the Hilbert
 function over Q is at most the one over F_p.  So Q[t]/(g) is
@@ -171,7 +176,7 @@ class GroebnerBasis:
     arity: int
     leads: list[Monomial]  # the minimal leads, sorted by the order: in(I)'s minimal generators
     stats: dict = field(default_factory=dict)  # engine counters, see buchberger
-    # buchberger's minimal records behind the leads, and their modulus (0: over Q)
+    # the minimal records behind the leads (see _basis), and their modulus (0: over Q)
     _records: list = field(default_factory=list, repr=False, compare=False)
     _mod: int = field(default=0, repr=False, compare=False)
 
@@ -442,12 +447,12 @@ def input_digest(gens: list[Poly], arity: int) -> str:
 
 
 def buchberger(
-    gens: list[Poly],
+    gens: list[Poly] | list[IntPoly],
     timeout_secs: float | None = None,
     arity: int | None = None,
     mod: int = 0,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens, under degrevlex.
+    """Reduced Groebner basis of the ideal generated by gens over Q, under degrevlex.
 
     Deterministic for a fixed input sequence.  Zero generators are
     ignored; an empty input yields the empty basis (pass arity in that
@@ -464,11 +469,16 @@ def buchberger(
     size before minimalization, and the largest term degree and coefficient
     bit length of a record.
 
-    With a prime mod, each gen's primitive integer multiple is read mod p
-    and the run, the F_p linear section's (see the module docstring), stops
-    at the first zero reduction and at degree s + 1 (see _basis): its basis
-    is minimal and monic up to that degree, not inter-reduced.
+    With a prime mod, gens are instead residues mod it on the packed
+    monomials of _Packing(arity), as _section forms them, and the run is the
+    F_p linear section's (see the module docstring): it stops at the first
+    zero reduction and at degree s + 1 (see _basis), so its basis is minimal
+    and monic up to that degree, not inter-reduced.  The section runs through
+    here, not through _basis, so that bench/spans.py, which wraps buchberger,
+    times it as its groebner.basis span.
     """
+    if mod:
+        return _basis(gens, _Packing(arity), _Budget(timeout_secs), mod)
     if gens:
         arity = gens[0].arity
     elif arity is None:
@@ -477,23 +487,18 @@ def buchberger(
         if p.arity != arity:
             raise ValueError("generators live in different rings")
     P = _Packing(arity)
-    budget = _Budget(timeout_secs)
-    polys = [_to_int_poly(p, P) for p in gens]
-    if mod:
-        polys = [{m: c % mod for m, c in f.items() if c % mod} for f in polys]
-    stats, records = _basis(polys, P, budget, mod), budget.records
-    return GroebnerBasis(arity, [P.decode(r.lm) for r in records], stats, records, mod)
+    return _basis([_to_int_poly(p, P) for p in gens], P, _Budget(timeout_secs))
 
 
-def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> dict:
+def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> GroebnerBasis:
     """The signature-based loop over Q, or over F_p for a prime mod (polys reduced mod it).
 
-    Leaves the minimal records of a Groebner basis, sorted by key, in
-    budget.records (where the basis grows, so that a GBTimeout reports its
-    size) and returns the engine counters.  A signature (t, i) is the int
-    i*P.big + key(t).  Over F_p the loop is the section's (see the module
-    docstring): it stops at the first zero reduction and leaves out the pairs
-    of degree above s + 1, s = sum(d_i - 1).
+    The basis grows in budget.records, so that a GBTimeout reports its size;
+    the result holds the minimal records, sorted by key, their leads and the
+    engine counters.  A signature (t, i) is the int i*P.big + key(t).  Over
+    F_p the loop is the section's (see the module docstring): it stops at the
+    first zero reduction and leaves out the pairs of degree above s + 1,
+    s = sum(d_i - 1).
     """
     G: list[_Record] = budget.records  # heap entries index into G
     reducers: list[_Record] = []  # the records of G, sorted by key
@@ -555,10 +560,11 @@ def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> 
         if mod and zeros:
             break
     G[:] = _minimal(reducers, P)  # the other records and the pairs are done with
-    return {"pairs_formed": budget.pairs, "pairs_koszul": koszul, "pairs_rewritten": rewritten,
-            "zero_reductions": zeros, "reduction_steps": budget.steps,
-            "basis_before_minimal": len(reducers), "max_degree": budget.degree,
-            "coeff_bits_max": budget.bits}
+    stats = {"pairs_formed": budget.pairs, "pairs_koszul": koszul, "pairs_rewritten": rewritten,
+             "zero_reductions": zeros, "reduction_steps": budget.steps,
+             "basis_before_minimal": len(reducers), "max_degree": budget.degree,
+             "coeff_bits_max": budget.bits}
+    return GroebnerBasis(P.n, [P.decode(r.lm) for r in G], stats, G, mod)
 
 
 def _minimal(records: list[_Record], P: _Packing) -> list[_Record]:
@@ -703,23 +709,67 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _section(gens: list[Poly], P: _Packing, p: int, budget: _Budget) -> list[IntPoly]:
+    """h_i(A t) mod p for each gen f_i, h_i = den_i * f_i with den_i the lcm of
+    f_i's denominators, on the packed monomials of t_0..t_{k-1} (P), with
+    residues in [1, p): the section of the module docstring.
+
+    A = [I; R] sends x_j to t_j for j < k, so a term's first k exponents are
+    one packed monomial; x_j for j >= k goes to the seeded linear form R_j,
+    and the product of the R_j^e_j over a term's last n - k exponents is
+    formed once per call, reduced mod p.  The budget is ticked once per
+    generator.
+    """
+    k, n, s = P.n, gens[0].arity, P.s
+    rng = random.Random(SECTION_SEED)
+    # R_j as (t_i packed, residue) pairs, drawn row by row
+    forms = [[((1 << P.w * i) + (1 << s), r) for i in range(k) if (r := rng.randrange(p))]
+             for _ in range(n - k)]
+    tails: dict = {}  # exponents on x_k..x_{n-1}: the product of R_j^e_j mod p
+
+    def tail(e: Monomial) -> IntPoly:
+        q = tails.get(e)
+        if q is None:
+            q = {0: 1}
+            for j, a in enumerate(e):
+                for _ in range(a):
+                    out: IntPoly = {}
+                    for m, c in q.items():
+                        for u, r in forms[j]:
+                            out[m + u] = out.get(m + u, 0) + c * r
+                    q = {m: r for m, c in out.items() if (r := c % p)}
+            tails[e] = q
+        return q
+
+    section = []
+    for f in gens:
+        budget.tick()
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        g: IntPoly = {}
+        for mono, c in f.terms.items():
+            a = c.numerator * (den // c.denominator) % p
+            head = encode(mono[:k]) + (sum(mono[:k]) << s)
+            for m, b in tail(mono[k:]).items():
+                g[head + m] = g.get(head + m, 0) + a * b
+        section.append({m: r for m, c in g.items() if (r := c % p)})
+    return section
+
+
 def _section_certificate(
-    gens: list[Poly], n: int, degrees: list[int], timeout_secs: float | None
+    gens: list[Poly], degrees: list[int], budget: _Budget
 ) -> dict | None:
     """Engine counters of a zero-dimensional F_p section of gens, or None.
 
-    gens are k homogeneous forms in n variables of the positive degrees
-    given; the proof that a zero-dimensional section makes them a regular
-    sequence is in the module docstring.
+    gens are k homogeneous forms of the positive degrees given; the proof
+    that a zero-dimensional section makes them a regular sequence is in the
+    module docstring.
     """
-    deadline = deadline_after(timeout_secs)  # building the section spends the budget too
-    k, p = len(gens), SECTION_PRIME
-    rng = random.Random(SECTION_SEED)
-    # the image of x_j under A = [I; R]: t_j, then seeded linear forms in t
-    images = [Poly.variable(k, j) if j < k
-              else Poly.linear_form(rng.randrange(p) for _ in range(k)) for j in range(n)]
-    section = [f.substitute(images) for f in gens]
-    gb = buchberger(section, timeout_secs=time_left(deadline), mod=p)
+    p, P = SECTION_PRIME, _Packing(len(gens))
+    P.check(max(degrees))  # each term of g_i has f_i's degree
+    section = _section(gens, P, p, budget)
+    if not all(section):  # some h_i vanishes mod p: fewer than k forms in k variables
+        return None
+    gb = buchberger(section, timeout_secs=time_left(budget.deadline), arity=P.n, mod=p)
     # a zero reduction proves the section is no regular sequence; otherwise some t_j
     # may have no pure power among the leads
     if gb.stats["zero_reductions"] or ideal_dimension(gb) != 0:
@@ -802,7 +852,7 @@ def regular_sequence_verdict(
     try:
         budget.tick()  # a budget spent before the call leaves no time for either engine
         if section:
-            stats = _section_certificate(gens, n, degrees, time_left(budget.deadline))
+            stats = _section_certificate(gens, degrees, budget)
             if stats is not None:
                 return DimensionReport(
                     ideal_dimension=n - k, verdict=True, status="ok",

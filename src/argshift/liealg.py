@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .exactpoly import InternalError, Poly
@@ -56,7 +57,8 @@ class LieAlgebraData:
     defining: list[list[list[Fraction]]]
 
     # per-algebra memos: "index", "form_inverse", "structure_rows" (B(x) packed, see
-    # poisson), "invariants", "coords" (see coords_of_matrix)
+    # poisson), "invariants", "coords" (see coords_of_matrix), "integer_form" (see
+    # integer_dual_of)
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -142,6 +144,21 @@ def dual_of(L: LieAlgebraData, v: Vector) -> Vector:
     if len(v) != L.dim:
         raise LieAlgebraError("vector length mismatch")
     return linalg.mat_vec(L.form, v)
+
+
+def integer_dual_of(L: LieAlgebraData, v: Vector) -> list[int]:
+    """A positive integer multiple of dual_of(L, v): the form, cleared of its
+    denominators (once per algebra), times v cleared of its own."""
+    if len(v) != L.dim:
+        raise LieAlgebraError("vector length mismatch")
+    form = L._caches.get("integer_form")
+    if form is None:  # its rows, as (column, entry) pairs of the nonzero entries
+        den = lcm(*(c.denominator for row in L.form for c in row))
+        form = L._caches["integer_form"] = [
+            [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(row) if c]
+            for row in L.form]
+    (w,) = linalg._integer_rows([[Fraction(c) for c in v]])
+    return [sum(c * w[j] for j, c in row) for row in form]
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,28 @@ def test_pack_gradient_is_the_gradient(f):
     assert [unpack(q, 3) for q in pack_gradient(f)] == f.gradient()
 
 
+def _degrevlex_key(mono):
+    """Graded reverse lexicographic order (x0 > x1 > ...): the larger key is the
+    larger monomial; total degree first, then the reversed, negated exponents."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+@st.composite
+def term_maps(draw):
+    """Distinct monomials in 1-5 variables, exponents up to 4."""
+    n = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    return n, draw(st.lists(exps, max_size=12, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_maps())
+def test_sorted_terms_is_descending_degrevlex(case):
+    n, monos = case
+    f = Poly(n, {m: Fraction(i + 1) for i, m in enumerate(monos)})
+    assert [m for m, _ in f.sorted_terms()] == sorted(monos, key=_degrevlex_key, reverse=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys)
 def test_text_round_trip(f):

@@ -248,7 +248,7 @@ def test_shift_family_basis_and_normal_form_match_sympy(algebras, families, trip
     assert _monic_term_sets(gb.basis) == _monic_term_sets(want)
     assert len(gb.basis) == len(want)
     # the engine's decoded record leads are each basis element's degrevlex maximum
-    assert gb.leads == [max(p.terms, key=exactpoly.degrevlex_key) for p in gb.basis]
+    assert gb.leads == [p.sorted_terms()[0][0] for p in gb.basis]
     # normal forms of random polynomials of degree <= 3 are sympy's remainders
     # a str seed is the same in every process, unlike hash() of a str
     rng = random.Random(f"{spec} {point}")
@@ -262,10 +262,21 @@ def test_shift_family_basis_and_normal_form_match_sympy(algebras, families, trip
         assert got == _from_sympy(ref.reduce(_as_sympy(f, xs))[1], xs)
 
 
+def _primitive_residues(f, P, p):
+    """The primitive integer multiple of f, on P's monomials, read mod p."""
+    return {m: r for m, c in groebner._to_int_poly(f, P).items() if (r := c % p)}
+
+
+def _fp_basis(gens, p):
+    """The F_p basis of the primitive integer multiples of gens, read mod p."""
+    P = groebner._Packing(gens[0].arity)
+    return buchberger([_primitive_residues(f, P, p) for f in gens], arity=P.n, mod=p)
+
+
 def test_fp_leads_are_the_leading_monomials():
-    gb = buchberger([x * x + 3 * x * y - y * y, x * y * y + y * y * y], mod=groebner.SECTION_PRIME)
+    gb = _fp_basis([x * x + 3 * x * y - y * y, x * y * y + y * y * y], groebner.SECTION_PRIME)
     assert len(gb.basis) == 3
-    assert gb.leads == [max(p.terms, key=exactpoly.degrevlex_key) for p in gb.basis]
+    assert gb.leads == [p.sorted_terms()[0][0] for p in gb.basis]
 
 
 def test_exponents_up_to_the_field_limit_round_trip():
@@ -684,6 +695,77 @@ def test_section_report_is_the_exact_report(algebras, families, triples, so5, sp
     assert section.stats["zero_reductions"] == exact.stats["zero_reductions"] == 0
 
 
+@pytest.fixture(scope="module")
+def gl4():
+    L = liealg.build_classical("gl", 4)
+    return L, invariant_generators(L), liealg.principal_sl2(L)
+
+
+def _substituted_section(gens, p):
+    """The section by the earlier route, kept as the oracle: the primitive
+    integer multiple of f(A t), formed by Poly.substitute, reduced mod p."""
+    n, k = gens[0].arity, len(gens)
+    rng = random.Random(groebner.SECTION_SEED)
+    images = [Poly.variable(k, j) if j < k
+              else Poly.linear_form(rng.randrange(p) for _ in range(k)) for j in range(n)]
+    P = groebner._Packing(k)
+    return [_primitive_residues(f.substitute(images), P, p) for f in gens]
+
+
+def _residue_section(gens, p):
+    return groebner._section(gens, groebner._Packing(len(gens)), p, groebner._Budget(None))
+
+
+@pytest.mark.parametrize("spec,point", [*SECTION_CASES, (("gl", 4), "e")])
+def test_residue_section_is_the_substituted_section_up_to_units(
+    algebras, families, triples, so5, gl4, spec, point
+):
+    L, fam, triple = {("so", 5): so5, ("gl", 4): gl4}.get(spec) or (
+        algebras[spec], families[spec], triples[spec])
+    gens = mf_generators(L, fam, _point(L, triple, point)).polynomials()
+    p = groebner.SECTION_PRIME
+    for got, want in zip(_residue_section(gens, p), _substituted_section(gens, p), strict=True):
+        assert got.keys() == want.keys() and want
+        m = next(iter(want))
+        unit = got[m] * pow(want[m], -1, p) % p
+        assert all(got[m] == unit * c % p for m, c in want.items())
+
+
+def test_section_generator_vanishing_mod_p_leaves_the_verdict_to_the_exact_engine(
+    algebras, families, triples, monkeypatch
+):
+    L = algebras[("sl", 3)]
+    gens = mf_generators(L, families[("sl", 3)], dual_of(L, triples[("sl", 3)].e)).polynomials()
+    today = regular_sequence_verdict(gens, L.dim)
+    assert today.stats["certificate"]["kind"] == "fp-section"
+    # mod 3 one residue vanishes: 3 divides that image's content, which the
+    # primitive multiple of the earlier route divides out
+    assert sum(not g for g in _residue_section(gens, 3)) == 1
+    assert all(_substituted_section(gens, 3))
+    monkeypatch.setattr(groebner, "SECTION_PRIME", 3)
+    rep = regular_sequence_verdict(gens, L.dim)
+    assert rep.stats["certificate"] == {"kind": "exact"}
+    assert canonical_json(rep.to_json_dict()) == canonical_json(today.to_json_dict())
+
+
+def test_section_verdict_substitutes_no_fraction_polynomial(
+    algebras, families, triples, monkeypatch
+):
+    L = algebras[("sp", 4)]
+    gens = mf_generators(L, families[("sp", 4)], dual_of(L, triples[("sp", 4)].e)).polynomials()
+    calls = []
+    substitute = Poly.substitute
+
+    def recorded(self, images):
+        calls.append(self)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Poly, "substitute", recorded)
+    rep = regular_sequence_verdict(gens, L.dim)
+    assert rep.verdict is True and rep.stats["certificate"]["kind"] == "fp-section"
+    assert calls == []
+
+
 @pytest.mark.parametrize("partition", [(3,), (2, 1), (1, 1, 1)])
 def test_section_conjecture_rows_are_the_exact_rows(algebras, partition):
     L = algebras[("gl", 3)]
@@ -812,7 +894,7 @@ def test_section_certificate_is_sound(system):
     # to the exact engine
     n, k = system[0].arity, len(system)
     degrees = [p.total_degree() for p in system]
-    if groebner._section_certificate(system, n, degrees, None) is not None:
+    if groebner._section_certificate(system, degrees, groebner._Budget(None)) is not None:
         assert ideal_dimension(buchberger(system)) == n - k
 
 
@@ -870,16 +952,18 @@ def test_section_timeout_names_the_section(algebras, families, triples):
 def test_section_budget_covers_building_the_section(algebras, families, triples, monkeypatch):
     L = algebras[("sl", 3)]
     gens = mf_generators(L, families[("sl", 3)], dual_of(L, triples[("sl", 3)].e)).polynomials()
-    substitute = Poly.substitute
+    section = groebner._section
 
-    def slow_substitute(self, images):
+    def slow_section(*args):
         time.sleep(0.5)
-        return substitute(self, images)
+        return section(*args)
 
-    monkeypatch.setattr(Poly, "substitute", slow_substitute)
+    monkeypatch.setattr(groebner, "_section", slow_section)
     rep = regular_sequence_verdict(gens, 8, timeout_secs=0.3)
     assert rep.status == "inconclusive" and rep.verdict is None
     assert rep.stats["certificate"]["kind"] == "fp-section"
+    # the build's own tick stopped it: the F_p loop took no step
+    assert rep.stats["reduction_steps"] == 0
 
 
 def _planting(monkeypatch, lead_of):
