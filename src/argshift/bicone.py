@@ -300,7 +300,7 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     reader = _LineReader(fam)
     ideal = bicone_generators(L, fam)
     full_count = ideal.generator_count
-    jacobian_rank = linalg.jacobian_rank_at(ideal.polynomials())
+    jacobian = linalg.jacobian_at(ideal.polynomials())
     results = []
     for x, y in samples:
         X, Y = _integer_line(L, x, y)
@@ -310,7 +310,7 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
         omega = _independent(x, y) and reader.regular(readings)
         # the bicone generators are bihomogeneous, so scaling each block of
         # (dual x, dual y) leaves the Jacobian's rank as it is
-        rank = jacobian_rank(X + Y)
+        rank = linalg.rank(jacobian(X + Y))
         smooth = rank == full_count
         entry = {
             "x": fractions_json(map(Fraction, x)),

@@ -1,15 +1,16 @@
 """Shift families on centralizers of nilpotent elements.
 
 Pipeline: complete a Jordan-form nilpotent e of gl_n to an sl2-triple
-(blockwise), restrict each invariant generator to the slice e + g^f, take the
+(blockwise), restrict each power trace once to the slice e + g^f, take the
 initial homogeneous component, carry it over to the dual of the centralizer
 g^e, and run the shift machinery over g^e.  liealg.kostant_slice builds the
 chart once per nilpotent; restriction and transport are each one substitution
-by a map the chart holds.
-The degree bookkeeping (sum of initial degrees against b(g^e)) is the
-stated precondition for the regular-sequence experiment, the transported
-components certify the index of g^e, and the e = 0 case reproduces the
-ambient-algebra verdict bit for bit.
+by a map the chart holds.  Where the power traces miss the degree condition
+(sum of initial degrees = b(g^e), the precondition of the regular-sequence
+experiment), Newton's identities on their restrictions give the char-poly
+coefficients on the slice.  ind g^e = rank g (Yakimova) fixes b(g^e), so it
+chooses the one family that is transported and certifies ind(g^e); the e = 0
+case reproduces the ambient-algebra verdict bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class SliceRestriction:
     source_index: int
     initial: Poly  # lowest homogeneous component in t_0..t_{m-1}, nonzero
     initial_degree: int
+    restricted: Poly  # the whole restriction to the slice
 
 
 @dataclass
@@ -104,12 +106,13 @@ def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
 
 def restrict_to_slice(p: Poly, chart: SliceChart, source_index: int = -1) -> SliceRestriction:
     """Substitute x := dual(e + sum t_k v_k) (chart.images) and split off the
-    initial part.
+    initial part."""
+    return _split_initial(p.substitute(chart.images), source_index)
 
-    The initial component is taken with respect to the standard total degree
-    in the slice coordinates.
-    """
-    restricted = p.substitute(chart.images)
+
+def _split_initial(restricted: Poly, source_index: int) -> SliceRestriction:
+    """The restriction beside its initial component, taken with respect to the
+    standard total degree in the slice coordinates."""
     if restricted.is_zero():
         raise InternalError("restriction of a nonzero invariant to the slice vanished (bug)")
     comps = restricted.homogeneous_components()
@@ -118,6 +121,7 @@ def restrict_to_slice(p: Poly, chart: SliceChart, source_index: int = -1) -> Sli
         source_index=source_index,
         initial=comps[degree],
         initial_degree=degree,
+        restricted=restricted,
     )
 
 
@@ -169,37 +173,30 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     fam = invariant_generators(L)
     chart = kostant_slice(L, triple)
     Lc, _ = centralizer(L, e)
-
-    def restricted(polys):
-        return [restrict_to_slice(p, chart, source_index=i) for i, p in enumerate(polys)]
-
-    def certified(restrictions):
-        ordered = sorted(restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
-        family = InvariantFamily(
-            algebra=Lc,
-            generators=[transport_to_centralizer(sr, chart, Lc) for sr in ordered],
-            degrees=[sr.initial_degree for sr in ordered],
-        )
-        return family, index_of(Lc, family.generators)
-
-    # the transported power traces certify ind(g^e), and so fix b(g^e), unless
-    # they fall short: then index_of has ranked B at all its sampled points
+    # ind g^e = rank g (Yakimova, Funct. Anal. Appl. 40, 2006) fixes b(g^e)
+    # before any certificate: it only chooses the family, index_of proves it
+    rank = len(fam.generators)
+    b_c = (Lc.dim + rank) // 2
     family_name = "power-traces"
-    restrictions = restricted(fam.generators)
-    family, idx = certified(restrictions)
-    ind_c, b_c = idx.index, idx.b
+    restrictions = [restrict_to_slice(p, chart, i) for i, p in enumerate(fam.generators)]
     # the degree condition quantifies over a choice of free generators; the
     # power traces can miss the bound where the char-poly coefficients reach
-    # it (first seen at partition (2,1,1) of gl_4), so try both
-    if sum(family.degrees) != b_c:
-        alt_restrictions = restricted(power_sums_to_elementary(fam.generators))
-        if sum(sr.initial_degree for sr in alt_restrictions) == b_c:
-            family_name = "char-coefficients"
-            restrictions = alt_restrictions
-            family, idx = certified(restrictions)
-    if idx.mode != "exact" or idx.index != ind_c:
+    # it (first seen at partition (2,1,1) of gl_4)
+    if sum(sr.initial_degree for sr in restrictions) != b_c:
+        char = [_split_initial(q, i) for i, q in
+                enumerate(power_sums_to_elementary([sr.restricted for sr in restrictions]))]
+        if sum(sr.initial_degree for sr in char) == b_c:
+            family_name, restrictions = "char-coefficients", char
+    ordered = sorted(restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
+    family = InvariantFamily(
+        algebra=Lc,
+        generators=[transport_to_centralizer(sr, chart, Lc) for sr in ordered],
+        degrees=[sr.initial_degree for sr in ordered],
+    )
+    idx = index_of(Lc, family.generators)
+    if idx.mode != "exact" or idx.index != rank:
         raise InternalError(
-            f"transported {family_name} do not certify the centralizer index {ind_c} (bug)"
+            f"transported {family_name} do not certify the centralizer index {rank} (bug)"
         )
     degrees = [sr.initial_degree for sr in restrictions]
     star = StarReport(
@@ -209,7 +206,7 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
         b_centralizer=b_c,
         verdict=sum(degrees) == b_c,
         centralizer_dim=Lc.dim,
-        centralizer_index=ind_c,
+        centralizer_index=rank,
         generator_family=family_name,
     )
     return SlicePipeline(

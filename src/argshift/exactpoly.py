@@ -141,9 +141,6 @@ class Poly:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, mono: Monomial) -> Coeff:
-        return self.terms.get(mono, Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in descending grevlex order (x0 > x1 > ...), the canonical
         order: the larger degree first, then the smaller last exponents, that

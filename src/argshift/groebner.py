@@ -199,10 +199,11 @@ class GroebnerBasis:
 class _Packing:
     """The packed-int monomials of one ring (see the module docstring).
 
-    degree() sums the n exponent fields with one multiplication; it is exact
-    while the sum is below 2^W, which holds for every monomial of the engine
-    and for the lcm of two of them.  The fields are written and read by
-    exactpoly.encode and exactpoly.decode, and the guard bits are exactpoly's.
+    An engine monomial m holds its degree in its top field, m >> s; degree()
+    sums the exponent fields with one multiplication where that field is not
+    written yet (lcm, _hilbert_numerator), exact while the sum is below 2^W.
+    The fields are written and read by exactpoly.encode and
+    exactpoly.decode, and the guard bits are exactpoly's.
     """
 
     __slots__ = ("n", "w", "s", "guard", "limit", "low", "ones", "big")
@@ -277,7 +278,7 @@ def _record(d: IntPoly, P: _Packing, budget: _Budget, mod=0, sig=0, skey=0) -> _
             d = {m: c * inv % mod for m, c in d.items()}
     elif d[lm] < 0:
         d = {m: -c for m, c in d.items()}
-    budget.degree = max(budget.degree, P.degree(lm))  # a graded order: the lead has the top degree
+    budget.degree = max(budget.degree, lm >> P.s)  # a graded order: the lead has the top degree
     budget.bits = max(budget.bits, max(abs(c) for c in d.values()).bit_length())
     return _Record(P.key(lm), lm, d[lm], tuple(d.items()), sig, skey)
 
@@ -415,7 +416,7 @@ def _reduce_full(
 
 
 def _spoly(f: _Record, g: _Record, lcm: int, P: _Packing, mod: int = 0) -> IntPoly:
-    P.check(P.degree(lcm))
+    P.check(lcm >> P.s)
     d = gcd(f.lc, g.lc)
     mf, mg = lcm - f.lm, lcm - g.lm
     af, ag = g.lc // d, f.lc // d
@@ -503,9 +504,9 @@ def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> 
     G: list[_Record] = budget.records  # heap entries index into G
     reducers: list[_Record] = []  # the records of G, sorted by key
     koszul = rewritten = zeros = 0
-    guard = P.guard
-    polys = sorted((f for f in polys if f), key=lambda f: max(map(P.degree, f)))
-    top = sum(P.degree(next(iter(f))) - 1 for f in polys) + 1 if mod else 0
+    guard, s = P.guard, P.s
+    polys = sorted((f for f in polys if f), key=lambda f: max(f) >> s)
+    top = sum((next(iter(f)) >> s) - 1 for f in polys) + 1 if mod else 0
     for i, f in enumerate(polys):
         leads = [rec.lm for rec in _minimal(reducers, P)]  # of a basis of polys 0..i-1
         syzygies: list[int] = []  # the t of each zero reduction of index i
@@ -528,7 +529,7 @@ def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> 
                 budget.pairs += n
                 for j, other in enumerate(G[:n]):
                     lcm_ab = P.lcm(rec.lm, other.lm)
-                    if mod and P.degree(lcm_ab) > top:
+                    if mod and lcm_ab >> s > top:
                         continue
                     k = P.key(lcm_ab)
                     sa, sb = rec.skey + k - rec.key, other.skey + k - other.key
@@ -537,7 +538,7 @@ def _basis(polys: list[IntPoly], P: _Packing, budget: _Budget, mod: int = 0) -> 
                         continue
                     hi, x, y = (rec, n, j) if sa > sb else (other, j, n)
                     u = lcm_ab - hi.lm + hi.sig
-                    P.check(P.degree(u))
+                    P.check(u >> s)
                     if any(((u | guard) - lm) & guard == guard for lm in leads):
                         koszul += 1
                         continue

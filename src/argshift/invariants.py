@@ -114,7 +114,8 @@ def verify_invariance(L: LieAlgebraData, p: Poly) -> bool:
 
 
 def power_sums_to_elementary(power_sums: list[Poly]) -> list[Poly]:
-    """Newton's identities: e_1..e_m from p_1..p_m (cross-check utility).
+    """Newton's identities: e_1..e_m from p_1..p_m, in any polynomial ring
+    (the slice pipeline applies them to the restricted power traces).
 
     e_k = (1/k) * sum_{i=1..k} (-1)^{i-1} e_{k-i} p_i.
     """

@@ -463,12 +463,12 @@ def index_of(L: LieAlgebraData, invariants: list[Poly] | None = None) -> IndexRe
             raise InternalError("an invariant passed to index_of is not Poisson-central (bug)")
     n = L.dim
     points = list(_seeded_points(n, INDEX_SEED, INDEX_POINTS))
-    jacobian_rank = linalg.jacobian_rank_at(invariants)
+    jacobian = linalg.jacobian_at(invariants)
     ranks = []
     for pt in points:
         r = linalg.rank(structure_matrix_at(L, pt))
         ranks.append(r)
-        if n - r == jacobian_rank(pt):
+        if n - r == linalg.rank(jacobian(pt)):
             report = IndexReport(n, n - r, [pt], "exact")
             break
     else:

@@ -45,9 +45,12 @@ def _clear(row: list[int], pivot: list[int], c: int) -> list[int]:
 
 
 def _integer_rows(rows: Matrix) -> list[list[int]]:
-    """Each row times the lcm of its denominators."""
+    """Each row times the lcm of its denominators; a row of ints as it is."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(row)
+            continue
         den = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
@@ -137,15 +140,9 @@ def det(rows: list[list[int]]) -> int:
 
 
 def jacobian_rank(gens: list[Poly], point) -> int:
-    """Exact rank of the matrix (d g_i / d x_j) evaluated at the point."""
-    return jacobian_rank_at(gens)(point)
-
-
-def jacobian_rank_at(gens: list[Poly]) -> Callable[[list], int]:
-    """The exact Jacobian rank of gens as a function of the point, for a
-    caller that evaluates one generator list at many points."""
-    evaluate = jacobian_at(gens)
-    return lambda point: len(_eliminate(evaluate(point), reduced=False))
+    """Exact rank of the matrix (d g_i / d x_j) at one point (for many
+    points, build jacobian_at once and rank each matrix)."""
+    return rank(jacobian_at(gens)(point))
 
 
 def jacobian_at(gens: list[Poly]) -> Callable[[list], list[list[int]]]:

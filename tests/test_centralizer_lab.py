@@ -160,11 +160,14 @@ def test_transport_identity_for_zero(algebras, families):
 
 def test_chart_maps_need_no_dual_or_inverse_after_kostant_slice(monkeypatch):
     # kostant_slice computes the duals and the Gram inverse once; restriction
-    # and transport only substitute the chart's maps
-    L = build_classical("gl", 4)
-    e = nilpotent_from_partition(L, (2, 1, 1))
-    pipe = _slice_pipeline(L, e)
-    fam = invariant_generators(L).generators
+    # and transport only substitute the chart's maps.  The reference runs
+    # Newton's identities in the ambient ring and restricts the char-poly
+    # coefficients, where the pipeline forms them on the slice
+    cases = []
+    for n, part in [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1))]:
+        L = build_classical("gl", n)
+        pipe = _slice_pipeline(L, nilpotent_from_partition(L, part))
+        cases.append((pipe, invariant_generators(L).generators))
 
     def refuse(*args):
         raise AssertionError("recomputed after kostant_slice")
@@ -172,17 +175,52 @@ def test_chart_maps_need_no_dual_or_inverse_after_kostant_slice(monkeypatch):
     for module, name in [(liealg, "dual_of"), (linalg, "invert")]:
         monkeypatch.setattr(module, name, refuse)
 
-    def moved(family):
+    def moved(pipe, family):
         return [transport_to_centralizer(restrict_to_slice(p, pipe.chart, i), pipe.chart,
                                          pipe.centralizer) for i, p in enumerate(family)]
 
-    assert len(moved(fam)) == 4
-    # (2,1,1) takes the char-poly coefficients (test_gl4_2_1_1_needs_char_coefficients),
-    # and the pipeline's family lists them by (initial degree, source index)
-    char = moved(power_sums_to_elementary(fam))
-    ordered = sorted(pipe.restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
-    assert [char[sr.source_index] for sr in ordered] == pipe.family.generators
-    assert [sr.initial_degree for sr in ordered] == pipe.family.degrees
+    for pipe, fam in cases:
+        assert len(moved(pipe, fam)) == len(fam)
+        # these partitions take the char-poly coefficients (test_gl4_2_1_1_needs_char_coefficients),
+        # and the pipeline's family lists them by (initial degree, source index)
+        assert pipe.star.generator_family == "char-coefficients"
+        char = moved(pipe, power_sums_to_elementary(fam))
+        ordered = sorted(pipe.restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
+        assert [char[sr.source_index] for sr in ordered] == pipe.family.generators
+        assert [sr.initial_degree for sr in ordered] == pipe.family.degrees
+
+
+def test_pipeline_restricts_once_and_certifies_once(monkeypatch):
+    # gl_4 (2,1,1) falls back to the char-poly coefficients: each power trace
+    # is restricted once, Newton's identities run on the restrictions, and
+    # only the chosen family is transported and certified
+    L = build_classical("gl", 4)
+    e = nilpotent_from_partition(L, (2, 1, 1))
+    substituted, newton, certified = [], [], []
+    real_substitute, real_newton, real_index = Poly.substitute, power_sums_to_elementary, index_of
+
+    def substitute(self, images):
+        substituted.append(self.arity)
+        return real_substitute(self, images)
+
+    def elementary(polys):
+        newton.append({p.arity for p in polys})
+        return real_newton(polys)
+
+    def index(*args):
+        certified.append(args)
+        return real_index(*args)
+
+    monkeypatch.setattr(Poly, "substitute", substitute)
+    monkeypatch.setattr(centralizer_lab, "power_sums_to_elementary", elementary)
+    monkeypatch.setattr(centralizer_lab, "index_of", index)
+    monkeypatch.setattr(liealg, "index_of", index)
+    pipe = _slice_pipeline(L, e)
+    m = pipe.centralizer.dim
+    assert pipe.star.generator_family == "char-coefficients"
+    assert substituted == [L.dim] * 4 + [m] * 4
+    assert newton == [{m}]
+    assert len(certified) == 1
 
 
 def test_conjecture_rows_gl3(algebras):
@@ -260,7 +298,7 @@ def test_gl4_2_1_1_needs_char_coefficients():
     assert star.degree_sum == star.b_centralizer == 7
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_pipeline_certifies_every_centralizer_index(n):
     # the chosen transported family certifies ind(g^e) = n for every Jordan type
     L = build_classical("gl", n)

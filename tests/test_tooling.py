@@ -236,10 +236,10 @@ def test_readme_quick_start_runs():
 
 
 def test_bench_workloads_call_the_library(algebras, monkeypatch):
-    # set-up of bench/workloads.py's bicone-slice workload, its gl_3 conjecture
-    # rows and its gl_4 (2,1,1) row (the char-coefficients family), the shift
-    # family its check rebuilds (without the sympy check) against the one the
-    # slice pipeline keeps, and its sl_3 smoothness verdict under the
+    # set-up of bench/workloads.py's bicone-slice workload, each of its seven
+    # conjecture rows (gl_4 (2,1,1) takes the char-coefficients family), the
+    # shift family its check rebuilds (without the sympy check) against the
+    # one the slice pipeline keeps, and its sl_3 smoothness verdict under the
     # benchmark's own check
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
@@ -247,9 +247,9 @@ def test_bench_workloads_call_the_library(algebras, monkeypatch):
     [smooth] = [v for v in verdicts if v.name == "sl3 smoothness"]
     rep, _ = smooth.run()
     assert smooth.check(rep) == []
-    rows = [v for v in verdicts
-            if v.name.startswith("gl3 conjecture") or v.name == "gl4 conjecture (2, 1, 1)"]
-    assert len(rows) == 4
+    rows = [v for v in verdicts if " conjecture " in v.name]
+    assert sorted(v.name for v in rows) == sorted(f"gl{n} conjecture {part}"
+                                                  for n, part in workloads.CONJECTURE_ROWS)
     gl4 = build_classical("gl", 4)
     for verdict in rows:
         row, _ = verdict.run()
@@ -258,7 +258,8 @@ def test_bench_workloads_call_the_library(algebras, monkeypatch):
         dim_c, polys = workloads.conjecture_family(L, e, row.xi)
         assert dim_c == row.star.centralizer_dim
         assert len(polys) == row.report.generator_count
-        assert row.star.generator_family == ("char-coefficients" if L is gl4 else "power-traces")
+        char = verdict.name == "gl4 conjecture (2, 1, 1)"
+        assert row.star.generator_family == ("char-coefficients" if char else "power-traces")
         pipe = _slice_pipeline(L, e)
         assert polys == mf_generators(pipe.centralizer, pipe.family, row.xi).polynomials()
 
