@@ -1,26 +1,28 @@
 """The nilpotent bicone: pairs whose whole span is nilpotent.
 
 The defining ideal lives in doubled variables (x-block then y-block) and is
-generated by every bigraded component of every invariant generator -- one
-more component per generator than the shift family uses.  This module builds
-that ideal and runs the full dimension check.  The fiber of the first
-projection over a regular nilpotent e is read off the shift family at dual(e)
-instead: by Taylor expansion its generators are the shifts up to factorials
-(see bicone_fiber_check).  A single pair (x, y) is read through its line
-s*x + t*y: it lies in the bicone when every invariant generator vanishes
-identically on the line, and its pencil is regular when the maximal minors of
-the invariant gradient matrix, restricted to the line, binary forms of degree
-D = sum(d_i - 1), have no common zero on P^1.  Nothing is substituted: with
-X and Y the integer multiples of dual x and dual y, the family's gradient
-matrix is evaluated exactly at the points X + k*Y.  A generator of degree d
-vanishes on the line iff it does at k = 0..d.  The pencil is one rank, by the
-Sylvester/Macaulay criterion: forms f_1..f_r of degree D >= 1 have no common
-zero on P^1 iff the products s^(D-1-a) t^a f_i, a < D, span all 2D forms of
-degree 2D - 1.  If they span, no point is a zero of them all, so none of the
-f_i; if the f_i have no common zero, their Q-span holds a coprime pair f, g
-(a g avoiding f's finitely many roots), whose Sylvester matrix is invertible.
-At (1, k), k < 2D, such a product is k^a times the minor's integer
-determinant at X + k*Y.
+generated by every bigraded component of every invariant generator, one more
+per generator than the shift family has; only the full dimension check
+builds it.  The fiber of the first projection over a regular nilpotent e is
+the shift family at dual(e) up to factorials, by Taylor expansion
+(bicone_fiber_check).
+
+A single pair (x, y) is read through its line s*x + t*y, with nothing
+substituted: with X and Y the integer multiples of dual x and dual y, the
+family's gradient matrix is evaluated exactly at the points X + k*Y
+(_LineReader), and three readings come off those values.
+* Membership: a generator of degree d vanishes on the line iff it does at
+  k = 0..d (bicone_membership).
+* The pencil: the maximal minors of the gradient matrix on the line, binary
+  forms of degree D = sum(d_i - 1), have no common zero on P^1, which is one
+  rank by the Sylvester/Macaulay criterion (pencil_regularity).
+* The bicone's Jacobian at (X, Y): p(X + k*Y) = sum_j k^j p^(j)(X, Y), so
+  differentiating in x and in y gives sum_j k^j grad p^(j)(X, Y) =
+  (grad p(X + k*Y), k * grad p(X + k*Y)).  The Vandermonde matrix of
+  k = 0..d is invertible, so these d + 1 rows span what p's d + 1 component
+  rows span, and full rank is sum(d_i + 1) (smoothness_crosscheck).
+The readings see x and y only through the form: on an algebra whose form is
+degenerate, such as a centralizer g^e, they see only its image.
 """
 
 from __future__ import annotations
@@ -59,17 +61,11 @@ class BiconeIdeal:
         return [p for _, _, p in self.generators]
 
 
-def _integer_line(L: LieAlgebraData, x, y) -> list[list[int]]:
-    """[X, Y]: positive integer multiples of dual x and dual y; scaling x and y
-    by positive constants leaves span(x, y) and its lines as they are."""
-    return [integer_dual_of(L, v) for v in (x, y)]
-
-
 class _LineReader:
-    """The family's gradient matrix at the integer points X + k*Y of a line
-    (X, Y from _integer_line), and the two verdicts read off it.
+    """The family's gradient matrix at the integer points X + k*Y of a line,
+    and the three readings off it.
 
-    Both rest on each generator being homogeneous of its listed positive
+    All rest on each generator being homogeneous of its listed positive
     degree, so a family whose generator is not is an InternalError.
     """
 
@@ -82,11 +78,14 @@ class _LineReader:
         self.degrees = fam.degrees
         self.top = sum(d - 1 for d in fam.degrees)  # the degree of every maximal minor
         self.size = max(2 * self.top, 1)  # the points the pencil reads
-        self.count = max(self.size, max(fam.degrees, default=0) + 1)  # the points both verdicts read
+        self.count = max(self.size, max(fam.degrees, default=0) + 1)  # the points every reading reads
         self.gradient = linalg.jacobian_at(fam.generators)
 
-    def readings(self, X: list[int], Y: list[int]) -> list[tuple[list, list]]:
-        """(P_k, the scaled gradient matrix at P_k) for P_k = X + k*Y, k < count."""
+    def readings(self, L: LieAlgebraData, x, y) -> list[tuple[list, list]]:
+        """(P_k, the scaled gradient matrix at P_k) for P_k = X + k*Y, k < count,
+        with X, Y positive integer multiples of dual x and dual y: scaling x
+        and y by positive constants leaves span(x, y) and its lines as they are."""
+        X, Y = (integer_dual_of(L, v) for v in (x, y))
         points = ([a + k * b for a, b in zip(X, Y)] for k in range(self.count))
         return [(P, self.gradient(P)) for P in points]
 
@@ -105,7 +104,7 @@ class _LineReader:
         """The pencil verdict from the readings at P_k, k < size: a basis of
         the span of the minors' value vectors (a minor at (1, k) is an integer
         determinant of a reading, up to one constant), each vector times k^a
-        for a < max(top, 1), must have rank size (the module docstring).
+        for a < max(top, 1), must have rank size (pencil_regularity).
         """
         readings = readings[:self.size]
         ell, n = len(self.degrees), len(readings[0][0])
@@ -115,6 +114,12 @@ class _LineReader:
                     for _, row in linalg._eliminate(values, reduced=False)
                     for a in range(max(self.top, 1))]
         return len(linalg._eliminate(products, reduced=False)) == self.size
+
+    def jacobian_rank(self, readings) -> int:
+        """The bicone ideal's Jacobian rank at (X, Y): for each generator of
+        degree d, the rows (G(k), k*G(k)) at P_k, k = 0..d (module docstring)."""
+        return linalg.rank([G[i] + [k * g for g in G[i]] for i, d in enumerate(self.degrees)
+                            for k, (_, G) in enumerate(readings[:d + 1])])
 
 
 def counting_identity(L: LieAlgebraData, fam: InvariantFamily) -> dict:
@@ -154,15 +159,12 @@ def bicone_generators(L: LieAlgebraData, fam: InvariantFamily) -> BiconeIdeal:
 def bicone_membership(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     """True iff span(x, y) lies in the nilpotent cone (x, y elements of g).
 
-    Every invariant generator must vanish identically on the line s*x + t*y.
-    That is the bicone ideal's test: p(s*x + t*y) = sum_j s^(d-j) t^j
-    p^(j)(x, y), so p vanishes on the line exactly when each of its bigraded
-    components vanishes at (dual x, dual y).  It is read at the integer
-    points of the line (see _LineReader.vanishes).
+    Every invariant generator must vanish identically on the line s*x + t*y,
+    the bicone ideal's test (_LineReader.vanishes).  On an algebra with a
+    degenerate form (a centralizer g^e) it sees only the form's image of x, y.
     """
-    X, Y = _integer_line(L, x, y)
     reader = _LineReader(fam)
-    return reader.vanishes(reader.readings(X, Y))
+    return reader.vanishes(reader.readings(L, x, y))
 
 
 def bicone_dimension_check(
@@ -253,11 +255,12 @@ def pencil_regularity(L: LieAlgebraData, fam: InvariantFamily, x, y) -> bool:
     f_i's Q-span holds a coprime pair, whose Sylvester matrix has full rank.
     For D = 0 the minors are constants and some must be nonzero.  All minors
     zero fail both.  The rank is read from integer values at 2D points of
-    the line (_LineReader.regular).
+    the line (_LineReader.regular).  The minors, like bicone_membership,
+    see only the form's image of x and y.
     """
-    X, Y = _integer_line(L, x, y)  # first: it rejects a vector of the wrong length
     reader = _LineReader(fam)
-    return _independent(x, y) and reader.regular(reader.readings(X, Y))
+    readings = reader.readings(L, x, y)  # first: it rejects a vector of the wrong length
+    return _independent(x, y) and reader.regular(readings)
 
 
 def _independent(x, y) -> bool:
@@ -290,35 +293,32 @@ def smoothness_crosscheck(L: LieAlgebraData, fam: InvariantFamily, samples) -> S
     """On bicone points, the pencil certificate must match the full Jacobian.
 
     Each sample pair (x, y) must lie in the bicone (bicone_membership, else
-    ValueError).  The check compares pencil_regularity, which works on the
-    line s*x + t*y, with an independent route in the doubled variables: "the
-    differentials of all bicone generators at (dual x, dual y) are linearly
-    independent".  Any disagreement is listed (the theory says there are
-    none).  Per pair the line is read once: membership and the pencil share
-    the family's gradient matrices at X + k*Y.
+    ValueError).  Two criteria for a smooth point are compared on one
+    evaluation of the gradients at X + k*Y: pencil_regularity, a rank of the
+    minors' products along the line, and the Jacobian rank of all
+    sum(d_i + 1) bigraded components, bihomogeneous and so read at (X, Y) by
+    the module docstring's identity.  They stay independent: no common zero
+    of the minors on P^1, against independent gradients stacked at
+    k = 0..d_i; only the theorem that the smooth points are the regular
+    pencils makes them agree, and any disagreement is listed.  Like the
+    other readers it sees only the form's image of x and y.
     """
     reader = _LineReader(fam)
-    ideal = bicone_generators(L, fam)
-    full_count = ideal.generator_count
-    jacobian = linalg.jacobian_at(ideal.polynomials())
+    full_count = sum(d + 1 for d in reader.degrees)
     results = []
     for x, y in samples:
-        X, Y = _integer_line(L, x, y)
-        readings = reader.readings(X, Y)
+        readings = reader.readings(L, x, y)
         if not reader.vanishes(readings):
             raise ValueError("sample pair is not in the bicone")
         omega = _independent(x, y) and reader.regular(readings)
-        # the bicone generators are bihomogeneous, so scaling each block of
-        # (dual x, dual y) leaves the Jacobian's rank as it is
-        rank = linalg.rank(jacobian(X + Y))
+        rank = reader.jacobian_rank(readings)
         smooth = rank == full_count
-        entry = {
+        results.append({
             "x": fractions_json(map(Fraction, x)),
             "y": fractions_json(map(Fraction, y)),
             "pencil_regular": omega,
             "jacobian_rank": rank,
             "jacobian_full": smooth,
             "agree": omega == smooth,
-        }
-        results.append(entry)
+        })
     return SmoothnessReport(sample_count=len(results), results=results)

@@ -190,12 +190,30 @@ def test_membership_matches_the_bicone_ideal(algebras, families, triples):
 
 
 def test_membership_does_not_build_the_bicone(algebras, families, monkeypatch):
+    # nor does the smoothness cross-check on the benchmark's sl_3 pairs: it
+    # reads the Jacobian rank off the line readings, so the one Jacobian it
+    # builds is the reader's, of the family in n variables
     def refused(p):
-        raise AssertionError("membership built a bicone generator")
+        raise AssertionError("a line reader built a bicone generator")
 
     monkeypatch.setattr(bicone, "bigraded_components", refused)
-    L = algebras[("sl", 3)]
-    assert bicone_membership(L, families[("sl", 3)], *omega_pair(L))
+    L, fam = algebras[("sl", 3)], families[("sl", 3)]
+    assert bicone_membership(L, fam, *omega_pair(L))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    real, arities = linalg.jacobian_at, []
+
+    def counted(gens):
+        arities.append({g.arity for g in gens})
+        return real(gens)
+
+    monkeypatch.setattr(linalg, "jacobian_at", counted)
+    for seed in (1, 24001):
+        arities.clear()
+        samples = workloads.bicone_samples(L, seed)
+        report = smoothness_crosscheck(L, fam, samples)
+        assert report.sample_count == len(samples) and report.all_agree
+        assert arities == [{L.dim}]
 
 
 def test_membership_span_invariance(algebras, families):
@@ -605,26 +623,48 @@ def test_smoothness_crosscheck_sl3(algebras, families):
 
 @pytest.mark.parametrize("seed", [1, 24001])
 def test_jacobian_rank_matches_fraction_evaluation(algebras, families, monkeypatch, seed):
-    # the benchmark's sl_3 bicone pairs, against sympy's rank of the partials
-    # evaluated one by one; the cross-check reads the rank at the integer
-    # multiples of the two blocks, which the bihomogeneous generators leave as
-    # it is
+    # three sides of one rank: sympy's rank of the bicone generators' partials
+    # evaluated one by one at (dual x, dual y); linalg's integer Jacobian of
+    # those 2n-variable generators at (X, Y), X and Y positive integer
+    # multiples of dual x and dual y, which the bihomogeneous generators rank
+    # the same; and the line reader's rows (G(k), k*G(k)) at X + k*Y.  The
+    # sl_3 pairs are the benchmark's bicone samples, whose ranks are also the
+    # smoothness report's.  The reader's identity holds for any pair, so pairs
+    # outside the bicone check it at the reader on sl_2, gl_3, sp_4 and so_5:
+    # (h, 2h) and (h, 0) for the principal h, whose ranks fall short, and
+    # seeded random pairs, whose ranks are full
     import sympy
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    samples = importlib.import_module("workloads").bicone_samples(algebras[("sl", 3)], seed)
-    L = algebras[("sl", 3)]
-    gens = bicone_generators(L, families[("sl", 3)]).polynomials()
-    jacobian = linalg.jacobian_at(gens)
-    ranks = set()
-    for x, y in samples:
-        pt = liealg.dual_of(L, x) + liealg.dual_of(L, y)
-        want = sympy.Matrix([[g.diff(j).evaluate(pt) for j in range(len(pt))] for g in gens]).rank()
-        ranks.add(want)
-        X, Y = bicone._integer_line(L, x, y)
-        assert linalg.rank(jacobian(pt)) == linalg.jacobian_rank(gens, pt) == want
-        assert linalg.rank(jacobian(X + Y)) == want
-    assert len(ranks) > 1
+    L, fam = algebras[("sl", 3)], families[("sl", 3)]
+    samples = importlib.import_module("workloads").bicone_samples(L, seed)
+    reported = [e["jacobian_rank"] for e in smoothness_crosscheck(L, fam, samples).results]
+    cases = [("sl3", L, fam, samples, reported)]
+    so5 = liealg.build_classical("so", 5)
+    others = [(f"{t}{n}", algebras[(t, n)], families[(t, n)])
+              for t, n in [("sl", 2), ("gl", 3), ("sp", 4)]]
+    for k, (name, M, fam) in enumerate(others + [("so5", so5, invariant_generators(so5))]):
+        rng, h = random.Random(seed + k), liealg.principal_sl2(M).h
+        pairs = [(h, [2 * c for c in h]), (h, [Fraction(0)] * M.dim)]
+        pairs += [tuple([Fraction(rng.randint(-2, 2)) for _ in range(M.dim)] for _ in range(2))
+                  for _ in range(3)]
+        assert not any(bicone_membership(M, fam, x, y) for x, y in pairs)
+        cases.append((name, M, fam, pairs, None))
+    seen = set()
+    for name, M, fam, pairs, reported in cases:
+        gens = bicone_generators(M, fam).polynomials()
+        jacobian, reader = linalg.jacobian_at(gens), bicone._LineReader(fam)
+        for k, (x, y) in enumerate(pairs):
+            pt = liealg.dual_of(M, x) + liealg.dual_of(M, y)
+            want = sympy.Matrix([[g.diff(j).evaluate(pt) for j in range(len(pt))] for g in gens]).rank()
+            X, Y = (liealg.integer_dual_of(M, v) for v in (x, y))
+            assert linalg.rank(jacobian(pt)) == linalg.jacobian_rank(gens, pt) == want
+            assert linalg.rank(jacobian(X + Y)) == want
+            assert reader.jacobian_rank(reader.readings(M, x, y)) == want, (name, x, y)
+            assert reported is None or reported[k] == want
+            seen.add((name, want == len(gens)))
+    # full and deficient ranks on every algebra, the sl_3 bicone samples included
+    assert seen == {(name, full) for name, *_ in cases for full in (True, False)}
 
 
 def test_smoothness_report_lists_its_disagreements():

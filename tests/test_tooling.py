@@ -1,11 +1,12 @@
 """The runtime stays stdlib-only (pyproject.toml: dependencies = []) and has
 no hidden knobs: nothing in it reads the environment, and every random draw
 comes from a generator built from a seed.  Rationals become text only through
-reports.fractions_json.  The algebra layers below the
-Groebner engine do not import it, and no module but groebner calls it.  The README shows only commands that the
-command line accepts and a library quick start that runs, and the benchmark's
-workloads find every library name they call.  A failing Hypothesis test fails
-only itself under the repository's pytest settings."""
+reports.fractions_json.  The algebra layers below the Groebner engine do not
+import it, and no module but groebner calls it; only the bicone's full
+dimension check builds the 2n-variable bicone ideal.  The README shows only
+commands that the command line accepts and a library quick start that runs,
+and the benchmark's workloads find every library name they call.  A failing
+Hypothesis test fails only itself under the repository's pytest settings."""
 
 import argparse
 import ast
@@ -173,6 +174,30 @@ def test_only_groebner_calls_its_engine():
         if name in {"buchberger", "ideal_dimension"}
     ]
     assert calls == []
+
+
+def _callers(path: Path, name: str) -> list:
+    """The innermost def around each call to name in path (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == name):
+                found.append(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+def test_only_the_dimension_check_builds_the_bicone_ideal():
+    # membership, the pencil and the smoothness cross-check read a pair on its
+    # line; the 2n-variable ideal serves the full dimension check alone
+    calls = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _callers(path, "bicone_generators")]
+    assert calls == [("bicone", "bicone_dimension_check")]
 
 
 def _readme_command_lines():
