@@ -1,8 +1,9 @@
 """Shift families over centralizers of nilpotent elements.
 
-For a Jordan nilpotent e of gl_n: restrict each invariant generator to the
-slice e + g^f, keep the initial homogeneous component, move it to the dual
-of g^e through the pairing, and check the degree condition
+For a Jordan nilpotent e of gl_n: chart the slice e + g^f along the basis
+of g^f dual to g^e's, so the slice coordinates are g^e's dual coordinates;
+restrict each power trace tr(X^k) as the power trace of the chart's matrix,
+keep the initial homogeneous component, and check the degree condition
 sum(deg) = b(g^e).  When it holds, run the regular-sequence experiment over
 the centralizer at a seeded random regular point.
 """

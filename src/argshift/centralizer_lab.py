@@ -1,16 +1,16 @@
 """Shift families on centralizers of nilpotent elements.
 
-Pipeline: complete a Jordan-form nilpotent e of gl_n to an sl2-triple
-(blockwise), restrict each power trace once to the slice e + g^f, take the
-initial homogeneous component, carry it over to the dual of the centralizer
-g^e, and run the shift machinery over g^e.  liealg.kostant_slice builds the
-chart once per nilpotent; restriction and transport are each one substitution
-by a map the chart holds.  Where the power traces miss the degree condition
-(sum of initial degrees = b(g^e), the precondition of the regular-sequence
-experiment), Newton's identities on their restrictions give the char-poly
-coefficients on the slice.  ind g^e = rank g (Yakimova) fixes b(g^e), so it
-chooses the one family that is transported and certifies ind(g^e); the e = 0
-case reproduces the ambient-algebra verdict bit for bit.
+Pipeline: complete a Jordan-form nilpotent e of gl_n (Jordan partitions
+make it gl_n only) to an sl2-triple, restrict each power trace tr(X^k) to the
+slice e + g^f, take the initial homogeneous component, and run the shift
+machinery over g^e.  liealg.kostant_slice charts the slice in g^e's dual
+coordinates, and X at dual(s) is the matrix of s, so the restrictions are
+the power traces of the chart's matrix: one pass, no transport.  Where they
+miss the degree condition (sum of initial degrees = b(g^e), the precondition
+of the regular-sequence experiment), Newton's identities on them give the
+char-poly coefficients on the slice.  ind g^e = rank g (Yakimova) fixes
+b(g^e), so it chooses the one family that certifies ind(g^e); the e = 0 case
+reproduces the ambient-algebra verdict bit for bit.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from .groebner import (
     regular_sequence_verdict,
     time_left,
 )
-from .invariants import InvariantFamily, invariant_generators, power_sums_to_elementary
+from .invariants import InvariantFamily, power_sums_to_elementary, power_traces
 from .liealg import (
     InternalError,
     LieAlgebraData,
     SL2Triple,
     SliceChart,
-    centralizer,
     draw_regular_dual_point,
     index_of,
     jordan_blocks,
@@ -46,8 +45,10 @@ from .shift import mf_generators
 
 @dataclass
 class SliceRestriction:
+    """A restriction to the slice, in g^e's dual coordinates u (SliceChart)."""
+
     source_index: int
-    initial: Poly  # lowest homogeneous component in t_0..t_{m-1}, nonzero
+    initial: Poly  # lowest homogeneous component in u_0..u_{m-1}, nonzero
     initial_degree: int
     restricted: Poly  # the whole restriction to the slice
 
@@ -100,14 +101,8 @@ def nilpotent_from_partition(L: LieAlgebraData, partition) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# slice restrictions and transport
+# slice restrictions
 # ---------------------------------------------------------------------------
-
-
-def restrict_to_slice(p: Poly, chart: SliceChart, source_index: int = -1) -> SliceRestriction:
-    """Substitute x := dual(e + sum t_k v_k) (chart.images) and split off the
-    initial part."""
-    return _split_initial(p.substitute(chart.images), source_index)
 
 
 def _split_initial(restricted: Poly, source_index: int) -> SliceRestriction:
@@ -125,20 +120,12 @@ def _split_initial(restricted: Poly, source_index: int) -> SliceRestriction:
     )
 
 
-def transport_to_centralizer(
-    sr: SliceRestriction, chart: SliceChart, Lc: LieAlgebraData
-) -> Poly:
-    """Re-express the initial component as a polynomial on the centralizer dual.
-
-    The slice coordinate vector t and the dual coordinates u on g^e are
-    related by u = Gram . t, so the transport substitutes t = Gram^{-1} u
-    (chart.transport).  The result must be invariant over g^e; index_of
-    verifies that when _slice_pipeline certifies the centralizer's index
-    with it.
-    """
+def transport_to_centralizer(sr: SliceRestriction, chart: SliceChart, Lc: LieAlgebraData) -> Poly:
+    """The initial component on the centralizer dual: itself, as the chart's
+    coordinates are g^e's dual ones (SliceChart), once the dimensions agree."""
     if Lc.dim != len(chart.directions):
         raise ValueError("centralizer dimension does not match the slice chart")
-    return sr.initial.substitute(chart.transport)
+    return sr.initial
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +136,8 @@ def transport_to_centralizer(
 @dataclass
 class SlicePipeline:
     """Everything condition (*) computes, kept for reuse by the experiment:
-    family holds the restrictions' transports to g^e ordered by (initial
-    degree, source index), which certify ind(g^e) and which it shifts."""
+    family holds the initial components ordered by (initial degree, source
+    index), which certify ind(g^e) and which it shifts."""
 
     chart: SliceChart
     centralizer: LieAlgebraData
@@ -170,15 +157,16 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
             "element is not the Jordan nilpotent of its superdiagonal blocks; "
             "pass the block nilpotent from nilpotent_from_partition"
         )
-    fam = invariant_generators(L)
     chart = kostant_slice(L, triple)
-    Lc, _ = centralizer(L, e)
+    Lc = chart.centralizer
     # ind g^e = rank g (Yakimova, Funct. Anal. Appl. 40, 2006) fixes b(g^e)
     # before any certificate: it only chooses the family, index_of proves it
-    rank = len(fam.generators)
+    rank = L.meta["rank"]
     b_c = (Lc.dim + rank) // 2
     family_name = "power-traces"
-    restrictions = [restrict_to_slice(p, chart, i) for i, p in enumerate(fam.generators)]
+    # the restrictions of gl_n's invariants tr(X^k), k = 1..n
+    restrictions = [_split_initial(q, i) for i, q in
+                    enumerate(power_traces(chart.matrix, list(range(1, rank + 1))))]
     # the degree condition quantifies over a choice of free generators; the
     # power traces can miss the bound where the char-poly coefficients reach
     # it (first seen at partition (2,1,1) of gl_4)
@@ -190,13 +178,13 @@ def _slice_pipeline(L: LieAlgebraData, e) -> SlicePipeline:
     ordered = sorted(restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
     family = InvariantFamily(
         algebra=Lc,
-        generators=[transport_to_centralizer(sr, chart, Lc) for sr in ordered],
+        generators=[sr.initial for sr in ordered],
         degrees=[sr.initial_degree for sr in ordered],
     )
     idx = index_of(Lc, family.generators)
     if idx.mode != "exact" or idx.index != rank:
         raise InternalError(
-            f"transported {family_name} do not certify the centralizer index {rank} (bug)"
+            f"restricted {family_name} do not certify the centralizer index {rank} (bug)"
         )
     degrees = [sr.initial_degree for sr in restrictions]
     star = StarReport(
@@ -255,7 +243,7 @@ def conjecture_check(
 
     Requires condition (*) to hold (it is the hypothesis of the statement
     under test).  Draws a seeded random regular point of the centralizer
-    dual, builds the shift family from the transported initial components,
+    dual, builds the shift family from the restrictions' initial components,
     and runs the dimension verdict with n = dim g^e and k = b(g^e).
     timeout_secs bounds the whole call.
 

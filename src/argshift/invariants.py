@@ -34,24 +34,17 @@ def generic_dual_matrix(L: LieAlgebraData) -> list[list[Poly]]:
     """Matrix (in the defining representation) of a generic dual point.
 
     Entries are linear polynomials in the dual coordinates: the point with
-    coordinates x corresponds to the element form^{-1}.x, and the matrix is
-    the sum of defining matrices weighted by those linear forms.
+    coordinates x is the element form^{-1}.x, so this is liealg.affine_matrix
+    along the columns of form^{-1} (kostant_slice's chart at e = 0).
     """
-    n = L.dim
-    forminv = L.form_inverse()
-
-    def entry(a: int, b: int) -> Poly:
-        weights = [(mat[a][b], row) for mat, row in zip(L.defining, forminv) if mat[a][b]]
-        return Poly.linear_form(sum((w * row[c] for w, row in weights), Fraction(0))
-                                for c in range(n))
-
-    m = len(L.defining[0])
-    return [[entry(a, b) for b in range(m)] for a in range(m)]
+    columns = [list(col) for col in zip(*L.form_inverse())]
+    return liealg.affine_matrix(L, [Fraction(0)] * L.dim, columns)
 
 
-def _power_traces(X: list[list[Poly]], powers: list[int]) -> list[Poly]:
+def power_traces(X: list[list[Poly]], powers: list[int]) -> list[Poly]:
     """tr(X^k) for k in powers, as sum_{a,b} X^(k-1)[a][b] X[b][a]: one dot
-    product, so the largest power is never multiplied out."""
+    product, so the largest power is never multiplied out.  X may be any
+    polynomial matrix, such as a slice chart's (SliceChart.matrix)."""
     m = len(X)
     arity = X[0][0].arity
     packed = [[pack(p) for p in row] for row in X]
@@ -97,7 +90,7 @@ def invariant_generators(L: LieAlgebraData) -> InvariantFamily:
     else:
         raise liealg.LieAlgebraError(f"no invariant generators for type {kind!r}")
     X = generic_dual_matrix(L)
-    gens = _power_traces(X, powers)
+    gens = power_traces(X, powers)
     for p, d in zip(gens, powers):
         if p.is_zero() or not p.is_homogeneous() or p.total_degree() != d:
             raise liealg.InternalError(f"power trace of degree {d} is malformed (bug)")

@@ -84,16 +84,16 @@ class SL2Triple:
 
 @dataclass
 class SliceChart:
-    """Affine chart of the slice e + g^f: the g^e/g^f pairing data and the
-    substitutions images (x = dual(e + sum t_k v_k), v_k the directions) and
-    transport (t = Gram^-1 u, u the dual coordinates of g^e, as u = Gram . t).
+    """Affine chart of the slice e + g^f in the dual coordinates of g^e: the
+    directions v_b are dual to g^e's basis z_a, (z_a | v_b) = [a == b], and
+    (e | g^e) = 0, so e + sum u_b v_b pairs with z_a to give u_a.  A
+    restriction to the slice is thus already a polynomial on the dual of g^e.
     """
 
-    directions: list[Vector]  # basis of g^f
-    ge_basis: list[Vector]  # basis of g^e, rows of the pairing Gram matrix
-    pairing_gram: list[list[Fraction]]  # gram[a][b] = (ge_basis[a] | directions[b])
-    images: list[Poly]  # one per dual coordinate x_j, in t_0..t_{m-1}
-    transport: list[Poly]  # one per slice coordinate t_b, in u_0..u_{m-1}
+    centralizer: LieAlgebraData  # g^e, as centralizer(L, e) builds it
+    ge_basis: list[Vector]  # its basis vectors z_a inside L
+    directions: list[Vector]  # the basis v_b of g^f dual to ge_basis
+    matrix: list[list[Poly]]  # matrix of e + sum u_b v_b
 
 
 @dataclass
@@ -620,30 +620,38 @@ def principal_sl2(L: LieAlgebraData) -> SL2Triple:
     return t
 
 
+def affine_matrix(L: LieAlgebraData, base: Vector, directions: list[Vector]) -> list[list[Poly]]:
+    """Defining matrix of base + sum_b u_b directions[b]: each entry an affine
+    polynomial in u_0..u_{m-1}, m = len(directions)."""
+    const = matrix_of_coords(L, base)
+    mats = [matrix_of_coords(L, v) for v in directions]
+    return [[Poly.linear_form(mat[a][b] for mat in mats) + x for b, x in enumerate(row)]
+            for a, row in enumerate(const)]
+
+
 def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
     """Chart of e + g^f attached to the triple t (verified here).
 
-    The pairing Gram matrix between g^e and g^f must be invertible; this is
-    the nondegeneracy that makes the slice transversal.  For the zero triple
-    the slice is all of g: the directions are the standard basis and the
-    Gram matrix is the form.
+    g^e comes from centralizer(L, t.e).  The pairing Gram matrix between g^e
+    and g^f must be invertible (the slice is transversal); its inverse turns
+    ker(ad f) into the basis dual to g^e's.  For the zero triple the slice is
+    all of g and the chart's matrix is the generic dual matrix.
     """
     verify_sl2(L, t)
-    directions = linalg.nullspace(adjoint_matrix(L, t.f))
-    ge_basis = linalg.nullspace(adjoint_matrix(L, t.e))
-    if len(directions) != len(ge_basis):
+    Lc, ge_basis = centralizer(L, t.e)
+    kernel = linalg.nullspace(adjoint_matrix(L, t.f))
+    if len(kernel) != len(ge_basis):
         raise InternalError("dim g^f != dim g^e (bug)")
-    dual_dirs = [dual_of(L, v) for v in directions]
-    gram = [[sum((a * b for a, b in zip(u, w) if a and b), Fraction(0)) for w in dual_dirs]
-            for u in ge_basis]
+    dual_ge = [dual_of(L, z) for z in ge_basis]
+    gram = [[sum((a * b for a, b in zip(u, w) if a and b), Fraction(0)) for w in kernel]
+            for u in dual_ge]
     try:
         gram_inv = linalg.invert(gram)
     except ValueError:
         raise LieAlgebraError("degenerate g^e x g^f pairing: form is not invariant") from None
-    base = dual_of(L, t.e)
-    images = [Poly.linear_form(column) + x for column, x in zip(zip(*dual_dirs), base)]
-    transport = [Poly.linear_form(row) for row in gram_inv]
-    return SliceChart(directions, ge_basis, gram, images, transport)
+    # v_b = sum_c kernel[c] * gram_inv[c][b], so (z_a | v_b) = (gram . gram_inv)[a][b]
+    directions = [linalg.mat_vec(list(zip(*kernel)), column) for column in zip(*gram_inv)]
+    return SliceChart(Lc, ge_basis, directions, affine_matrix(L, t.e, directions))
 
 
 # ---------------------------------------------------------------------------

@@ -40,3 +40,17 @@ def _shift_matches_bigraded(p: Poly, xi, j: int) -> bool:
 @pytest.fixture(scope="session")
 def shift_matches_bigraded():
     return _shift_matches_bigraded
+
+
+def _slice_substitution(L, chart, e, p: Poly) -> Poly:
+    """p restricted to the slice e + g^f by substitution, x = dual(e + sum u_b v_b)
+    over the chart's directions v_b: the reference for the power-trace route."""
+    duals = [liealg.dual_of(L, v) for v in chart.directions]
+    images = [Poly.linear_form(column) + x
+              for column, x in zip(zip(*duals), liealg.dual_of(L, e))]
+    return p.substitute(images)
+
+
+@pytest.fixture(scope="session")
+def slice_substitution():
+    return _slice_substitution

@@ -4,17 +4,23 @@ import pytest
 
 from argshift.centralizer_lab import (
     _slice_pipeline,
+    _split_initial,
     all_partitions,
     condition_star,
     conjecture_check,
     nilpotent_from_partition,
-    restrict_to_slice,
     transport_to_centralizer,
 )
 from argshift import centralizer_lab, liealg, linalg
 from argshift.exactpoly import Poly
 from argshift.groebner import regular_sequence_verdict
-from argshift.invariants import invariant_generators, power_sums_to_elementary, verify_invariance
+from argshift.invariants import (
+    generic_dual_matrix,
+    invariant_generators,
+    power_sums_to_elementary,
+    power_traces,
+    verify_invariance,
+)
 from argshift.liealg import (
     build_classical,
     centralizer,
@@ -29,6 +35,7 @@ from argshift.liealg import (
 from argshift.shift import mf_generators
 
 PARTITIONS3 = [(1, 1, 1), (2, 1), (3,)]
+GL_PARTITIONS = [(n, part) for n in (2, 3, 4, 5) for part in all_partitions(n)]
 
 
 def test_nilpotent_from_partition(algebras):
@@ -102,27 +109,57 @@ def test_condition_star_rejects_non_nilpotent(algebras):
         condition_star(L, d)
 
 
-def test_restriction_for_zero_element_is_identity(algebras, families):
+def test_restriction_for_zero_element_is_identity(algebras, families, slice_substitution):
     L = algebras[("gl", 3)]
+    zero = [Fraction(0)] * L.dim
     chart = kostant_slice(L, jordan_triple(L, (1, 1, 1)))
     standard = [[Fraction(int(i == j)) for i in range(L.dim)] for j in range(L.dim)]
-    assert chart.directions == chart.ge_basis == standard
-    assert chart.pairing_gram == L.form
-    for p in families[("gl", 3)].generators:
-        sr = restrict_to_slice(p, chart)
-        # with e = 0 the substitution is x = form . t, a linear change only
-        assert sr.initial_degree == p.total_degree()
-        assert p.substitute(chart.images) == sr.initial
+    assert chart.centralizer is L and chart.ge_basis == standard
+    # the basis dual to the standard one is the columns of form^-1, so the
+    # chart's matrix is the generic dual matrix
+    assert chart.directions == [list(col) for col in zip(*L.form_inverse())]
+    assert chart.matrix == generic_dual_matrix(L)
+    fam = families[("gl", 3)]
+    for p in fam.generators:
+        # with e = 0 the substitution is x = form . form^-1 u = u
+        assert slice_substitution(L, chart, zero, p) == p
+    # and the pipeline's family is the power traces themselves
+    pipe = _slice_pipeline(L, zero)
+    assert pipe.family.generators == power_traces(chart.matrix, fam.degrees) == fam.generators
 
 
-def test_sl2_casimir_restriction_is_linear(algebras, families, triples):
+def test_sl2_casimir_restriction_is_linear(algebras, families, triples, slice_substitution):
     L = algebras[("sl", 2)]
-    chart = kostant_slice(L, triples[("sl", 2)])
+    t = triples[("sl", 2)]
+    chart = kostant_slice(L, t)
     casimir = families[("sl", 2)].generators[0]
-    sr = restrict_to_slice(casimir, chart)
-    assert sr.initial_degree == 1
-    # tr((e + t f)^2) = 2t(e|f): purely linear
-    assert casimir.substitute(chart.images) == sr.initial
+    # g^e is spanned by e, and its dual direction v has (e | v) = 1, v^2 = 0:
+    # tr((e + u v)^2) = 2u(e|v) = 2u is purely linear
+    assert chart.ge_basis == [t.e]
+    assert power_traces(chart.matrix, [2]) == [Poly.linear_form([2])]
+    assert slice_substitution(L, chart, t.e, casimir) == Poly.linear_form([2])
+
+
+@pytest.mark.parametrize("n, part", GL_PARTITIONS)
+def test_power_traces_of_the_chart_matrix_are_the_restrictions(n, part, slice_substitution):
+    # the power traces of the chart's matrix equal the power traces
+    # restricted by substitution; the pipeline's restrictions and their
+    # initial parts (power traces, or the char-poly coefficients by Newton's
+    # identities in the ambient ring) equal the same reference
+    L = build_classical("gl", n)
+    e = nilpotent_from_partition(L, part)
+    chart = kostant_slice(L, jordan_triple(L, part))
+    fam = invariant_generators(L)
+    reference = [slice_substitution(L, chart, e, p) for p in fam.generators]
+    assert power_traces(chart.matrix, fam.degrees) == reference
+    pipe = _slice_pipeline(L, e)
+    if pipe.star.generator_family == "char-coefficients":
+        reference = [slice_substitution(L, chart, e, q)
+                     for q in power_sums_to_elementary(fam.generators)]
+    assert [sr.restricted for sr in pipe.restrictions] == reference
+    ordered = sorted(pipe.restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
+    assert pipe.family.generators == [
+        _split_initial(reference[sr.source_index], sr.source_index).initial for sr in ordered]
 
 
 def test_condition_star_gl3(algebras):
@@ -151,23 +188,23 @@ def test_transport_is_invariant(algebras):
 
 def test_transport_identity_for_zero(algebras, families):
     L = algebras[("gl", 3)]
-    chart = kostant_slice(L, jordan_triple(L, (1, 1, 1)))
-    Lc, _ = centralizer(L, [Fraction(0)] * 9)
-    for p in families[("gl", 3)].generators:
-        sr = restrict_to_slice(p, chart, source_index=0)
-        assert transport_to_centralizer(sr, chart, Lc) == p
+    pipe = _slice_pipeline(L, [Fraction(0)] * L.dim)
+    assert pipe.centralizer is L
+    for sr, p in zip(pipe.restrictions, families[("gl", 3)].generators):
+        assert transport_to_centralizer(sr, pipe.chart, pipe.centralizer) == p
+    with pytest.raises(ValueError, match="does not match the slice chart"):
+        transport_to_centralizer(sr, pipe.chart, algebras[("gl", 2)])
 
 
 def test_chart_maps_need_no_dual_or_inverse_after_kostant_slice(monkeypatch):
-    # kostant_slice computes the duals and the Gram inverse once; restriction
-    # and transport only substitute the chart's maps.  The reference runs
-    # Newton's identities in the ambient ring and restricts the char-poly
-    # coefficients, where the pipeline forms them on the slice
-    cases = []
+    # kostant_slice computes the duals and the Gram inverse once; the
+    # restrictions are read from the chart's matrix alone.  These partitions
+    # take the char-poly coefficients (test_gl4_2_1_1_needs_char_coefficients),
+    # formed on the slice by Newton's identities
+    pipes = []
     for n, part in [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1))]:
         L = build_classical("gl", n)
-        pipe = _slice_pipeline(L, nilpotent_from_partition(L, part))
-        cases.append((pipe, invariant_generators(L).generators))
+        pipes.append(_slice_pipeline(L, nilpotent_from_partition(L, part)))
 
     def refuse(*args):
         raise AssertionError("recomputed after kostant_slice")
@@ -175,33 +212,37 @@ def test_chart_maps_need_no_dual_or_inverse_after_kostant_slice(monkeypatch):
     for module, name in [(liealg, "dual_of"), (linalg, "invert")]:
         monkeypatch.setattr(module, name, refuse)
 
-    def moved(pipe, family):
-        return [transport_to_centralizer(restrict_to_slice(p, pipe.chart, i), pipe.chart,
-                                         pipe.centralizer) for i, p in enumerate(family)]
-
-    for pipe, fam in cases:
-        assert len(moved(pipe, fam)) == len(fam)
-        # these partitions take the char-poly coefficients (test_gl4_2_1_1_needs_char_coefficients),
-        # and the pipeline's family lists them by (initial degree, source index)
+    for pipe in pipes:
         assert pipe.star.generator_family == "char-coefficients"
-        char = moved(pipe, power_sums_to_elementary(fam))
+        traces = power_traces(pipe.chart.matrix, list(range(1, len(pipe.restrictions) + 1)))
+        char = power_sums_to_elementary(traces)
+        assert [sr.restricted for sr in pipe.restrictions] == char
+        # the pipeline's family lists the initial components by (initial degree, source index)
         ordered = sorted(pipe.restrictions, key=lambda sr: (sr.initial_degree, sr.source_index))
-        assert [char[sr.source_index] for sr in ordered] == pipe.family.generators
+        assert [_split_initial(char[sr.source_index], 0).initial
+                for sr in ordered] == pipe.family.generators
         assert [sr.initial_degree for sr in ordered] == pipe.family.degrees
 
 
 def test_pipeline_restricts_once_and_certifies_once(monkeypatch):
-    # gl_4 (2,1,1) falls back to the char-poly coefficients: each power trace
-    # is restricted once, Newton's identities run on the restrictions, and
-    # only the chosen family is transported and certified
+    # gl_4 (2,1,1) falls back to the char-poly coefficients: ker(ad e) is
+    # computed once, the power traces are restricted by one pass over the
+    # chart's matrix with no substitution, Newton's identities run on the
+    # restrictions, and only the chosen family is certified
     L = build_classical("gl", 4)
     e = nilpotent_from_partition(L, (2, 1, 1))
-    substituted, newton, certified = [], [], []
-    real_substitute, real_newton, real_index = Poly.substitute, power_sums_to_elementary, index_of
+    ad_e = liealg.adjoint_matrix(L, e)
+    substituted, traced, newton, certified, kernels = [], [], [], [], []
+    real_substitute, real_traces = Poly.substitute, power_traces
+    real_newton, real_index, real_nullspace = power_sums_to_elementary, index_of, linalg.nullspace
 
     def substitute(self, images):
         substituted.append(self.arity)
         return real_substitute(self, images)
+
+    def traces(X, powers):
+        traced.append(X[0][0].arity)
+        return real_traces(X, powers)
 
     def elementary(polys):
         newton.append({p.arity for p in polys})
@@ -211,16 +252,24 @@ def test_pipeline_restricts_once_and_certifies_once(monkeypatch):
         certified.append(args)
         return real_index(*args)
 
+    def nullspace(rows):
+        kernels.append(rows == ad_e)
+        return real_nullspace(rows)
+
     monkeypatch.setattr(Poly, "substitute", substitute)
+    monkeypatch.setattr(centralizer_lab, "power_traces", traces)
     monkeypatch.setattr(centralizer_lab, "power_sums_to_elementary", elementary)
     monkeypatch.setattr(centralizer_lab, "index_of", index)
     monkeypatch.setattr(liealg, "index_of", index)
+    monkeypatch.setattr(linalg, "nullspace", nullspace)
     pipe = _slice_pipeline(L, e)
     m = pipe.centralizer.dim
     assert pipe.star.generator_family == "char-coefficients"
-    assert substituted == [L.dim] * 4 + [m] * 4
+    assert substituted == []
+    assert traced == [m]
     assert newton == [{m}]
     assert len(certified) == 1
+    assert kernels.count(True) == 1
 
 
 def test_conjecture_rows_gl3(algebras):
@@ -311,34 +360,30 @@ def test_pipeline_certifies_every_centralizer_index(n):
 
 def test_zero_element_certifies_with_the_transported_family(algebras, monkeypatch):
     # for e = 0 the centralizer is gl_3 itself, whose exact index is memoized;
-    # the transported family must still be checked, so a planted non-central
+    # the restricted family must still be checked, so a planted non-central
     # generator x1 * tr(X) is caught
     L = algebras[("gl", 3)]
     index_of(L)
-    real = centralizer_lab.transport_to_centralizer
+    real = centralizer_lab.power_traces
 
-    def planted(sr, chart, Lc):
-        q = real(sr, chart, Lc)
-        return q * Poly.variable(Lc.dim, 1) if sr.source_index == 0 else q
+    def planted(X, powers):
+        first, *rest = real(X, powers)
+        return [first * Poly.variable(first.arity, 1), *rest]
 
-    monkeypatch.setattr(centralizer_lab, "transport_to_centralizer", planted)
+    monkeypatch.setattr(centralizer_lab, "power_traces", planted)
     with pytest.raises(liealg.InternalError, match="not Poisson-central"):
         condition_star(L, nilpotent_from_partition(L, (1, 1, 1)))
     assert index_of(L).mode == "exact"
 
 
 def test_dependent_transported_family_leaves_index_sampled():
-    # the four power traces of gl_4 transported to the (2,1,1) centralizer
+    # the initial components of gl_4's four power traces on the (2,1,1) slice
     # have Jacobian rank 3, one short of the index 4, so they certify nothing
     L = build_classical("gl", 4)
-    part = (2, 1, 1)
-    chart = kostant_slice(L, jordan_triple(L, part))
-    Lc, _ = centralizer(L, nilpotent_from_partition(L, part))
-    traces = [
-        transport_to_centralizer(restrict_to_slice(p, chart), chart, Lc)
-        for p in invariant_generators(L).generators
-    ]
-    rep = index_of(Lc, traces)
+    chart = kostant_slice(L, jordan_triple(L, (2, 1, 1)))
+    traces = [_split_initial(q, i).initial
+              for i, q in enumerate(power_traces(chart.matrix, [1, 2, 3, 4]))]
+    rep = index_of(chart.centralizer, traces)
     assert (rep.mode, rep.index) == ("sampled", 4)
 
 

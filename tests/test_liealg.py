@@ -428,13 +428,38 @@ def test_principal_span_points_are_regular(algebras, triples):
             assert is_regular_point(L, dual_of(L, v))
 
 
+def _pairing(L, chart):
+    """(ge_basis[a] | directions[b]) for every a, b."""
+    return [[sum(x * y for x, y in zip(dual_of(L, z), v)) for v in chart.directions]
+            for z in chart.ge_basis]
+
+
+def _identity(m):
+    return [[Fraction(int(a == b)) for b in range(m)] for a in range(m)]
+
+
 def test_kostant_slice_dimensions(algebras, triples):
     for spec, expected in [(("sl", 2), 1), (("sl", 3), 2), (("gl", 3), 3)]:
         L = algebras[spec]
         chart = kostant_slice(L, triples[spec])
         assert len(chart.directions) == expected
-        assert len(chart.ge_basis) == expected
-        assert linalg.rank(chart.pairing_gram) == expected
+        assert len(chart.ge_basis) == expected == chart.centralizer.dim
+        assert _pairing(L, chart) == _identity(expected)
+
+
+def test_slice_directions_are_dual_to_the_centralizer_basis(algebras, triples):
+    # (ge_basis[a] | directions[b]) = [a == b] and (e | g^e) = 0, so the slice
+    # point e + sum u_b v_b pairs with ge_basis[a] to give u_a
+    cases = [(algebras[spec], triples[spec]) for spec in [("sl", 2), ("sl", 3), ("gl", 3), ("sp", 4)]]
+    so5 = build_classical("so", 5)
+    cases.append((so5, principal_sl2(so5)))
+    gl4 = build_classical("gl", 4)
+    cases += [(gl4, liealg.jordan_triple(gl4, part))
+              for part in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]]
+    for L, t in cases:
+        chart = kostant_slice(L, t)
+        assert _pairing(L, chart) == _identity(len(chart.ge_basis))
+        assert not any(sum(x * y for x, y in zip(dual_of(L, z), t.e)) for z in chart.ge_basis)
 
 
 def test_kostant_slice_rejects_degenerate_pairing(algebras, triples):

@@ -3,7 +3,9 @@ no hidden knobs: nothing in it reads the environment, and every random draw
 comes from a generator built from a seed.  Rationals become text only through
 reports.fractions_json.  The algebra layers below the Groebner engine do not
 import it, and no module but groebner calls it; only the bicone's full
-dimension check builds the 2n-variable bicone ideal.  The README shows only
+dimension check builds the 2n-variable bicone ideal, and only
+shift.bigraded_components substitutes into a polynomial (the slice pipeline
+reads its restrictions from the chart's matrix).  The README shows only
 commands that the command line accepts and a library quick start that runs,
 and the benchmark's workloads find every library name they call.  A failing
 Hypothesis test fails only itself under the repository's pytest settings."""
@@ -198,6 +200,14 @@ def test_only_the_dimension_check_builds_the_bicone_ideal():
     calls = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
              for owner in _callers(path, "bicone_generators")]
     assert calls == [("bicone", "bicone_dimension_check")]
+
+
+def test_only_bigraded_components_substitutes():
+    # the slice pipeline restricts by power traces of the chart's matrix, and
+    # its chart's coordinates are already g^e's dual ones
+    calls = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _callers(path, "substitute")]
+    assert calls == [("shift", "bigraded_components")]
 
 
 def _readme_command_lines():
