@@ -58,7 +58,7 @@ class LieAlgebraData:
 
     # per-algebra memos: "index", "form_inverse", "structure_rows" (B(x) packed, see
     # poisson), "invariants", "coords" (see coords_of_matrix), "integer_form" (see
-    # integer_dual_of)
+    # integer_dual_of), "defining_entries" (see matrix_of_coords)
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -117,10 +117,27 @@ class IndexReport:
 
 
 def bracket(L: LieAlgebraData, x: Vector, y: Vector) -> Vector:
-    """[x, y] = (ad x) . y: column j of ad x is [x, b_j]."""
+    """[x, y] = sum x_i y_j [b_i, b_j] over the nonzero entries of x and y,
+    read from the structure constants (no ad x is formed)."""
     if len(x) != L.dim or len(y) != L.dim:
         raise LieAlgebraError("vector length mismatch")
-    return linalg.mat_vec(adjoint_matrix(L, x), y)
+    terms = _bracket_terms(L, _nonzero(x), _nonzero(y))
+    return [terms.get(k, Fraction(0)) for k in range(L.dim)]
+
+
+def _nonzero(v: Vector) -> list[tuple[int, Fraction]]:
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _bracket_terms(L: LieAlgebraData, xs, ys) -> dict[int, Fraction]:
+    """[x, y] as {k: coefficient}, from the nonzero entries (i, x_i) of x and
+    (j, y_j) of y; a coefficient may cancel to 0."""
+    out: dict[int, Fraction] = {}
+    for i, a in xs:
+        for j, b in ys:
+            for k, c in L.bracket_basis(i, j).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return out
 
 
 def adjoint_matrix(L: LieAlgebraData, x: Vector) -> list[list[Fraction]]:
@@ -387,26 +404,76 @@ def validate(L: LieAlgebraData) -> None:
 
 
 def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vector]]:
-    """The subalgebra ker(ad e), built by _from_matrices from the defining
-    matrices of its basis vectors: L's form is the trace form of its faithful
-    defining representation, so the induced constants and form are L's.
+    """The subalgebra ker(ad e), read from L's structure constants and form.
+
+    The basis z_k is the reduced row-echelon kernel basis, ordered by pivot.
+    Each z_k is 1 at its free column c_k and 0 at every other vector's free
+    column, so a vector of the span has coordinates its entries at
+    c_0..c_{m-1}: c_ij^k is the entry of [z_i, z_j] (formed over the nonzero
+    entries of z_i and z_j) at c_k, and the bracket must equal
+    sum_k c_ij^k z_k, else InternalError.  The form is (z_i | z_j) and the
+    defining matrices are L's matrices of the z_k, so the algebra equals the
+    matrix subalgebra that _from_matrices would build from them.
 
     Returns (algebra, embedding) where embedding is the list of basis vectors
-    of the centralizer inside L (reduced row-echelon kernel basis, ordered by
-    pivot).  For e = 0 this is L itself with the identity embedding.
+    of the centralizer inside L.  For e = 0 this is L itself with the
+    identity embedding.
     """
     if len(e) != L.dim:
         raise LieAlgebraError("vector length mismatch")
     if not any(e):
         return L, [[Fraction(int(i == j)) for j in range(L.dim)] for i in range(L.dim)]
     kernel = linalg.nullspace(adjoint_matrix(L, e))
-    mats = [matrix_of_coords(L, v) for v in kernel]
+    m = len(kernel)
+    # the columns where the kernel matrix is the identity: z_k is 1 there, all others 0
+    alone = [sum(map(bool, column)) == 1 for column in zip(*kernel)]
+    cols = []
+    for k, z in enumerate(kernel):
+        c = next((c for c, x in enumerate(z) if x == 1 and alone[c]), None)
+        if c is None:
+            raise InternalError(f"kernel vector {k} has no identity column (bug)")
+        cols.append(c)
+    sparse = [_nonzero(z) for z in kernel]
+    structure = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            br = _bracket_terms(L, sparse[i], sparse[j])
+            comps = {k: br[c] for k, c in enumerate(cols) if br.get(c)}
+            for k, c in comps.items():
+                for a, x in sparse[k]:
+                    br[a] = br.get(a, 0) - c * x
+            if any(br.values()):
+                raise InternalError("centralizer is not closed under bracket (bug)")
+            if comps:
+                structure[(i, j)] = comps
     meta = {"type": "centralizer", "parent_type": L.meta.get("type"),
             "parent_size": L.meta.get("size"), "rank": None}
-    try:
-        return _from_matrices(mats, [f"z{i}" for i in range(len(mats))], meta), kernel
-    except LieAlgebraError:
-        raise InternalError("centralizer is not closed under bracket (bug)") from None
+    Lc = LieAlgebraData(dim=m, basis_labels=[f"z{i}" for i in range(m)], structure=structure,
+                        form=_pairings(L, kernel, kernel), meta=meta,
+                        defining=[matrix_of_coords(L, z) for z in kernel])
+    return Lc, kernel
+
+
+def _pairings(L: LieAlgebraData, us: list[Vector], ws: list[Vector]) -> list[list[Fraction]]:
+    """(u | w) = u^T form w for u in us (rows) and w in ws (columns), summed
+    over the nonzero entries of u, the form and w only."""
+    form_rows = [_nonzero(row) for row in L.form]
+    by_column: dict[int, list[tuple[int, Fraction]]] = {}  # j: the (b, ws[b][j]) that are nonzero
+    for b, w in enumerate(ws):
+        for j, y in _nonzero(w):
+            by_column.setdefault(j, []).append((b, y))
+    out = []
+    for u in us:
+        d: dict[int, Fraction] = {}  # u^T form
+        for i, x in _nonzero(u):
+            for k, f in form_rows[i]:
+                d[k] = d.get(k, 0) + x * f
+        row = linalg.zeros_vector(len(ws))
+        for j, dj in d.items():
+            for b, y in by_column.get(j, ()):
+                row[b] += dj * y
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,17 +642,26 @@ def coords_of_matrix(L: LieAlgebraData, mat) -> Vector:
 
 
 def matrix_of_coords(L: LieAlgebraData, v: Vector):
-    """Defining-representation matrix of an element given by coordinates."""
-    m = len(L.defining[0])
-    out = _mat_zero(m)
-    for coef, bm in zip(v, L.defining):
+    """Defining-representation matrix of an element given by coordinates,
+    summed over the nonzero entries of v and of the basis matrices."""
+    out = _mat_zero(len(L.defining[0]))
+    for coef, entries in zip(v, _defining_entries(L)):
         if coef:
             coef = Fraction(coef)
-            for row, b_row in zip(out, bm):
-                for b, x in enumerate(b_row):
-                    if x:
-                        row[b] += coef * x
+            for a, b, x in entries:
+                out[a][b] += coef * x
     return out
+
+
+def _defining_entries(L: LieAlgebraData) -> list[list[tuple[int, int, Fraction]]]:
+    """The nonzero entries (row, column, value) of each defining matrix,
+    memoized per algebra."""
+    entries = L._caches.get("defining_entries")
+    if entries is None:
+        entries = L._caches["defining_entries"] = [
+            [(a, b, x) for a, row in enumerate(mat) for b, x in enumerate(row) if x]
+            for mat in L.defining]
+    return entries
 
 
 def verify_sl2(L: LieAlgebraData, t: SL2Triple) -> None:
@@ -622,19 +698,31 @@ def principal_sl2(L: LieAlgebraData) -> SL2Triple:
 
 def affine_matrix(L: LieAlgebraData, base: Vector, directions: list[Vector]) -> list[list[Poly]]:
     """Defining matrix of base + sum_b u_b directions[b]: each entry an affine
-    polynomial in u_0..u_{m-1}, m = len(directions)."""
-    const = matrix_of_coords(L, base)
-    mats = [matrix_of_coords(L, v) for v in directions]
-    return [[Poly.linear_form(mat[a][b] for mat in mats) + x for b, x in enumerate(row)]
-            for a, row in enumerate(const)]
+    polynomial in u_0..u_{m-1}, m = len(directions), its term map built
+    directly from the nonzero entries of the defining matrices (linear terms
+    by variable, then the constant)."""
+    m = len(directions)
+    units = [tuple(int(k == b) for k in range(m)) for b in range(m)]
+    basis = _defining_entries(L)
+    size = len(L.defining[0])
+    terms: list[list[dict]] = [[{} for _ in range(size)] for _ in range(size)]
+    for unit, v in [*zip(units, directions), ((0,) * m, base)]:
+        for coef, entries in zip(v, basis):
+            if coef:
+                for a, b, x in entries:
+                    t = terms[a][b]
+                    t[unit] = t.get(unit, 0) + coef * x
+    return [[Poly(m, t) for t in row] for row in terms]
 
 
 def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
     """Chart of e + g^f attached to the triple t (verified here).
 
-    g^e comes from centralizer(L, t.e).  The pairing Gram matrix between g^e
-    and g^f must be invertible (the slice is transversal); its inverse turns
-    ker(ad f) into the basis dual to g^e's.  For the zero triple the slice is
+    g^e comes from centralizer(L, t.e), g^f from the kernel of ad f.  The
+    pairing Gram matrix between them must be invertible (the slice is
+    transversal); its inverse turns ker(ad f) into the basis dual to g^e's.
+    The Gram matrix and the directions are formed over nonzero entries, and
+    the chart's matrix by affine_matrix.  For the zero triple the slice is
     all of g and the chart's matrix is the generic dual matrix.
     """
     verify_sl2(L, t)
@@ -642,15 +730,17 @@ def kostant_slice(L: LieAlgebraData, t: SL2Triple) -> SliceChart:
     kernel = linalg.nullspace(adjoint_matrix(L, t.f))
     if len(kernel) != len(ge_basis):
         raise InternalError("dim g^f != dim g^e (bug)")
-    dual_ge = [dual_of(L, z) for z in ge_basis]
-    gram = [[sum((a * b for a, b in zip(u, w) if a and b), Fraction(0)) for w in kernel]
-            for u in dual_ge]
     try:
-        gram_inv = linalg.invert(gram)
+        gram_inv = linalg.invert(_pairings(L, ge_basis, kernel))
     except ValueError:
         raise LieAlgebraError("degenerate g^e x g^f pairing: form is not invariant") from None
     # v_b = sum_c kernel[c] * gram_inv[c][b], so (z_a | v_b) = (gram . gram_inv)[a][b]
-    directions = [linalg.mat_vec(list(zip(*kernel)), column) for column in zip(*gram_inv)]
+    directions = [linalg.zeros_vector(L.dim) for _ in kernel]
+    for row, w in zip(gram_inv, kernel):
+        for v, g in zip(directions, row):
+            if g:
+                for j, x in _nonzero(w):
+                    v[j] += g * x
     return SliceChart(Lc, ge_basis, directions, affine_matrix(L, t.e, directions))
 
 

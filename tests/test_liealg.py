@@ -20,6 +20,7 @@ from argshift.liealg import (
     principal_sl2,
 )
 from argshift import linalg
+from argshift.centralizer_lab import all_partitions, nilpotent_from_partition
 from argshift.exactpoly import InternalError, Poly
 
 
@@ -158,6 +159,19 @@ def test_gl3_elementary_bracket(algebras):
     assert out == basis_vec(9, i13)
 
 
+def test_bracket_equals_the_adjoint_matrix_product(algebras):
+    # bracket reads the structure constants over the nonzero entries of x and
+    # y; the dense product (ad x) . y is the reference
+    gl3 = algebras[("gl", 3)]
+    cases = [*algebras.values(), centralizer(gl3, nilpotent_from_partition(gl3, (2, 1)))[0]]
+    rng = random.Random(17)
+    for L in cases:
+        for _ in range(10):
+            x, y = ([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6
+                     else Fraction(0) for _ in range(L.dim)] for _ in range(2))
+            assert bracket(L, x, y) == linalg.mat_vec(adjoint_matrix(L, x), y)
+
+
 def test_adjoint_of_h_is_diagonal(algebras):
     L = algebras[("sl", 2)]
     h = basis_vec(3, 1)
@@ -276,6 +290,70 @@ def test_centralizer_closure_failure_is_internal_error(algebras, monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", lambda rows: [e12, e21])
     with pytest.raises(liealg.InternalError, match="not closed under bracket"):
         centralizer(L, e12)
+
+
+def test_kernel_without_an_identity_column_is_internal_error(algebras, monkeypatch):
+    L = algebras[("gl", 3)]
+    e12 = basis_vec(9, L.basis_labels.index("E12"))
+    # a planted kernel vector with no entry 1: no column reads its coordinate
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: [[2 * x for x in e12]])
+    with pytest.raises(InternalError, match="no identity column"):
+        centralizer(L, e12)
+
+
+def _dense_matrix(L, v):
+    """sum_i v_i * defining[i] over every entry: the reference for matrix_of_coords."""
+    m = len(L.defining[0])
+    return [[sum((c * mat[a][b] for c, mat in zip(v, L.defining)), Fraction(0)) for b in range(m)]
+            for a in range(m)]
+
+
+def _reference_slice(L, t):
+    """The slice chart by dense products, the reference for the sparse one:
+    g^e is _from_matrices on its kernel vectors' defining matrices, the Gram
+    matrix pairs dual_of(z) with ker(ad f), the directions are mat_vec of the
+    kernel matrix, and each entry of the chart's matrix is a
+    Poly.linear_form plus the constant.  Returns (g^e, its basis, the
+    directions, the chart's matrix)."""
+    if any(t.e):
+        ge = linalg.nullspace(adjoint_matrix(L, t.e))
+        meta = {"type": "centralizer", "parent_type": L.meta["type"],
+                "parent_size": L.meta["size"], "rank": None}
+        Lc = liealg._from_matrices([_dense_matrix(L, z) for z in ge],
+                                   [f"z{i}" for i in range(len(ge))], meta)
+    else:
+        Lc, ge = L, [basis_vec(L.dim, i) for i in range(L.dim)]
+    gf = linalg.nullspace(adjoint_matrix(L, t.f))
+    gram = [[sum((a * b for a, b in zip(dual_of(L, z), w)), Fraction(0)) for w in gf] for z in ge]
+    directions = [linalg.mat_vec(list(zip(*gf)), column) for column in zip(*linalg.invert(gram))]
+    mats = [_dense_matrix(L, v) for v in directions]
+    matrix = [[Poly.linear_form(mat[a][b] for mat in mats) + x for b, x in enumerate(row)]
+              for a, row in enumerate(_dense_matrix(L, t.e))]
+    return Lc, ge, directions, matrix
+
+
+SLICE_CASES = [*((("gl", n), part) for n in (2, 3, 4, 5) for part in all_partitions(n)),
+               (("sl", 3), "principal"), (("sp", 4), "principal"), (("so", 5), "principal")]
+
+
+@pytest.mark.parametrize("case", SLICE_CASES, ids=_centralizer_case_id)
+def test_centralizer_and_chart_equal_the_dense_reference(case):
+    # object for object, term maps in order: the free-column reading of g^e
+    # and the sparse chart change no report
+    spec, part = case
+    L = build_classical(*spec)
+    t = principal_sl2(L) if part == "principal" else liealg.jordan_triple(L, part)
+    ref_c, ref_ge, ref_directions, ref_matrix = _reference_slice(L, t)
+    chart = kostant_slice(L, t)
+    for Lc, ge in [centralizer(L, t.e), (chart.centralizer, chart.ge_basis)]:
+        assert ge == ref_ge
+        assert (Lc.dim, Lc.basis_labels, Lc.meta) == (ref_c.dim, ref_c.basis_labels, ref_c.meta)
+        assert [(key, list(comps.items())) for key, comps in Lc.structure.items()] == [
+            (key, list(comps.items())) for key, comps in ref_c.structure.items()]
+        assert (Lc.form, Lc.defining) == (ref_c.form, ref_c.defining)
+    assert chart.directions == ref_directions
+    assert [[(p.arity, list(p.terms.items())) for p in row] for row in chart.matrix] == [
+        [(p.arity, list(p.terms.items())) for p in row] for row in ref_matrix]
 
 
 def test_index_values(algebras):
@@ -462,12 +540,27 @@ def test_slice_directions_are_dual_to_the_centralizer_basis(algebras, triples):
         assert not any(sum(x * y for x, y in zip(dual_of(L, z), t.e)) for z in chart.ge_basis)
 
 
-def test_kostant_slice_rejects_degenerate_pairing(algebras, triples):
+def test_kostant_slice_rejects_degenerate_pairing(algebras, triples, monkeypatch):
     L = algebras[("sl", 2)]
     zero_form = [[Fraction(0)] * L.dim for _ in range(L.dim)]
     flat = LieAlgebraData(L.dim, L.basis_labels, L.structure, zero_form, dict(L.meta), L.defining)
     with pytest.raises(LieAlgebraError, match="degenerate g\\^e x g\\^f pairing"):
         kostant_slice(flat, triples[("sl", 2)])
+    # and, under L's own form, a planted g^f equal to g^e = span(e): (e | e) = 0
+    t = triples[("sl", 2)]
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: [t.e])
+    with pytest.raises(LieAlgebraError, match="degenerate g\\^e x g\\^f pairing"):
+        kostant_slice(L, t)
+
+
+def test_kostant_slice_rejects_unequal_dimensions(algebras, triples, monkeypatch):
+    L, t = algebras[("sl", 3)], triples[("sl", 3)]
+    ad_f, real = adjoint_matrix(L, t.f), linalg.nullspace
+    # a planted g^f one vector short of g^e
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows: real(rows)[:-1] if rows == ad_f else real(rows))
+    with pytest.raises(InternalError, match="dim g\\^f != dim g\\^e"):
+        kostant_slice(L, t)
 
 
 def test_sl2_slice_direction_is_f(algebras, triples):

@@ -210,6 +210,14 @@ def test_only_bigraded_components_substitutes():
     assert calls == [("shift", "bigraded_components")]
 
 
+def test_only_build_classical_builds_from_matrices():
+    # a centralizer reads its constants at the kernel's free columns; the
+    # matrix commutators of _from_matrices serve the classical algebras alone
+    calls = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _callers(path, "_from_matrices")]
+    assert calls == [("liealg", "build_classical")]
+
+
 def _readme_command_lines():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
