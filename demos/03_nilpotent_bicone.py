@@ -12,7 +12,7 @@ products with the monomials of one degree less).
 
 from fractions import Fraction
 
-from argshift import build_classical, invariant_generators, jacobian_rank, principal_sl2
+from argshift import build_classical, invariant_generators, linalg, principal_sl2
 from argshift.bicone import (
     bicone_dimension_check,
     bicone_fiber_check,
@@ -55,7 +55,8 @@ print(f"\npair (E12+E23, E21-E32): in bicone = {bicone_membership(L3, f3, x, y)}
 print(f"pencil fully regular (minors certificate) = {pencil_regularity(L3, f3, x, y)}")
 gens3 = bicone_generators(L3, f3)
 point = dual_of(L3, x) + dual_of(L3, y)
-rank = jacobian_rank(gens3.polynomials(), point)
+jacobian = linalg.jacobian_at(gens3.polynomials())
+rank = linalg.rank(jacobian(point))
 print(f"Jacobian rank of all {gens3.generator_count} bicone generators there: {rank} "
       f"(full rank = smooth point)")
 
@@ -63,4 +64,4 @@ print(f"Jacobian rank of all {gens3.generator_count} bicone generators there: {r
 # locus, and the Jacobian rank drops in agreement
 x2 = [2 * c for c in x]
 print(f"\ncontrol (x, 2x): pencil regular = {pencil_regularity(L3, f3, x, x2)}, "
-      f"Jacobian rank = {jacobian_rank(gens3.polynomials(), dual_of(L3, x) + dual_of(L3, x2))}")
+      f"Jacobian rank = {linalg.rank(jacobian(dual_of(L3, x) + dual_of(L3, x2)))}")

@@ -17,7 +17,6 @@ from .groebner import (
     regular_sequence_verdict,
 )
 from .invariants import InvariantFamily, invariant_generators, verify_invariance
-from .linalg import jacobian_rank
 from .liealg import (
     LieAlgebraData,
     SL2Triple,
@@ -45,7 +44,6 @@ __all__ = [
     "MonomialOrder",
     "buchberger",
     "ideal_dimension",
-    "jacobian_rank",
     "normal_form",
     "regular_sequence_verdict",
     "InvariantFamily",

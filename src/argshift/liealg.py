@@ -1,10 +1,13 @@
 """Classical reductive Lie algebras and their centralizers as exact data.
 
 An algebra is stored by structure constants over Q together with the trace
-form of its defining representation.  Brackets, adjoint maps, centralizers,
-principal sl2-triples and Kostant slices are all computed exactly.  The index
-is certified by two bounds that meet at a seeded point: the rank of the
-structure matrix there, and the rank of the invariants' gradients there.
+form of its defining representation.  Every algebra but gl_n's row-major
+ambient is a subalgebra read from its ambient's structure constants by one
+reader (_subalgebra): a classical algebra inside gl_n, a centralizer g^e
+inside g.  Brackets, adjoint maps, centralizers, principal sl2-triples and
+Kostant slices are all computed exactly.  The index is certified by two
+bounds that meet at a seeded point: the rank of the structure matrix there,
+and the rank of the invariants' gradients there.
 
 Coordinate convention: S(g) uses coordinates x_0..x_{n-1} dual to the chosen
 basis, so a point of the dual space is a plain coordinate vector and the
@@ -44,9 +47,9 @@ class LieAlgebraData:
 
     structure maps (i, j) with i < j to the sparse bracket {k: c} meaning
     [b_i, b_j] = sum c * b_k; antisymmetry is implicit.  defining holds the
-    basis matrices (see _from_matrices), for a centralizer the parent's
-    matrices of its basis vectors.  The form may be degenerate only for type
-    "centralizer".
+    basis matrices in the defining representation: for a subalgebra, its
+    ambient's matrices of its basis vectors (see _subalgebra).  The form may
+    be degenerate only for type "centralizer".
     """
 
     dim: int
@@ -187,88 +190,102 @@ def _mat_zero(m: int) -> list[list[Fraction]]:
     return [[Fraction(0)] * m for _ in range(m)]
 
 
-def _E(m: int, a: int, b: int) -> list[list[Fraction]]:
-    """Elementary matrix (1-based indices)."""
-    out = _mat_zero(m)
-    out[a - 1][b - 1] = Fraction(1)
-    return out
-
-
-def _mat_mul(a, b):
-    """Matrix product that skips the zero entries of both factors."""
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = [[Fraction(0)] * len(b[0]) for _ in a]
-    for row, a_row in zip(out, a):
-        for k, x in enumerate(a_row):
-            if x:
-                for j, y in b_rows[k]:
-                    row[j] += x * y
-    return out
-
-
-def _mat_commutator(a, b):
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
-    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
-
-
-def _mat_trace_pairing(a, b) -> Fraction:
-    """tr(ab), skipping the zero entries of both factors."""
-    return sum((x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row)
-                if x and b[j][i]), Fraction(0))
-
-
 def _flatten(mat) -> Vector:
     return [x for row in mat for x in row]
 
 
-def _from_matrices(
-    mats: list[list[list[Fraction]]], labels: list[str], meta: dict
-) -> LieAlgebraData:
-    """The span of independent basis matrices: the trace form, and the
-    structure constants of [b_i, b_j], i < j, as coords_of_matrix of the
-    commutator.  Raises LieAlgebraError if some commutator leaves the span."""
-    n = len(mats)
-    form = [[_mat_trace_pairing(mats[i], mats[j]) for j in range(n)] for i in range(n)]
-    L = LieAlgebraData(dim=n, basis_labels=labels, structure={}, form=form, meta=meta,
-                       defining=mats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                coords = coords_of_matrix(L, _mat_commutator(mats[i], mats[j]))
-            except LieAlgebraError:
-                raise LieAlgebraError("basis does not close under the bracket") from None
-            comps = {k: c for k, c in enumerate(coords) if c}
+def _unit(m: int, i: int) -> Vector:
+    v = linalg.zeros_vector(m)
+    v[i] = Fraction(1)
+    return v
+
+
+def _gl_ambient(n: int) -> LieAlgebraData:
+    """gl_n on the row-major basis E_ab (coordinate a*n + b), from the rules
+    [E_ab, E_cd] = [b == c] E_ad - [d == a] E_cb and tr(E_ab E_cd) =
+    [b == c][a == d]; the ambient algebra of every classical one, not
+    validated."""
+    m = n * n
+    pairs = [divmod(i, n) for i in range(m)]
+    structure = {}
+    for i, (a, b) in enumerate(pairs):
+        for j in range(i + 1, m):
+            c, d = pairs[j]
+            comps = {}
+            if b == c:
+                comps[a * n + d] = Fraction(1)
+            if d == a:  # c * n + b differs from a * n + d, as i != j
+                comps[c * n + b] = Fraction(-1)
             if comps:
-                L.structure[(i, j)] = comps
-    return L
+                structure[(i, j)] = comps
+    return LieAlgebraData(dim=m, basis_labels=[f"E{a + 1}{b + 1}" for a, b in pairs],
+                          structure=structure, form=[_unit(m, b * n + a) for a, b in pairs],
+                          meta={"type": "gl", "size": n, "rank": n},
+                          defining=[[_unit(n, b) if p == a else linalg.zeros_vector(n)
+                                     for p in range(n)] for a, b in pairs])
 
 
-def _gl_basis(n: int):
-    mats, labels = [], []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            mats.append(_E(n, a, b))
-            labels.append(f"E{a}{b}")
-    return mats, labels
+def _subalgebra(A: LieAlgebraData, vectors: list[Vector], labels: list[str],
+                meta: dict) -> LieAlgebraData:
+    """The span of vectors inside A, read from A's structure constants.
+
+    The column c_k of v_k is the first column where v_k is 1 and no later
+    vector is nonzero; a vector without one is an InternalError.  Then a
+    vector of the span has coordinate k equal to its entry at c_k once
+    sum_{l<k} (coordinate l) v_l is subtracted, so one forward pass over the
+    columns of [v_i, v_j] (formed over the nonzero entries of both) reads
+    c_ij^k and subtracts c_ij^k v_k; what is left must be zero, else
+    InternalError.  The form is (v_i | v_j) and the defining matrices are A's
+    matrices of the v_k.
+    """
+    sparse = [_nonzero(v) for v in vectors]
+    cols, later = [], set()
+    for k in reversed(range(len(vectors))):
+        c = next((c for c, x in sparse[k] if x == 1 and c not in later), None)
+        if c is None:
+            raise InternalError(f"vector {k} has no column of its own (bug)")
+        cols.append(c)
+        later.update(c for c, _ in sparse[k])
+    cols.reverse()
+    structure = {}
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            br = _bracket_terms(A, sparse[i], sparse[j])
+            comps = {}
+            for k, c in enumerate(cols):
+                x = br.get(c)
+                if x:
+                    comps[k] = x
+                    for a, y in sparse[k]:
+                        br[a] = br.get(a, 0) - x * y
+            if any(br.values()):
+                raise InternalError("span is not closed under bracket (bug)")
+            if comps:
+                structure[(i, j)] = comps
+    return LieAlgebraData(dim=len(vectors), basis_labels=labels, structure=structure,
+                          form=_pairings(A, vectors, vectors), meta=meta,
+                          defining=[matrix_of_coords(A, v) for v in vectors])
 
 
-def _sl_basis(n: int):
-    mats, labels = [], []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            mats.append(_E(n, a, b))
-            labels.append(f"E{a}{b}")
-    for i in range(1, n):
-        h = _E(n, i, i)
-        h[i][i] = Fraction(-1)
-        mats.append(h)
-        labels.append(f"H{i}")
-    for b in range(1, n + 1):
-        for a in range(b + 1, n + 1):
-            mats.append(_E(n, a, b))
-            labels.append(f"E{a}{b}")
-    return mats, labels
+def _gl_basis(n: int) -> tuple[list[Vector], list[str]]:
+    return ([_unit(n * n, i) for i in range(n * n)],
+            [f"E{a}{b}" for a in range(1, n + 1) for b in range(1, n + 1)])
+
+
+def _sl_basis(n: int) -> tuple[list[Vector], list[str]]:
+    """Root vectors E_ab above the diagonal, H_i = E_ii - E_{i+1,i+1}, then
+    root vectors below it, in gl_n's coordinates."""
+    upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    lower = [(a, b) for b in range(n) for a in range(b + 1, n)]
+    diagonal = []
+    for i in range(n - 1):
+        h = _unit(n * n, i * (n + 1))
+        h[(i + 1) * (n + 1)] = Fraction(-1)
+        diagonal.append(h)
+    return ([_unit(n * n, a * n + b) for a, b in upper] + diagonal
+            + [_unit(n * n, a * n + b) for a, b in lower],
+            [f"E{a + 1}{b + 1}" for a, b in upper] + [f"H{i}" for i in range(1, n)]
+            + [f"E{a + 1}{b + 1}" for a, b in lower])
 
 
 def _gram_so(n: int):
@@ -286,8 +303,9 @@ def _gram_sp(n: int):
     return g
 
 
-def _matrix_condition_basis(n: int, gram) -> list[list[list[Fraction]]]:
-    """Basis of {x : x^T G + G x = 0} by exact elimination, pivot-ordered."""
+def _matrix_condition_basis(n: int, gram) -> list[Vector]:
+    """Basis of {x : x^T G + G x = 0} by exact elimination, pivot-ordered, in
+    gl_n's coordinates (x[p][q] at p * n + q)."""
     rows = []
     for a in range(n):
         for b in range(n):
@@ -298,31 +316,32 @@ def _matrix_condition_basis(n: int, gram) -> list[list[list[Fraction]]]:
                 row[p * n + a] += gram[p][b]
                 row[p * n + b] += gram[a][p]
             rows.append(row)
-    kernel = linalg.nullspace(rows)
-    return [[[v[i * n + j] for j in range(n)] for i in range(n)] for v in kernel]
+    return linalg.nullspace(rows)
 
 
-def _principal_weight_order(mats) -> list[int]:
-    """Basis positions sorted by (-principal weight, position).
+def _principal_weight_order(n: int, vectors: list[Vector]) -> list[int]:
+    """Positions of vectors in gl_n's coordinates sorted by (-principal
+    weight, position).
 
-    A matrix with nonzero entries only at (a, b) with b - a = w is an ad h
-    eigenvector of weight 2w for h = diag(n-1, n-3, ..., 1-n), the h of
-    principal_sl2 for gl, sl, sp and odd so.  For even so the key is the
+    A vector whose nonzero entries all sit at columns a * n + b with b - a = w
+    is an ad h eigenvector of weight 2w for h = diag(n-1, n-3, ..., 1-n), the
+    h of principal_sl2 for gl, sl, sp and odd so.  For even so the key is the
     grading by that same diagonal, which is not a principal h there.  A
-    matrix mixing two values of b - a is not a weight vector and raises
+    vector mixing two values of b - a is not a weight vector and raises
     InternalError.
     """
     weights = []
-    for i, m in enumerate(mats):
-        found = {b - a for a, row in enumerate(m) for b, x in enumerate(row) if x}
+    for i, v in enumerate(vectors):
+        found = {c % n - c // n for c, _ in _nonzero(v)}
         if len(found) != 1:
-            raise InternalError(f"basis matrix {i} is not a principal weight vector (bug)")
+            raise InternalError(f"basis vector {i} is not a principal weight vector (bug)")
         weights.append(found.pop())
-    return sorted(range(len(mats)), key=lambda i: (-weights[i], i))
+    return sorted(range(len(vectors)), key=lambda i: (-weights[i], i))
 
 
 def build_classical(kind: str, size: int) -> LieAlgebraData:
-    """Construct gl_n, sl_n, so_n or sp_n (split form, trace form).
+    """Construct gl_n, sl_n, so_n or sp_n (split form, trace form) as the
+    span of its basis inside gl_n (_subalgebra of _gl_ambient).
 
     The basis is ordered by descending principal weight: positive root
     vectors by height, then the diagonal, then negative root vectors (ties
@@ -337,29 +356,29 @@ def build_classical(kind: str, size: int) -> LieAlgebraData:
     if kind == "gl":
         if size < 1:
             raise LieAlgebraError("gl size must be >= 1")
-        mats, labels = _gl_basis(size)
+        vectors, labels = _gl_basis(size)
         meta = {"type": "gl", "size": size, "rank": size}
     elif kind == "sl":
         if size < 2:
             raise LieAlgebraError("sl size must be >= 2")
-        mats, labels = _sl_basis(size)
+        vectors, labels = _sl_basis(size)
         meta = {"type": "sl", "size": size, "rank": size - 1}
     elif kind == "so":
         if size < 3:
             raise LieAlgebraError("so size must be >= 3")
-        mats = _matrix_condition_basis(size, _gram_so(size))
+        vectors = _matrix_condition_basis(size, _gram_so(size))
         meta = {"type": "so", "size": size, "rank": size // 2}
     elif kind == "sp":
         if size < 2 or size % 2:
             raise LieAlgebraError("sp size must be even and >= 2")
-        mats = _matrix_condition_basis(size, _gram_sp(size))
+        vectors = _matrix_condition_basis(size, _gram_sp(size))
         meta = {"type": "sp", "size": size, "rank": size // 2}
     else:
         raise LieAlgebraError(f"unsupported type {kind!r}")
-    order = _principal_weight_order(mats)
-    mats = [mats[i] for i in order]
-    labels = [f"b{k}" for k in range(len(mats))] if labels is None else [labels[i] for i in order]
-    L = _from_matrices(mats, labels, meta)
+    order = _principal_weight_order(size, vectors)
+    vectors = [vectors[i] for i in order]
+    labels = [f"b{k}" for k in range(len(vectors))] if labels is None else [labels[i] for i in order]
+    L = _subalgebra(_gl_ambient(size), vectors, labels, meta)
     validate(L)
     return L
 
@@ -404,16 +423,9 @@ def validate(L: LieAlgebraData) -> None:
 
 
 def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vector]]:
-    """The subalgebra ker(ad e), read from L's structure constants and form.
-
-    The basis z_k is the reduced row-echelon kernel basis, ordered by pivot.
-    Each z_k is 1 at its free column c_k and 0 at every other vector's free
-    column, so a vector of the span has coordinates its entries at
-    c_0..c_{m-1}: c_ij^k is the entry of [z_i, z_j] (formed over the nonzero
-    entries of z_i and z_j) at c_k, and the bracket must equal
-    sum_k c_ij^k z_k, else InternalError.  The form is (z_i | z_j) and the
-    defining matrices are L's matrices of the z_k, so the algebra equals the
-    matrix subalgebra that _from_matrices would build from them.
+    """The subalgebra ker(ad e): _subalgebra of L on the reduced row-echelon
+    kernel basis z_k, ordered by pivot.  z_k is 1 at its free column and every
+    other kernel vector is 0 there, so each z_k has a column.
 
     Returns (algebra, embedding) where embedding is the list of basis vectors
     of the centralizer inside L.  For e = 0 this is L itself with the
@@ -422,36 +434,11 @@ def centralizer(L: LieAlgebraData, e: Vector) -> tuple[LieAlgebraData, list[Vect
     if len(e) != L.dim:
         raise LieAlgebraError("vector length mismatch")
     if not any(e):
-        return L, [[Fraction(int(i == j)) for j in range(L.dim)] for i in range(L.dim)]
+        return L, [_unit(L.dim, i) for i in range(L.dim)]
     kernel = linalg.nullspace(adjoint_matrix(L, e))
-    m = len(kernel)
-    # the columns where the kernel matrix is the identity: z_k is 1 there, all others 0
-    alone = [sum(map(bool, column)) == 1 for column in zip(*kernel)]
-    cols = []
-    for k, z in enumerate(kernel):
-        c = next((c for c, x in enumerate(z) if x == 1 and alone[c]), None)
-        if c is None:
-            raise InternalError(f"kernel vector {k} has no identity column (bug)")
-        cols.append(c)
-    sparse = [_nonzero(z) for z in kernel]
-    structure = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = _bracket_terms(L, sparse[i], sparse[j])
-            comps = {k: br[c] for k, c in enumerate(cols) if br.get(c)}
-            for k, c in comps.items():
-                for a, x in sparse[k]:
-                    br[a] = br.get(a, 0) - c * x
-            if any(br.values()):
-                raise InternalError("centralizer is not closed under bracket (bug)")
-            if comps:
-                structure[(i, j)] = comps
     meta = {"type": "centralizer", "parent_type": L.meta.get("type"),
             "parent_size": L.meta.get("size"), "rank": None}
-    Lc = LieAlgebraData(dim=m, basis_labels=[f"z{i}" for i in range(m)], structure=structure,
-                        form=_pairings(L, kernel, kernel), meta=meta,
-                        defining=[matrix_of_coords(L, z) for z in kernel])
-    return Lc, kernel
+    return _subalgebra(L, kernel, [f"z{i}" for i in range(len(kernel))], meta), kernel
 
 
 def _pairings(L: LieAlgebraData, us: list[Vector], ws: list[Vector]) -> list[list[Fraction]]:
@@ -510,7 +497,8 @@ def index_of(L: LieAlgebraData, invariants: list[Poly] | None = None) -> IndexRe
     points: mode "sampled".
 
     invariants default to the power traces (gl, sl, odd so, sp); a
-    centralizer has none unless the caller passes the transported family.
+    centralizer has none unless the caller passes a family on its dual, such
+    as the slice restrictions of g's invariants.
     A call without invariants returns the memoized report; a call that
     brings invariants always checks and certifies with them, and its report
     replaces the memo unless that would trade an "exact" one for "sampled".

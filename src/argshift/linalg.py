@@ -139,12 +139,6 @@ def det(rows: list[list[int]]) -> int:
     return sign * m[-1][-1] if size else 1
 
 
-def jacobian_rank(gens: list[Poly], point) -> int:
-    """Exact rank of the matrix (d g_i / d x_j) at one point (for many
-    points, build jacobian_at once and rank each matrix)."""
-    return rank(jacobian_at(gens)(point))
-
-
 def jacobian_at(gens: list[Poly]) -> Callable[[list], list[list[int]]]:
     """The Jacobian of gens at a point, row i scaled to integers, as a
     function of the point.

@@ -658,7 +658,7 @@ def test_jacobian_rank_matches_fraction_evaluation(algebras, families, monkeypat
             pt = liealg.dual_of(M, x) + liealg.dual_of(M, y)
             want = sympy.Matrix([[g.diff(j).evaluate(pt) for j in range(len(pt))] for g in gens]).rank()
             X, Y = (liealg.integer_dual_of(M, v) for v in (x, y))
-            assert linalg.rank(jacobian(pt)) == linalg.jacobian_rank(gens, pt) == want
+            assert linalg.rank(jacobian(pt)) == want
             assert linalg.rank(jacobian(X + Y)) == want
             assert reader.jacobian_rank(reader.readings(M, x, y)) == want, (name, x, y)
             assert reported is None or reported[k] == want

@@ -109,7 +109,7 @@ def test_validate_rejects_corruptions_like_dense_reference(algebras, monkeypatch
     for spec in [("sl", 2), ("so", 3), ("gl", 2), ("sl", 3)]:
         for C in _corruptions(algebras[spec], rng, 25):
             expected = dense_validate(C)
-            monkeypatch.setattr(liealg, "_from_matrices", lambda *args: C)
+            monkeypatch.setattr(liealg, "_subalgebra", lambda *args: C)
             try:
                 build_classical(*spec)
                 got = None
@@ -212,11 +212,12 @@ def test_basis_orders_positive_roots_by_height(algebras):
 
 
 def test_weight_order_rejects_a_mixed_weight_matrix():
-    e11, e12, e21 = (liealg._E(2, a, b) for a, b in [(1, 1), (1, 2), (2, 1)])
-    assert liealg._principal_weight_order([e11, e21, e12]) == [2, 0, 1]
-    e12_plus_e21 = [[x + y for x, y in zip(r, s)] for r, s in zip(e12, e21)]
+    # gl_2's coordinates: E11, E12, E21, E22 at 0..3, weights 0, 1, -1, 0
+    e11, e12, e21 = (basis_vec(4, c) for c in (0, 1, 2))
+    assert liealg._principal_weight_order(2, [e11, e21, e12]) == [2, 0, 1]
+    e12_plus_e21 = [x + y for x, y in zip(e12, e21)]
     with pytest.raises(InternalError, match="not a principal weight vector"):
-        liealg._principal_weight_order([e11, e12_plus_e21])
+        liealg._principal_weight_order(2, [e11, e12_plus_e21])
 
 
 def test_adjoint_traceless_for_sl(algebras):
@@ -294,11 +295,90 @@ def test_centralizer_closure_failure_is_internal_error(algebras, monkeypatch):
 
 def test_kernel_without_an_identity_column_is_internal_error(algebras, monkeypatch):
     L = algebras[("gl", 3)]
-    e12 = basis_vec(9, L.basis_labels.index("E12"))
-    # a planted kernel vector with no entry 1: no column reads its coordinate
-    monkeypatch.setattr(linalg, "nullspace", lambda rows: [[2 * x for x in e12]])
-    with pytest.raises(InternalError, match="no identity column"):
-        centralizer(L, e12)
+    e12, e13 = (basis_vec(9, L.basis_labels.index(label)) for label in ("E12", "E13"))
+    # planted kernels: a vector with no entry 1, and a vector whose only entry 1
+    # sits where a later vector is nonzero; no column reads its coordinate
+    for kernel in ([[2 * x for x in e12]], [e12, [x + y for x, y in zip(e12, e13)]]):
+        monkeypatch.setattr(linalg, "nullspace", lambda rows: kernel)
+        with pytest.raises(InternalError, match="vector 0 has no column of its own"):
+            centralizer(L, e12)
+
+
+def _mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _from_matrices(mats, labels, meta):
+    """The span of independent basis matrices by dense products, the
+    reference for liealg._subalgebra: the trace form tr(b_i b_j), and each
+    structure constant read by coords_of_matrix from the commutator
+    [b_i, b_j], i < j."""
+    n = len(mats)
+    m = range(len(mats[0]))
+    form = [[sum((a[i][j] * b[j][i] for i in m for j in m), Fraction(0)) for b in mats] for a in mats]
+    L = LieAlgebraData(dim=n, basis_labels=labels, structure={}, form=form, meta=meta,
+                       defining=mats)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ab, ba = _mat_mul(mats[i], mats[j]), _mat_mul(mats[j], mats[i])
+            coords = coords_of_matrix(L, [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+            comps = {k: c for k, c in enumerate(coords) if c}
+            if comps:
+                L.structure[(i, j)] = comps
+    return L
+
+
+def _reference_classical(kind, n):
+    """build_classical the dense way: elementary matrices for gl and sl, the
+    kernel of x -> x^T G + G x (its matrix formed by dense products on the
+    E_pq) for so and sp, sorted by the one value of b - a over their nonzero
+    entries (a, b), then _from_matrices."""
+    def unit(a, b):
+        return [[Fraction(int((p, q) == (a, b))) for q in range(n)] for p in range(n)]
+
+    if kind == "gl":
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        mats, labels = [unit(a, b) for a, b in pairs], [f"E{a + 1}{b + 1}" for a, b in pairs]
+    elif kind == "sl":
+        upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        lower = [(a, b) for b in range(n) for a in range(b + 1, n)]
+        diagonal = [[[x - y for x, y in zip(r, s)] for r, s in zip(unit(i, i), unit(i + 1, i + 1))]
+                    for i in range(n - 1)]
+        mats = [unit(a, b) for a, b in upper] + diagonal + [unit(a, b) for a, b in lower]
+        labels = ([f"E{a + 1}{b + 1}" for a, b in upper] + [f"H{i}" for i in range(1, n)]
+                  + [f"E{a + 1}{b + 1}" for a, b in lower])
+    else:
+        gram = {"so": liealg._gram_so, "sp": liealg._gram_sp}[kind](n)
+        images = []  # column p * n + q: the entries of E_pq^T G + G E_pq
+        for p in range(n):
+            for q in range(n):
+                x = unit(p, q)
+                xt_g, g_x = _mat_mul([list(r) for r in zip(*x)], gram), _mat_mul(gram, x)
+                images.append([u + v for r, s in zip(xt_g, g_x) for u, v in zip(r, s)])
+        mats = [[v[a * n:(a + 1) * n] for a in range(n)]
+                for v in linalg.nullspace([list(row) for row in zip(*images)])]
+        labels = None
+    weight = [{b - a for a, row in enumerate(m) for b, x in enumerate(row) if x} for m in mats]
+    assert all(len(w) == 1 for w in weight)
+    order = sorted(range(len(mats)), key=lambda i: (-min(weight[i]), i))
+    labels = [f"b{k}" for k in range(len(mats))] if labels is None else [labels[i] for i in order]
+    rank = {"gl": n, "sl": n - 1}.get(kind, n // 2)
+    return _from_matrices([mats[i] for i in order], labels, {"type": kind, "size": n, "rank": rank})
+
+
+CLASSICAL_SPECS = [*(("gl", n) for n in range(1, 6)), *(("sl", n) for n in range(2, 6)),
+                   *(("so", n) for n in (3, 4, 5, 7)), *(("sp", n) for n in (2, 4, 6))]
+
+
+@pytest.mark.parametrize("spec", CLASSICAL_SPECS, ids=lambda spec: f"{spec[0]}{spec[1]}")
+def test_build_classical_equals_the_dense_reference(spec):
+    # object for object, term maps in order: reading the span inside gl_n
+    # from gl_n's structure constants changes no algebra
+    L, ref = build_classical(*spec), _reference_classical(*spec)
+    assert (L.dim, L.basis_labels, L.meta) == (ref.dim, ref.basis_labels, ref.meta)
+    assert [(key, list(comps.items())) for key, comps in L.structure.items()] == [
+        (key, list(comps.items())) for key, comps in ref.structure.items()]
+    assert (L.form, L.defining) == (ref.form, ref.defining)
 
 
 def _dense_matrix(L, v):
@@ -319,8 +399,8 @@ def _reference_slice(L, t):
         ge = linalg.nullspace(adjoint_matrix(L, t.e))
         meta = {"type": "centralizer", "parent_type": L.meta["type"],
                 "parent_size": L.meta["size"], "rank": None}
-        Lc = liealg._from_matrices([_dense_matrix(L, z) for z in ge],
-                                   [f"z{i}" for i in range(len(ge))], meta)
+        Lc = _from_matrices([_dense_matrix(L, z) for z in ge], [f"z{i}" for i in range(len(ge))],
+                            meta)
     else:
         Lc, ge = L, [basis_vec(L.dim, i) for i in range(L.dim)]
     gf = linalg.nullspace(adjoint_matrix(L, t.f))
@@ -472,9 +552,10 @@ def test_principal_triple_needs_no_linear_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("linear solve while building a triple")
 
-    # the coordinate solver is memoized when the algebra is built, and the
-    # regularity check reads the memoized index (its invariants invert the form)
+    # the coordinate solver is memoized on its first use, and the regularity
+    # check reads the memoized index (its invariants invert the form)
     for L in algebras:
+        coords_of_matrix(L, L.defining[0])
         index_of(L)
     monkeypatch.setattr(linalg, "rref", refuse)
     for L in algebras:
@@ -589,8 +670,10 @@ def test_coords_of_matrix_rejects_matrix_outside_algebra(algebras):
 def test_dependent_basis_matrices_are_internal_error():
     # E12 and 2 E12: one pivot for two basis matrices, no square block to invert
     e12 = [[Fraction(int((a, b) == (0, 1))) for b in range(2)] for a in range(2)]
+    L = LieAlgebraData(dim=2, basis_labels=["a", "b"], structure={}, form=[[Fraction(0)] * 2] * 2,
+                       meta={}, defining=[e12, [[2 * u for u in row] for row in e12]])
     with pytest.raises(InternalError, match="dependent"):
-        liealg._from_matrices([e12, [[2 * u for u in row] for row in e12]], ["a", "b"], {})
+        coords_of_matrix(L, e12)
 
 
 def test_dual_of_rejects_wrong_length(algebras):

@@ -210,12 +210,13 @@ def test_only_bigraded_components_substitutes():
     assert calls == [("shift", "bigraded_components")]
 
 
-def test_only_build_classical_builds_from_matrices():
-    # a centralizer reads its constants at the kernel's free columns; the
-    # matrix commutators of _from_matrices serve the classical algebras alone
+def test_only_the_subalgebra_reader_constructs_algebras():
+    # classical algebras and centralizers are read as spans inside an ambient
+    # algebra by one reader of structure constants; gl_n's rule builder makes
+    # the ambient of the classical ones
     calls = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
-             for owner in _callers(path, "_from_matrices")]
-    assert calls == [("liealg", "build_classical")]
+             for owner in _callers(path, "LieAlgebraData")]
+    assert calls == [("liealg", "_gl_ambient"), ("liealg", "_subalgebra")]
 
 
 def _readme_command_lines():
