@@ -29,7 +29,7 @@ from .liealg import (
     kostant_slice,
     principal_sl2,
 )
-from .poisson import CommutativityReport, commutativity_report, hamiltonian, poisson_bracket
+from .poisson import CommutativityReport, commutativity_report, poisson_bracket
 from .shift import MFGeneratorSet, bigraded_components, mf_generators, shift_derivative
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "principal_sl2",
     "CommutativityReport",
     "commutativity_report",
-    "hamiltonian",
     "poisson_bracket",
     "MFGeneratorSet",
     "bigraded_components",

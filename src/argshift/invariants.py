@@ -102,8 +102,10 @@ def invariant_generators(L: LieAlgebraData) -> InvariantFamily:
 
 def verify_invariance(L: LieAlgebraData, p: Poly) -> bool:
     """True iff {x_k, p} = 0 exactly for every coordinate function x_k, i.e.
-    the Hamiltonian field of p vanishes."""
-    return all(row.is_zero() for row in poisson.hamiltonian(L, p))
+    the Hamiltonian field of p vanishes.  A True answer is remembered in L's
+    "central" memo (see poisson), so a commutativity report on a family that
+    contains p does not compute p's field again."""
+    return poisson._gradient_and_field(L, p) is None
 
 
 def power_sums_to_elementary(power_sums: list[Poly]) -> list[Poly]:

@@ -60,8 +60,9 @@ class LieAlgebraData:
     defining: list[list[list[Fraction]]]
 
     # per-algebra memos: "index", "form_inverse", "structure_rows" (B(x) packed, see
-    # poisson), "invariants", "coords" (see coords_of_matrix), "integer_form" (see
-    # integer_dual_of), "defining_entries" (see matrix_of_coords)
+    # poisson), "central" (content snapshots of polynomials whose Hamiltonian field
+    # poisson found zero), "invariants", "coords" (see coords_of_matrix),
+    # "integer_form" (see integer_dual_of), "defining_entries" (see matrix_of_coords)
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:

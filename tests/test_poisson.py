@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from argshift.centralizer_lab import nilpotent_from_partition
 from argshift.exactpoly import Poly
 from argshift.invariants import invariant_generators, verify_invariance
-from argshift.liealg import build_classical, centralizer, draw_regular_dual_point, dual_of, principal_sl2
+from argshift.liealg import (build_classical, centralizer, draw_regular_dual_point, dual_of, index_of,
+                             principal_sl2)
 from argshift.poisson import commutativity_report, entry_label, poisson_bracket
+from argshift.reports import canonical_json
 from argshift.shift import MFGeneratorSet, mf_generators
 
 
@@ -145,7 +147,10 @@ def test_report_json_shape(algebras, families, triples):
     L = algebras[("sl", 2)]
     mf = mf_generators(L, families[("sl", 2)], dual_of(L, triples[("sl", 2)].e))
     data = commutativity_report(L, mf).to_json_dict()
-    assert data == {"pair_count": 1, "failure_count": 0, "failures": []}
+    # D^0(p_1) is the Casimir, so its one pair is zero without a product
+    stats = {"central_members": 1, "pairs_zero_field": 1, "pairs_swapped": 0}
+    assert data == {"pair_count": 1, "failure_count": 0, "failures": [], "stats": stats}
+    assert canonical_json(data) == canonical_json({**data, "stats": {}})
 
 
 # -- differential check against the textbook Leibniz sum ----------------------
@@ -219,3 +224,63 @@ def test_commutativity_rank_3_families(kind, size, point, pairs):
     rep = commutativity_report(L, mf)
     assert rep.pair_count == pairs
     assert rep.commutes
+
+
+# -- oriented pairs and the "central" memo -------------------------------------
+
+
+def _planted_family(L, mf):
+    """mf with two members that fail to commute planted around it: f = p + x_i
+    first (p the top invariant: a long gradient, but the short field of x_i)
+    and g = x_j / 3 last, where {x_i, x_j} != 0.  The pair (f, g) is cheaper
+    as -(grad g . X_f) than as grad f . X_g, so it runs swapped."""
+    (i, j), _ = next(iter(L.structure.items()))
+    top = max(t for t, _, _ in mf.entries)
+    p = next(q for t, s, q in mf.entries if t == top and s == 0)
+    f = p + Poly.variable(L.dim, i)
+    g = Fraction(1, 3) * Poly.variable(L.dim, j)
+    return [(top + 1, 0, f)] + list(mf.entries) + [(top + 2, 0, g)]
+
+
+@pytest.mark.parametrize("spec", [("sl", 3), ("gl", 3), ("sp", 4)])
+def test_failures_match_the_bracket_in_either_orientation(algebras, families, spec):
+    L = algebras[spec]
+    xi, _ = draw_regular_dual_point(L, 7)
+    entries = _planted_family(L, mf_generators(L, families[spec], xi))
+    pair = MFGeneratorSet(xi=xi, entries=[entries[0], entries[-1]], expected_count=2)
+    planted = MFGeneratorSet(xi=xi, entries=entries, expected_count=len(entries))
+    for fam in (pair, planted):
+        rep = commutativity_report(L, fam)
+        polys = {entry_label(i, j): q for i, j, q in fam.entries}
+        assert rep.failures
+        for left, right, br in rep.failures:
+            expected = poisson_bracket(L, polys[left], polys[right])
+            assert br == expected and str(br) == str(expected)
+        assert rep.stats["pairs_swapped"] > 0
+    assert len(rep.failures) < rep.pair_count  # the family's own pairs still commute
+
+
+def test_a_failed_invariance_check_is_not_remembered():
+    L = build_classical("sl", 3)
+    assert not verify_invariance(L, Poly.variable(L.dim, 0))
+    assert not L._caches.get("central")
+    assert verify_invariance(L, invariant_generators(L).generators[0])
+    assert len(L._caches["central"]) == 1
+
+
+@pytest.mark.parametrize("point", ["e", "random-regular"])
+def test_reports_do_not_depend_on_the_memo(algebras, point):
+    for kind, size in algebras:
+        probe = build_classical(kind, size)  # draw_regular_dual_point runs index_of
+        if point == "e":
+            xi = dual_of(probe, principal_sl2(probe).e)
+        else:
+            xi, _ = draw_regular_dual_point(probe, 11)
+        fresh, indexed = build_classical(kind, size), build_classical(kind, size)
+        index_of(indexed)
+        assert "central" not in fresh._caches and indexed._caches["central"]
+        reps = [commutativity_report(L, mf_generators(L, invariant_generators(L), xi))
+                for L in (fresh, indexed)]
+        assert reps[0].commutes
+        assert reps[0].stats == reps[1].stats
+        assert len({canonical_json(rep.to_json_dict()) for rep in reps}) == 1

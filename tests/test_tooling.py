@@ -5,7 +5,8 @@ reports.fractions_json.  The algebra layers below the Groebner engine do not
 import it, and no module but groebner calls it; only the bicone's full
 dimension check builds the 2n-variable bicone ideal, and only
 shift.bigraded_components substitutes into a polynomial (the slice pipeline
-reads its restrictions from the chart's matrix).  The README shows only
+reads its restrictions from the chart's matrix).  Only poisson reads or
+writes an algebra's "central" memo of Casimirs.  The README shows only
 commands that the command line accepts and a library quick start that runs,
 and the benchmark's workloads find every library name they call.  A failing
 Hypothesis test fails only itself under the repository's pytest settings."""
@@ -178,20 +179,43 @@ def test_only_groebner_calls_its_engine():
     assert calls == []
 
 
-def _callers(path: Path, name: str) -> list:
-    """The innermost def around each call to name in path (None at module level)."""
+def _owners(path: Path, matches) -> list:
+    """The innermost def around each node of path that matches (None at module level)."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call)
-                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == name):
+            if matches(child):
                 found.append(owner)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
     return found
+
+
+def _callers(path: Path, name: str) -> list:
+    """The innermost def around each call to name in path."""
+    return _owners(path, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def _memo_users(path: Path, key: str) -> list:
+    """The innermost def around each use of the memo _caches[key] in path: a
+    subscript, or a method call such as _caches.get(key) or .setdefault(key, ...)."""
+    def is_caches(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_caches"
+
+    def is_key(node):
+        return isinstance(node, ast.Constant) and node.value == key
+
+    def matches(node):
+        if isinstance(node, ast.Subscript):
+            return is_caches(node.value) and is_key(node.slice)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and is_caches(node.func.value) and any(map(is_key, node.args)))
+
+    return _owners(path, matches)
 
 
 def test_only_the_dimension_check_builds_the_bicone_ideal():
@@ -217,6 +241,15 @@ def test_only_the_subalgebra_reader_constructs_algebras():
     calls = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
              for owner in _callers(path, "LieAlgebraData")]
     assert calls == [("liealg", "_gl_ambient"), ("liealg", "_subalgebra")]
+
+
+def test_only_poisson_reads_or_writes_the_central_memo():
+    # a snapshot enters the memo only after its Hamiltonian field was computed
+    # on that algebra and found zero; any other writer could certify a
+    # polynomial that was never checked
+    users = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _memo_users(path, "central")]
+    assert users == [("poisson", "_gradient_and_field")] * 2
 
 
 def _readme_command_lines():
